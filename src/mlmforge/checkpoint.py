@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoder import ModelConfig
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .numerics import ParameterStore
 
 MAGIC = b"MLMFORGE"
@@ -90,9 +90,39 @@ def read_manifest(path) -> dict:
         if len(mbytes) != mlen:
             raise CheckpointError(f"{p}: truncated manifest")
         try:
-            return json.loads(mbytes.decode("utf-8"))
+            manifest = json.loads(mbytes.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{p}: corrupt manifest ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"{p}: manifest is not a JSON object")
+    return manifest
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _tensor_record(p: Path, index: int, rec) -> tuple[str, tuple, int, int]:
+    """Validates one tensor-table record; returns (name, shape, offset, length)."""
+    if not isinstance(rec, dict):
+        raise CheckpointError(f"{p}: tensor record {index} is not an object")
+    name = rec.get("name")
+    if not isinstance(name, str):
+        raise CheckpointError(f"{p}: tensor record {index} has missing or invalid 'name'")
+    for key in ("dtype", "shape", "offset", "length"):
+        if key not in rec:
+            raise CheckpointError(f"{p}: tensor '{name}' lacks '{key}'")
+    if rec["dtype"] != "float32":
+        raise CheckpointError(f"{p}: tensor '{name}' has unsupported dtype {rec['dtype']!r}")
+    shape = rec["shape"]
+    if not isinstance(shape, list) or not all(_is_int(d) and d >= 0 for d in shape):
+        raise CheckpointError(f"{p}: tensor '{name}' has invalid shape {shape!r}")
+    off, length = rec["offset"], rec["length"]
+    if not (_is_int(off) and _is_int(length)):
+        raise CheckpointError(
+            f"{p}: tensor '{name}' has non-integer offset/length {off!r}/{length!r}"
+        )
+    return name, tuple(shape), off, length
 
 
 def load_checkpoint(
@@ -112,7 +142,7 @@ def load_checkpoint(
 
     try:
         config = ModelConfig.from_dict(manifest["model_config"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ConfigError) as exc:
         raise CheckpointError(f"{p}: manifest missing or invalid model_config") from exc
     if expected_config is not None and config != expected_config:
         raise CheckpointError(
@@ -122,16 +152,22 @@ def load_checkpoint(
     if expected_vocab_hash is not None and manifest.get("vocab_hash") != expected_vocab_hash:
         raise CheckpointError(
             f"{p}: vocabulary hash mismatch (checkpoint "
-            f"{manifest.get('vocab_hash', '')[:12]}..., expected {expected_vocab_hash[:12]}...)"
+            f"{str(manifest.get('vocab_hash', ''))[:12]}..., expected {expected_vocab_hash[:12]}...)"
         )
+
+    records = manifest.get("tensors", [])
+    if not isinstance(records, list):
+        raise CheckpointError(f"{p}: manifest tensor table is not a list")
+    step = manifest.get("step", 0)
+    if not _is_int(step) or step < 0:
+        raise CheckpointError(f"{p}: manifest has invalid step {step!r}")
 
     loaded: dict[str, np.ndarray] = {}
     running = 0
-    for rec in manifest.get("tensors", []):
-        name, dtype, shape = rec["name"], rec["dtype"], tuple(rec["shape"])
-        off, length = rec["offset"], rec["length"]
-        if dtype != "float32":
-            raise CheckpointError(f"{p}: tensor '{name}' has unsupported dtype {dtype}")
+    for index, rec in enumerate(records):
+        name, shape, off, length = _tensor_record(p, index, rec)
+        if name in loaded:
+            raise CheckpointError(f"{p}: duplicate tensor '{name}'")
         if off != running:
             raise CheckpointError(f"{p}: tensor '{name}' offset {off} != expected {running}")
         expected_len = int(np.prod(shape, dtype=np.int64)) * 4 if shape else 4
@@ -148,12 +184,13 @@ def load_checkpoint(
         raise CheckpointError(f"{p}: {len(blob) - running} trailing bytes after tensor table")
 
     store = ParameterStore()
-    for name in [r["name"] for r in manifest.get("tensors", []) if "#" not in r["name"]]:
+    for name in [n for n in loaded if "#" not in n]:
         for part in ("#m", "#v"):
-            if name + part not in loaded:
+            moment = loaded.get(name + part)
+            if moment is None or moment.shape != loaded[name].shape:
                 raise CheckpointError(f"{p}: incomplete tensor set for '{name}'")
         param = store.add(name, loaded[name])
         param.adam_m[...] = loaded[name + "#m"]
         param.adam_v[...] = loaded[name + "#v"]
-    store.step_count = int(manifest.get("step", 0))
+    store.step_count = step
     return store, manifest

@@ -378,7 +378,11 @@ def encode_batch(params: ParameterStore, config: ModelConfig, batch: EncodedBatc
 # --- MLM head ----------------------------------------------------------------
 
 def mlm_head(params: ParameterStore, hidden: np.ndarray, want_cache: bool = False):
-    """dense -> gelu -> layer norm -> tied-embedding projection + bias."""
+    """dense -> gelu -> layer norm -> tied-embedding projection + bias.
+
+    Accepts hidden states of any leading shape; training feeds only the
+    labelled rows, gathered to (n_masked, hidden).
+    """
     t1 = ops.add_bias(ops.matmul(hidden, params["mlm.dense.w"].value),
                       params["mlm.dense.b"].value)
     t2 = ops.gelu(t1)

@@ -98,24 +98,38 @@ def write_log(log: list[dict], path) -> None:
 
 
 # --- MLM loss plumbing --------------------------------------------------------
+#
+# Sparse token prediction: only the labelled positions (~15 % of a batch) go
+# through the vocab-wide head and the loss; the rest carry no gradient.
+
+
+def _labelled_rows(labels: np.ndarray):
+    """(flat position, target) pairs of the labelled positions, row-major."""
+    flat = labels.reshape(-1)
+    pos = np.flatnonzero(flat != IGNORE_ID)
+    return pos, flat[pos]
 
 
 def mlm_loss(params, config, batch) -> float:
     """Forward-only MLM loss (eval mode); used by gradient-check probes."""
     hidden, _ = forward_hidden(params, config, batch.encoded(), training=False)
-    logits, _ = mlm_head(params, hidden)
-    loss, _ = cross_entropy(logits, batch.labels, IGNORE_ID)
+    pos, targets = _labelled_rows(batch.labels)
+    logits, _ = mlm_head(params, hidden.reshape(-1, hidden.shape[-1])[pos])
+    loss, _ = cross_entropy(logits, targets, IGNORE_ID)
     return loss
 
 
 def mlm_loss_and_backward(params, config, batch, training=True, rng=None) -> float:
     hidden, cache = forward_hidden(params, config, batch.encoded(), training=training,
                                    rng=rng, want_cache=True)
-    logits, hcache = mlm_head(params, hidden, want_cache=True)
-    loss, ce_cache = cross_entropy(logits, batch.labels, IGNORE_ID)
+    flat = hidden.reshape(-1, hidden.shape[-1])
+    pos, targets = _labelled_rows(batch.labels)
+    logits, hcache = mlm_head(params, flat[pos], want_cache=True)
+    loss, ce_cache = cross_entropy(logits, targets, IGNORE_ID)
     dlogits = cross_entropy_backward(ce_cache)
-    dhidden = mlm_head_backward(params, hcache, dlogits)
-    backward_hidden(params, config, cache, dhidden)
+    dflat = np.zeros_like(flat)
+    dflat[pos] = mlm_head_backward(params, hcache, dlogits)
+    backward_hidden(params, config, cache, dflat.reshape(hidden.shape))
     return loss
 
 
@@ -125,11 +139,11 @@ def mlm_eval_loss(params, config, batches) -> float:
     n = 0
     for batch in batches:
         hidden, _ = forward_hidden(params, config, batch.encoded(), training=False)
-        logits, _ = mlm_head(params, hidden)
-        loss, _ = cross_entropy(logits, batch.labels, IGNORE_ID)
-        n_valid = int((batch.labels != IGNORE_ID).sum())
-        total += loss * n_valid
-        n += n_valid
+        pos, targets = _labelled_rows(batch.labels)
+        logits, _ = mlm_head(params, hidden.reshape(-1, hidden.shape[-1])[pos])
+        loss, _ = cross_entropy(logits, targets, IGNORE_ID)
+        total += loss * pos.size
+        n += pos.size
     if n == 0:
         raise DataError("no labeled positions in evaluation stream")
     return total / n

@@ -1,19 +1,29 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from mlmforge.benchmarks import Example, LabeledDataset
-from mlmforge.checkpoint import load_checkpoint, read_manifest, save_checkpoint
+from mlmforge.checkpoint import MAGIC, load_checkpoint, read_manifest, save_checkpoint
 from mlmforge.corpus import CorpusStats, SentenceCorpus
-from mlmforge.encoder import ModelConfig, init_params
+from mlmforge.encoder import (
+    ModelConfig,
+    backward_hidden,
+    forward_hidden,
+    init_params,
+    mlm_head,
+    mlm_head_backward,
+)
 from mlmforge.errors import CheckpointError, ConfigError, NonFiniteError
-from mlmforge.masking import build_epoch_batches
-from mlmforge.tokenizer import train_vocab
+from mlmforge.masking import build_batch, build_epoch_batches
+from mlmforge.numerics.ops import IGNORE_ID, cross_entropy, cross_entropy_backward
+from mlmforge.tokenizer import PAD_ID, train_vocab
 from mlmforge.training import (
     TrainConfig,
     finetune,
     mlm_eval_loss,
+    mlm_loss_and_backward,
     pretrain,
     write_log,
 )
@@ -120,6 +130,70 @@ class TestPretrain:
         assert stores_equal(uninterrupted, final)
 
 
+def dense_mlm_loss_and_backward(params, config, batch):
+    """Reference: project every position, pads included, and let
+    cross_entropy drop the unlabelled rows."""
+    hidden, cache = forward_hidden(params, config, batch.encoded(), training=False,
+                                   want_cache=True)
+    logits, hcache = mlm_head(params, hidden, want_cache=True)
+    loss, ce_cache = cross_entropy(logits, batch.labels, IGNORE_ID)
+    dhidden = mlm_head_backward(params, hcache, cross_entropy_backward(ce_cache))
+    backward_hidden(params, config, cache, dhidden)
+    return loss
+
+
+def store_bytes(store):
+    return {name: (p.value.tobytes(), p.adam_m.tobytes(), p.adam_v.tobytes())
+            for name, p in store.items()}
+
+
+class TestSparseMLM:
+    @pytest.fixture
+    def batch(self):
+        batch = build_batch(MICRO_CORPUS, [0, 1, 2, 3], "static", 0, 5,
+                            MICRO.vocab_size, MICRO.max_positions)
+        labelled = batch.labels != IGNORE_ID
+        assert (batch.input_ids == PAD_ID).any()
+        assert ((batch.input_ids != PAD_ID) & ~labelled).any()
+        assert labelled.any()
+        return batch
+
+    def test_matches_dense_reference(self, batch):
+        params = init_params(MICRO, 0).astype(np.float64)
+        dense = params.clone()
+        loss = mlm_loss_and_backward(params, MICRO, batch, training=False)
+        ref = dense_mlm_loss_and_backward(dense, MICRO, batch)
+        assert loss == pytest.approx(ref, rel=1e-12)
+        for name in params.names():
+            assert np.allclose(params[name].grad, dense[name].grad,
+                               rtol=1e-9, atol=1e-15), name
+        for name in ("encoder.tok_emb", "mlm.out_bias", "mlm.dense.w"):
+            assert (params[name].grad != 0).any(), name
+
+    def test_eval_loss_is_label_weighted_dense_mean(self):
+        params = init_params(MICRO, 1).astype(np.float64)
+        stream = list(build_epoch_batches(MICRO_CORPUS, "static", 0, 3, 2,
+                                          MICRO.max_positions, MICRO.vocab_size))
+        assert len(stream) == 2
+        losses, counts = [], []
+        for batch in stream:
+            hidden, _ = forward_hidden(params, MICRO, batch.encoded(), training=False)
+            logits, _ = mlm_head(params, hidden)
+            losses.append(cross_entropy(logits, batch.labels, IGNORE_ID)[0])
+            counts.append(int((batch.labels != IGNORE_ID).sum()))
+        expected = np.dot(losses, counts) / sum(counts)
+        assert mlm_eval_loss(params, MICRO, stream) == pytest.approx(expected, rel=1e-12)
+
+    def test_same_seed_pretrain_bitwise_equal(self):
+        config = ModelConfig(n_layers=1, hidden=16, n_heads=2, ffn=32, vocab_size=24,
+                             max_positions=16, dropout=0.1)
+        cfg = micro_cfg(max_steps=6, masking_mode="dynamic")
+        r1 = pretrain(MICRO_CORPUS, init_params(config, 0), config, cfg)
+        r2 = pretrain(MICRO_CORPUS, init_params(config, 0), config, cfg)
+        assert r1.params.step_count == r2.params.step_count == 6
+        assert store_bytes(r1.params) == store_bytes(r2.params)
+
+
 def separable_dataset(n_train=40, n_val=20):
     examples = []
     for i in range(n_train + n_val):
@@ -198,6 +272,22 @@ class TestFinetune:
             finetune(ds, params, config, micro_cfg(epochs=1), vocab)
 
 
+def rewrite_manifest(path, manifest):
+    """Replace a checkpoint's manifest, keeping its header layout and blob."""
+    data = path.read_bytes()
+    head = len(MAGIC) + 4
+    (mlen,) = struct.unpack("<Q", data[head:head + 8])
+    mbytes = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(data[:head] + struct.pack("<Q", len(mbytes)) + mbytes
+                     + data[head + 8 + mlen:])
+
+
+def with_record(manifest, index, **fields):
+    tensors = list(manifest["tensors"])
+    tensors[index] = dict(tensors[index], **fields)
+    return dict(manifest, tensors=tensors)
+
+
 class TestCheckpointFormat:
     def test_save_load_save_byte_identical(self, tmp_path):
         params = init_params(MICRO, 0)
@@ -227,6 +317,40 @@ class TestCheckpointFormat:
         path.write_bytes(data[:-1])
         with pytest.raises(CheckpointError, match="truncated inside tensor"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["name", "dtype", "shape", "offset", "length"])
+    @pytest.mark.parametrize("broken", ["missing", "wrong type"])
+    def test_malformed_tensor_record_names_record(self, tmp_path, key, broken):
+        path = tmp_path / "r.ckpt"
+        save_checkpoint(init_params(MICRO, 0), MICRO, path)
+        manifest = read_manifest(path)
+        rec = manifest["tensors"][1]
+        if broken == "missing":
+            del rec[key]
+        else:
+            rec[key] = {"name": 7, "dtype": 32, "shape": "16", "offset": "0",
+                        "length": None}[key]
+        rewrite_manifest(path, manifest)
+        who = "tensor record 1" if key == "name" else f"tensor '{rec['name']}'"
+        with pytest.raises(CheckpointError, match=who):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda m: [], "not a JSON object"),
+        (lambda m: "text", "not a JSON object"),
+        (lambda m: dict(m, tensors={}), "tensor table is not a list"),
+        (lambda m: dict(m, step="3"), "invalid step"),
+        (lambda m: dict(m, model_config=dict(m["model_config"], hidden=0)), "model_config"),
+        (lambda m: dict(m, vocab_hash=5), "hash mismatch"),
+        (lambda m: with_record(m, 1, name="encoder.tok_emb"), "duplicate tensor"),
+        (lambda m: with_record(m, 1, shape=[16, 24]), "incomplete tensor set"),
+    ])
+    def test_malformed_manifest_is_checkpoint_error(self, tmp_path, edit, match):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_params(MICRO, 0), MICRO, path, vocab_hash="h")
+        rewrite_manifest(path, edit(read_manifest(path)))
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path, expected_vocab_hash="h")
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.ckpt"
