@@ -9,9 +9,15 @@ offsets.
 Adam moments are stored alongside each value tensor (entries "<name>#m"
 and "<name>#v") so an interrupted run resumes bitwise identically. Tensors
 are stored as float32 regardless of compute mode.
+
+A save writes a temporary file beside the target, syncs it and renames it
+over the target, so a failed or interrupted save leaves the previous
+checkpoint intact. A load validates the whole tensor table against the
+file size before reading each tensor straight into its parameter buffer.
 """
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -34,27 +40,21 @@ def save_checkpoint(
     vocab_hash: str = "",
     extra: dict | None = None,
 ) -> None:
+    arrays = []
     tensors = []
-    chunks = []
     offset = 0
-
-    def push(name: str, arr: np.ndarray) -> None:
-        nonlocal offset
-        data = np.ascontiguousarray(arr, dtype=_STORED_DTYPE).tobytes()
-        tensors.append({
-            "name": name,
-            "dtype": "float32",
-            "shape": list(arr.shape),
-            "offset": offset,
-            "length": len(data),
-        })
-        chunks.append(data)
-        offset += len(data)
-
     for name, p in store.items():
-        push(name, p.value)
-        push(name + "#m", p.adam_m)
-        push(name + "#v", p.adam_v)
+        for suffix, arr in (("", p.value), ("#m", p.adam_m), ("#v", p.adam_v)):
+            length = arr.size * np.dtype(_STORED_DTYPE).itemsize
+            tensors.append({
+                "name": name + suffix,
+                "dtype": "float32",
+                "shape": list(arr.shape),
+                "offset": offset,
+                "length": length,
+            })
+            arrays.append(arr)
+            offset += length
 
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -65,13 +65,22 @@ def save_checkpoint(
         "tensors": tensors,
     }
     mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<Q", len(mbytes)))
-        fh.write(mbytes)
-        for c in chunks:
-            fh.write(c)
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", FORMAT_VERSION))
+            fh.write(struct.pack("<Q", len(mbytes)))
+            fh.write(mbytes)
+            for arr in arrays:
+                fh.write(np.ascontiguousarray(arr, dtype=_STORED_DTYPE).data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_manifest(path) -> dict:
@@ -134,12 +143,6 @@ def load_checkpoint(
     offset table, blob length, and optional config / vocab-hash pins."""
     p = Path(path)
     manifest = read_manifest(p)
-    with open(p, "rb") as fh:
-        fh.seek(len(MAGIC) + 4)
-        (mlen,) = struct.unpack("<Q", fh.read(8))
-        fh.seek(mlen, 1)
-        blob = fh.read()
-
     try:
         config = ModelConfig.from_dict(manifest["model_config"])
     except (KeyError, TypeError, ConfigError) as exc:
@@ -162,35 +165,52 @@ def load_checkpoint(
     if not _is_int(step) or step < 0:
         raise CheckpointError(f"{p}: manifest has invalid step {step!r}")
 
-    loaded: dict[str, np.ndarray] = {}
-    running = 0
-    for index, rec in enumerate(records):
-        name, shape, off, length = _tensor_record(p, index, rec)
-        if name in loaded:
-            raise CheckpointError(f"{p}: duplicate tensor '{name}'")
-        if off != running:
-            raise CheckpointError(f"{p}: tensor '{name}' offset {off} != expected {running}")
-        expected_len = int(np.prod(shape, dtype=np.int64)) * 4 if shape else 4
-        if length != expected_len:
-            raise CheckpointError(
-                f"{p}: tensor '{name}' length {length} does not match shape {shape}"
-            )
-        if off + length > len(blob):
-            raise CheckpointError(f"{p}: blob truncated inside tensor '{name}'")
-        arr = np.frombuffer(blob[off : off + length], dtype=_STORED_DTYPE).reshape(shape)
-        loaded[name] = arr.astype(np.float32)
-        running += length
-    if running != len(blob):
-        raise CheckpointError(f"{p}: {len(blob) - running} trailing bytes after tensor table")
+    with open(p, "rb") as fh:
+        fh.seek(len(MAGIC) + 4)
+        (mlen,) = struct.unpack("<Q", fh.read(8))
+        fh.seek(mlen, 1)
+        blob_len = os.fstat(fh.fileno()).st_size - fh.tell()
 
-    store = ParameterStore()
-    for name in [n for n in loaded if "#" not in n]:
-        for part in ("#m", "#v"):
-            moment = loaded.get(name + part)
-            if moment is None or moment.shape != loaded[name].shape:
-                raise CheckpointError(f"{p}: incomplete tensor set for '{name}'")
-        param = store.add(name, loaded[name])
-        param.adam_m[...] = loaded[name + "#m"]
-        param.adam_v[...] = loaded[name + "#v"]
+        shapes: dict[str, tuple] = {}
+        table = []
+        running = 0
+        for index, rec in enumerate(records):
+            name, shape, off, length = _tensor_record(p, index, rec)
+            if name in shapes:
+                raise CheckpointError(f"{p}: duplicate tensor '{name}'")
+            if off != running:
+                raise CheckpointError(f"{p}: tensor '{name}' offset {off} != expected {running}")
+            expected_len = int(np.prod(shape, dtype=np.int64)) * 4 if shape else 4
+            if length != expected_len:
+                raise CheckpointError(
+                    f"{p}: tensor '{name}' length {length} does not match shape {shape}"
+                )
+            if off + length > blob_len:
+                raise CheckpointError(f"{p}: blob truncated inside tensor '{name}'")
+            shapes[name] = shape
+            table.append((name, length))
+            running += length
+        if running != blob_len:
+            raise CheckpointError(f"{p}: {blob_len - running} trailing bytes after tensor table")
+
+        store = ParameterStore()
+        targets: dict[str, np.ndarray] = {}
+        for name in [n for n in shapes if "#" not in n]:
+            for part in ("#m", "#v"):
+                if shapes.get(name + part) != shapes[name]:
+                    raise CheckpointError(f"{p}: incomplete tensor set for '{name}'")
+            param = store.add(name, np.empty(shapes[name], dtype=np.float32))
+            targets.update({name: param.value, name + "#m": param.adam_m,
+                            name + "#v": param.adam_v})
+
+        for name, length in table:
+            arr = targets.get(name)
+            if arr is None:  # a '#' entry with no value tensor is validated, not loaded
+                fh.seek(length, 1)
+                continue
+            if fh.readinto(arr.reshape(-1).view(np.uint8)) != length:
+                raise CheckpointError(f"{p}: blob truncated inside tensor '{name}'")
+            if not np.little_endian:
+                arr.byteswap(inplace=True)
     store.step_count = step
     return store, manifest

@@ -8,7 +8,9 @@ from .params import (
     adam_step,
     resolve_groups,
 )
-from . import ops
+from . import _heap, ops
+
+_heap.retain_freed_heap()
 
 __all__ = [
     "ADAM_BETA1",

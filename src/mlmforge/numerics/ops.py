@@ -1,9 +1,16 @@
 """Dense tensor primitives with explicit forward and backward passes.
 
-Every forward is pure. Every backward takes the upstream gradient (plus
-whatever the forward cached) and returns gradients for each input, so a
-scalar loss can be differentiated end to end without an autodiff graph.
-Outputs are checked for NaN/Inf on every forward.
+Every op is pure to its callers: it never modifies an input and writes
+only into arrays it allocated itself. Every backward takes the upstream
+gradient (plus whatever the forward cached) and returns gradients for
+each input, so a scalar loss can be differentiated end to end without an
+autodiff graph. Outputs are checked for NaN/Inf on every forward.
+
+The elementwise ops reuse their own fresh temporaries through `out=` and
+in-place ufuncs instead of allocating one array per subexpression. Each
+keeps the operation order of the plain expression in its comment, so the
+float bits are the same; only commutative swaps and exact products with
+0.5 are reordered.
 
 Compute dtype follows the inputs: float32 for training, float64 for
 gradient-check mode.
@@ -65,15 +72,20 @@ def add_bias_backward(dout: np.ndarray):
 
 def softmax(x: np.ndarray) -> np.ndarray:
     """Row softmax over the last axis. -inf entries come out exactly 0."""
-    m = np.max(x, axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    out = e / e.sum(axis=-1, keepdims=True)
-    return ensure_finite("softmax", out)
+    # e = exp(x - max(x)); e / sum(e)
+    e = np.subtract(x, np.max(x, axis=-1, keepdims=True))
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return ensure_finite("softmax", e)
 
 
 def softmax_backward(dout: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    dot = np.sum(dout * probs, axis=-1, keepdims=True)
-    return probs * (dout - dot)
+    # probs * (dout - sum(dout * probs))
+    out = np.multiply(dout, probs)
+    dot = out.sum(axis=-1, keepdims=True)
+    np.subtract(dout, dot, out=out)
+    out *= probs
+    return out
 
 
 # --- layer norm -------------------------------------------------------------
@@ -85,40 +97,75 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = L
     """
     if eps <= 0:
         raise ConfigError(f"layer_norm: eps must be > 0, got {eps}")
-    mu = x.mean(axis=-1, keepdims=True)
-    d = x - mu
-    var = (d * d).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = d * inv
-    out = xhat * gain + bias
+    # d = x - mean(x); xhat = d * (1 / sqrt(mean(d * d) + eps)); out = xhat * gain + bias
+    xhat = np.subtract(x, x.mean(axis=-1, keepdims=True))
+    out = np.multiply(xhat, xhat)
+    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    np.multiply(xhat, gain, out=out)
+    out += bias
     return ensure_finite("layer_norm", out), (xhat, inv, gain)
 
 
 def layer_norm_backward(dout: np.ndarray, cache):
+    # dxhat = dout * gain; dx = inv * (dxhat - s1 / h - xhat * s2 / h)
     xhat, inv, gain = cache
     h = xhat.shape[-1]
-    dxhat = dout * gain
-    dgain = (dout * xhat).reshape(-1, h).sum(axis=0)
+    dx = np.multiply(dout, gain)
+    tmp = np.multiply(dout, xhat)
+    dgain = tmp.reshape(-1, h).sum(axis=0)
     dbias = dout.reshape(-1, h).sum(axis=0)
-    s1 = dxhat.sum(axis=-1, keepdims=True)
-    s2 = (dxhat * xhat).sum(axis=-1, keepdims=True)
-    dx = inv * (dxhat - s1 / h - xhat * s2 / h)
+    s1 = dx.sum(axis=-1, keepdims=True)
+    np.multiply(dx, xhat, out=tmp)
+    s2 = tmp.sum(axis=-1, keepdims=True)
+    np.multiply(xhat, s2, out=tmp)
+    tmp /= h
+    dx -= s1 / h
+    dx -= tmp
+    dx *= inv
     return dx, dgain, dbias
 
 
 # --- activations ------------------------------------------------------------
 
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """tanh(_GELU_C * (x + _GELU_A * x * x * x)) in one fresh array."""
+    t = np.multiply(x, _GELU_A)
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_C
+    return np.tanh(t, out=t)
+
+
 def gelu(x: np.ndarray) -> np.ndarray:
     """Gaussian error linear unit, tanh form with the 0.044715 cubic term."""
-    inner = _GELU_C * (x + _GELU_A * x * x * x)
-    return ensure_finite("gelu", 0.5 * x * (1.0 + np.tanh(inner)))
+    # 0.5 * x * (1 + t), t = _gelu_tanh(x)
+    out = _gelu_tanh(x)
+    out += 1.0
+    out *= 0.5
+    out *= x
+    return ensure_finite("gelu", out)
 
 
 def gelu_backward(dout: np.ndarray, x: np.ndarray) -> np.ndarray:
-    inner = _GELU_C * (x + _GELU_A * x * x * x)
-    t = np.tanh(inner)
-    dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-    return dout * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)
+    # dout * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * dinner),
+    # dinner = _GELU_C * (1 + 3 * _GELU_A * x * x)
+    t = _gelu_tanh(x)
+    dinner = np.multiply(x, 3.0 * _GELU_A)
+    dinner *= x
+    dinner += 1.0
+    dinner *= _GELU_C
+    rest = np.multiply(t, t)
+    np.subtract(1.0, rest, out=rest)
+    rest *= 0.5
+    rest *= x
+    rest *= dinner
+    t += 1.0
+    t *= 0.5
+    t += rest
+    t *= dout
+    return t
 
 
 def tanh(x: np.ndarray) -> np.ndarray:
@@ -194,7 +241,9 @@ def dropout(x: np.ndarray, p: float, rng: np.random.Generator):
     """Returns (out, keep) where keep already carries the 1/(1-p) scaling."""
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
-    keep = (rng.random(x.shape) >= p).astype(x.dtype) / (1.0 - p)
+    draw = rng.random(x.shape)
+    keep = np.greater_equal(draw, p, out=draw).astype(x.dtype, copy=False)
+    keep /= 1.0 - p
     return x * keep, keep
 
 

@@ -122,16 +122,19 @@ def adam_step(
     for name, p in store.entries.items():
         g = p.grad
         m, v = p.adam_m, p.adam_v
+        # one scratch array per tensor: first (1 - beta1) * g, then the update
+        upd = np.multiply(g, 1.0 - beta1)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += upd
         v *= beta2
         # grad buffer doubles as g*g scratch; it is zeroed below anyway
         g *= g
         g *= 1.0 - beta2
         v += g
-        denom = np.sqrt(v * inv_bc2)
-        denom += eps
-        upd = np.divide(m, denom, out=denom)
+        np.multiply(v, inv_bc2, out=upd)
+        np.sqrt(upd, out=upd)
+        upd += eps
+        np.divide(m, upd, out=upd)
         upd *= rates[name] / bc1
         p.value -= upd
         p.grad[...] = 0

@@ -210,6 +210,114 @@ class TestOpGradients:
         self.check(fwd, bwd, [logits])
 
 
+# Textbook forms of the rewritten elementwise ops: one fresh array per
+# subexpression. The ops compute into reused temporaries and must match
+# these byte for byte, in both dtypes.
+_GELU_C = 0.7978845608028654
+_GELU_A = 0.044715
+
+
+def textbook_gelu(x):
+    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + _GELU_A * x * x * x)))
+
+
+def textbook_gelu_backward(dout, x):
+    t = np.tanh(_GELU_C * (x + _GELU_A * x * x * x))
+    dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
+    return dout * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)
+
+
+def textbook_softmax(x):
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def textbook_softmax_backward(dout, probs):
+    return probs * (dout - np.sum(dout * probs, axis=-1, keepdims=True))
+
+
+def textbook_layer_norm(x, gain, bias):
+    d = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((d * d).mean(axis=-1, keepdims=True) + ops.LAYER_NORM_EPS)
+    xhat = d * inv
+    return xhat * gain + bias, (xhat, inv, gain)
+
+
+def textbook_layer_norm_backward(dout, cache):
+    xhat, inv, gain = cache
+    h = xhat.shape[-1]
+    dxhat = dout * gain
+    s1 = dxhat.sum(axis=-1, keepdims=True)
+    s2 = (dxhat * xhat).sum(axis=-1, keepdims=True)
+    dx = inv * (dxhat - s1 / h - xhat * s2 / h)
+    return dx, (dout * xhat).reshape(-1, h).sum(axis=0), dout.reshape(-1, h).sum(axis=0)
+
+
+def textbook_dropout(x, p, rng):
+    keep = (rng.random(x.shape) >= p).astype(x.dtype) / (1.0 - p)
+    return x * keep, keep
+
+
+def _scores(rng, dtype):
+    x = rng.normal(0.0, 3.0, size=(2, 4, 6, 6))
+    x[0, :, :, 4:] = -np.inf  # padded keys, as the encoder masks them
+    return x.astype(dtype)
+
+
+def _ln_inputs(rng, dtype):
+    x = rng.normal(0.3, 1.5, size=(3, 5, 16))
+    return (x.astype(dtype), rng.normal(1.0, 0.1, 16).astype(dtype),
+            rng.normal(0.0, 0.1, 16).astype(dtype))
+
+
+def _grad(rng, dtype, shape):
+    return rng.normal(size=shape).astype(dtype)
+
+
+INPLACE_CASES = {
+    "gelu": (ops.gelu, textbook_gelu,
+             lambda r, dt: (r.normal(0.0, 2.5, size=(3, 5, 16)).astype(dt),)),
+    "gelu_backward": (ops.gelu_backward, textbook_gelu_backward,
+                      lambda r, dt: (_grad(r, dt, (3, 5, 16)),
+                                     r.normal(0.0, 2.5, size=(3, 5, 16)).astype(dt))),
+    "softmax": (ops.softmax, textbook_softmax, lambda r, dt: (_scores(r, dt),)),
+    "softmax_backward": (ops.softmax_backward, textbook_softmax_backward,
+                         lambda r, dt: (_grad(r, dt, (2, 4, 6, 6)),
+                                        textbook_softmax(_scores(r, dt)))),
+    "layer_norm": (ops.layer_norm, textbook_layer_norm, _ln_inputs),
+    "layer_norm_backward": (ops.layer_norm_backward, textbook_layer_norm_backward,
+                            lambda r, dt: (_grad(r, dt, (3, 5, 16)),
+                                           textbook_layer_norm(*_ln_inputs(r, dt))[1])),
+    "dropout": (lambda x: ops.dropout(x, 0.1, np.random.default_rng(3)),
+                lambda x: textbook_dropout(x, 0.1, np.random.default_rng(3)),
+                lambda r, dt: (r.normal(size=(3, 5, 16)).astype(dt),)),
+}
+
+
+def _leaves(obj):
+    if isinstance(obj, tuple):
+        for item in obj:
+            yield from _leaves(item)
+    else:
+        yield obj
+
+
+class TestInPlaceOpsMatchTextbook:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", sorted(INPLACE_CASES))
+    def test_bytes_equal_and_inputs_untouched(self, name, dtype):
+        op, textbook, make = INPLACE_CASES[name]
+        args = make(np.random.default_rng(21), dtype)
+        before = [a.copy() for a in _leaves(args)]
+        got, want = list(_leaves(op(*args))), list(_leaves(textbook(*args)))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+        for a, b in zip(_leaves(args), before):
+            assert a.tobytes() == b.tobytes(), f"{name} modified an input"
+
+
 class TestAdam:
     def scalar_store(self, *names, value=0.0, dtype=np.float32):
         store = ParameterStore()
@@ -279,6 +387,41 @@ class TestAdam:
             adam_step(store, {"enc.*": 0.0, "head.*": 1e-3})
         assert (store["enc.w"].value == before).all()
         assert (store["head.w"].value != 0).any()
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_textbook_update_bitwise(self, dtype):
+        def textbook_step(store, groups):
+            rates = resolve_groups(store, groups)
+            store.step_count += 1
+            t = store.step_count
+            b1, b2 = 0.9, 0.999
+            for name, p in store.entries.items():
+                g = p.grad
+                p.adam_m[...] = b1 * p.adam_m + (1.0 - b1) * g
+                p.adam_v[...] = b2 * p.adam_v + (1.0 - b2) * (g * g)
+                denom = np.sqrt(p.adam_v * (1.0 / (1.0 - b2**t))) + 1e-8
+                p.value -= (p.adam_m / denom) * (rates[name] / (1.0 - b1**t))
+                p.grad[...] = 0
+
+        rng = np.random.default_rng(13)
+        store = ParameterStore()
+        # small values and large rates, so the update's own bits reach the values
+        store.add("enc.w", rng.normal(0.0, 1e-3, size=(4, 6)).astype(dtype))
+        store.add("head.b", rng.normal(0.0, 1e-3, size=5).astype(dtype))
+        twin = store.clone()
+        groups = {"enc.*": 0.3, "head.*": 0.7}
+        for _ in range(5):
+            for name, p in store.items():
+                p.grad[...] = rng.normal(size=p.value.shape).astype(dtype)
+                twin[name].grad[...] = p.grad
+            adam_step(store, groups)
+            textbook_step(twin, groups)
+        for name, p in store.items():
+            q = twin[name]
+            for a, b in ((p.value, q.value), (p.adam_m, q.adam_m), (p.adam_v, q.adam_v),
+                         (p.grad, q.grad)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 class TestParameterStore:

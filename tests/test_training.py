@@ -1,9 +1,13 @@
 import json
+import platform
+import resource
 import struct
+import sys
 
 import numpy as np
 import pytest
 
+from mlmforge import training
 from mlmforge.benchmarks import Example, LabeledDataset
 from mlmforge.checkpoint import MAGIC, load_checkpoint, read_manifest, save_checkpoint
 from mlmforge.corpus import CorpusStats, SentenceCorpus
@@ -16,6 +20,7 @@ from mlmforge.encoder import (
     mlm_head_backward,
 )
 from mlmforge.errors import CheckpointError, ConfigError, NonFiniteError
+from mlmforge.numerics import _heap, adam_step
 from mlmforge.masking import build_batch, build_epoch_batches
 from mlmforge.numerics.ops import IGNORE_ID, cross_entropy, cross_entropy_backward
 from mlmforge.tokenizer import PAD_ID, train_vocab
@@ -352,6 +357,28 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path, expected_vocab_hash="h")
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "t.ckpt"
+        save_checkpoint(init_params(MICRO, 0), MICRO, path)
+        path.write_bytes(path.read_bytes() + b"\x00" * 3)
+        with pytest.raises(CheckpointError, match="3 trailing bytes"):
+            load_checkpoint(path)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
+        path = tmp_path / "last.ckpt"
+        params = init_params(MICRO, 0)
+        save_checkpoint(params, MICRO, path)
+        before = path.read_bytes()
+        broken = params.clone()
+        # the last tensor cannot be converted, so the save fails after
+        # everything before it has been written
+        last = broken[broken.names()[-1]]
+        last.adam_v = np.full(last.value.shape, "x", dtype=object)
+        with pytest.raises(ValueError):
+            save_checkpoint(broken, MICRO, path)
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["last.ckpt"]
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.ckpt"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
@@ -383,6 +410,48 @@ class TestCheckpointFormat:
         names = [t["name"] for t in manifest["tensors"]]
         assert "encoder.tok_emb" in names
         assert "encoder.tok_emb#m" in names
+
+
+class TestStepHeap:
+    @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                        reason="the heap policy is set through glibc mallopt")
+    def test_steady_state_steps_do_not_fault_in_their_working_set(self, monkeypatch):
+        # Without the policy each 16x48 step of the desk model freed ~60 MB back
+        # to the kernel and faulted it in again: ~16k minor faults per step.
+        config = ModelConfig()
+        rng = np.random.default_rng(0)
+        corpus = [[2, *rng.integers(5, config.vocab_size, size=46).tolist(), 3]
+                  for _ in range(16 * 6)]
+        faults = []
+
+        def counted_adam_step(*args, **kwargs):
+            adam_step(*args, **kwargs)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+
+        monkeypatch.setattr(training, "adam_step", counted_adam_step)
+        pretrain(corpus, init_params(config, 0), config,
+                 TrainConfig(batch_size=16, max_steps=6, eval_every=6))
+        assert len(faults) == 6
+        per_step = (faults[5] - faults[1]) / 4  # steps 3-6
+        assert per_step < 1600
+
+    def test_sets_both_thresholds(self, monkeypatch):
+        calls = []
+
+        class FakeLibc:
+            @staticmethod
+            def mallopt(option, value):
+                calls.append((option, value))
+                return 1
+
+        monkeypatch.setattr(_heap, "_libc", FakeLibc)
+        _heap.retain_freed_heap()
+        assert calls == [(-3, 32 * 1024 * 1024), (-1, 1024 * 1024 * 1024)]
+
+    @pytest.mark.parametrize("libc", [None, object()])
+    def test_quiet_without_mallopt(self, monkeypatch, libc):
+        monkeypatch.setattr(_heap, "_libc", lambda: libc)
+        assert _heap.retain_freed_heap() is None
 
 
 class TestLogFile:
