@@ -69,6 +69,8 @@ class SplitSpec:
     def __post_init__(self):
         if not 0.0 < self.validation_fraction < 1.0:
             raise ConfigError("validation_fraction must be in (0, 1)")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 def _build_label_map(labels) -> dict[str, int]:

@@ -11,8 +11,8 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
-
 
 from . import benchmarks, corpus, evaluation, tokenizer
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -27,29 +27,20 @@ from .training import TrainConfig, finetune, pretrain, write_log
 
 THREADS_ENV = "MLMFORGE_THREADS"
 
+
+def _field_defaults(prefix: str, cls, skip: tuple[str, ...] = ()) -> dict[str, object]:
+    return {f"{prefix}.{f.name}": f.default for f in fields(cls) if f.name not in skip}
+
+
+# model.*, train.* and split.* come from the config dataclasses' own defaults;
+# the model's vocab_size comes from the vocabulary file instead.
 CONFIG_DEFAULTS: dict[str, object] = {
     "corpus.dedup": True,
     "vocab.target_size": 8192,
     "vocab.min_freq": 2,
-    "model.n_layers": 4,
-    "model.hidden": 128,
-    "model.n_heads": 4,
-    "model.ffn": 512,
-    "model.max_positions": 128,
-    "model.n_segments": 2,
-    "model.dropout": 0.1,
-    "train.batch_size": 16,
-    "train.max_steps": 1000,
-    "train.eval_every": 1000,
-    "train.lr_encoder": 1e-5,
-    "train.lr_head": 3e-5,
-    "train.seed": 0,
-    "train.masking_mode": "dynamic",
-    "train.mask_ratio": 0.15,
-    "train.epochs": 10,
-    "split.validation_fraction": 0.2,
-    "split.seed": 0,
-    "split.stratified": True,
+    **_field_defaults("model", ModelConfig, skip=("vocab_size",)),
+    **_field_defaults("train", TrainConfig),
+    **_field_defaults("split", benchmarks.SplitSpec),
     "eval.batch_size": 32,
     "eval.aggregation": "weighted",
 }
@@ -112,31 +103,18 @@ def build_run_config(config_path: str | None, overrides: list[str]) -> dict:
     return cfg
 
 
+def _section(cfg: dict, prefix: str) -> dict:
+    """The `prefix.*` keys of a run config, with the prefix stripped."""
+    head = prefix + "."
+    return {key[len(head):]: value for key, value in cfg.items() if key.startswith(head)}
+
+
 def model_config_from(cfg: dict, vocab_size: int) -> ModelConfig:
-    return ModelConfig(
-        n_layers=cfg["model.n_layers"],
-        hidden=cfg["model.hidden"],
-        n_heads=cfg["model.n_heads"],
-        ffn=cfg["model.ffn"],
-        vocab_size=vocab_size,
-        max_positions=cfg["model.max_positions"],
-        n_segments=cfg["model.n_segments"],
-        dropout=cfg["model.dropout"],
-    )
+    return ModelConfig(vocab_size=vocab_size, **_section(cfg, "model"))
 
 
 def train_config_from(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        batch_size=cfg["train.batch_size"],
-        max_steps=cfg["train.max_steps"],
-        eval_every=cfg["train.eval_every"],
-        lr_encoder=cfg["train.lr_encoder"],
-        lr_head=cfg["train.lr_head"],
-        seed=cfg["train.seed"],
-        masking_mode=cfg["train.masking_mode"],
-        mask_ratio=cfg["train.mask_ratio"],
-        epochs=cfg["train.epochs"],
-    )
+    return TrainConfig(**_section(cfg, "train"))
 
 
 def n_threads() -> int:
@@ -205,6 +183,14 @@ def _encode_corpus(vocab, sentences, max_len):
     return [tokenizer.encode(vocab, s, max_len) for s in sentences]
 
 
+def _with_validation(dataset, cfg: dict):
+    """The dataset itself if its manifest has a validation split; otherwise
+    one held out of train by the run's split.* settings."""
+    if dataset.splits.get("validation"):
+        return dataset
+    return benchmarks.holdout_split(dataset, benchmarks.SplitSpec(**_section(cfg, "split")))
+
+
 # --- commands -------------------------------------------------------------------
 
 
@@ -235,8 +221,7 @@ def cmd_build_vocab(args, cfg) -> None:
               f"(hash {vocab.content_hash()[:12]})")
 
 
-def _run_pretrain(args, cfg, start_store=None, require_hash=None) -> None:
-    vocab = _load_vocab(args.vocab)
+def _run_pretrain(args, cfg, vocab, start_store=None) -> None:
     sentences = corpus.read_sentences(_require_file(args.corpus, "corpus"))
     with RunDir(args.run_dir) as run:
         run.echo_config(cfg)
@@ -264,7 +249,7 @@ def _run_pretrain(args, cfg, start_store=None, require_hash=None) -> None:
 
 
 def cmd_pretrain(args, cfg) -> None:
-    _run_pretrain(args, cfg)
+    _run_pretrain(args, cfg, _load_vocab(args.vocab))
 
 
 def cmd_continue_pretrain(args, cfg) -> None:
@@ -272,7 +257,7 @@ def cmd_continue_pretrain(args, cfg) -> None:
     ckpt_path = Path(args.from_ckpt)
     store, manifest = load_checkpoint(ckpt_path, expected_vocab_hash=vocab.content_hash())
     config = ModelConfig.from_dict(manifest["model_config"])
-    _run_pretrain(args, cfg, start_store=(store, config))
+    _run_pretrain(args, cfg, vocab, start_store=(store, config))
 
 
 def cmd_finetune(args, cfg) -> None:
@@ -281,13 +266,7 @@ def cmd_finetune(args, cfg) -> None:
                                        expected_vocab_hash=vocab.content_hash())
     config = ModelConfig.from_dict(manifest["model_config"])
     dataset = benchmarks.load_manifest_dataset(_require_file(args.dataset, "dataset manifest"))
-    if not dataset.splits.get("validation"):
-        spec = benchmarks.SplitSpec(
-            validation_fraction=cfg["split.validation_fraction"],
-            seed=cfg["split.seed"],
-            stratified=cfg["split.stratified"],
-        )
-        dataset = benchmarks.holdout_split(dataset, spec)
+    dataset = _with_validation(dataset, cfg)
     with RunDir(args.run_dir) as run:
         run.echo_config(cfg)
         train_cfg = train_config_from(cfg)
@@ -311,13 +290,8 @@ def cmd_evaluate(args, cfg) -> None:
                                        expected_vocab_hash=vocab.content_hash())
     config = ModelConfig.from_dict(manifest["model_config"])
     dataset = benchmarks.load_manifest_dataset(_require_file(args.dataset, "dataset manifest"))
-    if args.split == "validation" and not dataset.splits.get("validation"):
-        spec = benchmarks.SplitSpec(
-            validation_fraction=cfg["split.validation_fraction"],
-            seed=cfg["split.seed"],
-            stratified=cfg["split.stratified"],
-        )
-        dataset = benchmarks.holdout_split(dataset, spec)
+    if args.split == "validation":
+        dataset = _with_validation(dataset, cfg)
     with RunDir(args.run_dir) as run:
         run.echo_config(cfg)
         table = evaluation.evaluate_model(

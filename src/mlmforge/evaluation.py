@@ -117,6 +117,8 @@ def evaluate_model(params, config, dataset, split: str, vocab: Vocab,
     """Eval-mode forward over the split in manifest order; argmax predictions
     (ties toward the lower class index). Batches may run on a thread pool;
     the reduction keeps batch order, so results are identical either way."""
+    if batch_size < 1:
+        raise ConfigError(f"evaluation batch_size must be >= 1, got {batch_size}")
     idx = dataset.splits.get(split, [])
     if not idx:
         raise DataError(f"dataset {dataset.name!r} has no examples in split {split!r}")

@@ -121,6 +121,10 @@ class TestHoldoutSplit:
         counts = {c: val_labels.count(c) for c in ("a", "b", "c")}
         assert max(counts.values()) - min(counts.values()) <= 1
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            SplitSpec(seed=-1)
+
     def test_existing_validation_rejected(self):
         ds = balanced_dataset(10)
         ds.splits["validation"] = [9]

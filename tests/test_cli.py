@@ -1,10 +1,12 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mlmforge.benchmarks import make_fixture
-from mlmforge.cli import build_run_config, main
+from mlmforge.cli import CONFIG_DEFAULTS, build_run_config, main
 from mlmforge.errors import ConfigError
 
 
@@ -35,6 +37,17 @@ FAST_TRAIN = [
     "--set", "vocab.target_size=128",
     "--set", "vocab.min_freq=1",
 ]
+
+
+def manifest_without_validation(out_dir):
+    """A fixture manifest naming only train and test, so commands that need
+    validation examples hold them out of train."""
+    path = make_fixture("Dreaddit", out_dir, seed=0)
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    del manifest["files"]["validation"]
+    del manifest["expected_splits"]["validation"]
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +172,26 @@ class TestErrors:
         assert code != 0
         assert capsys.readouterr().err.startswith("CONFIG/")
 
+    @pytest.mark.parametrize("command, split, override", [
+        ("evaluate", "test", "eval.batch_size=0"),
+        ("evaluate", "test", "eval.batch_size=-3"),
+        ("finetune", None, "split.seed=-1"),
+        ("evaluate", "validation", "split.seed=-1"),
+    ])
+    def test_out_of_range_value_is_one_line_config_error(self, pipeline, tmp_path, capsys,
+                                                          command, split, override):
+        root, _, vocab = pipeline
+        manifest = manifest_without_validation(tmp_path / "data")
+        code = run(command, "--from", str(root / "pt" / "ckpt" / "last.ckpt"),
+                   "--dataset", str(manifest), "--vocab", str(vocab),
+                   "--run-dir", str(tmp_path / "run"), "--set", override,
+                   *(["--split", split] if split else []))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("CONFIG/")
+        assert "\n" not in err.strip()
+        assert override.split("=")[0].split(".")[1] in err
+
     def test_mixed_aggregation_report_rejected(self, tmp_path, capsys):
         r1 = {"model": "a", "dataset": "d", "split": "test", "aggregation": "weighted",
               "recall": 50.0, "f1": 50.0}
@@ -202,6 +235,23 @@ class TestRunConfig:
             build_run_config(None, ["train.max_steps=soon"])
         with pytest.raises(ConfigError):
             build_run_config(None, ["corpus.dedup=7"])
+
+    def test_readme_table_lists_exactly_the_defaults(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split("### Configuration", 1)[1]
+        rows = section.split("\n\n")[2]
+        cells = re.findall(r"\| `([a-z_]+\.[a-z_]+)` \| `([^`]*)` \|", rows)
+
+        def parse(text):
+            try:
+                return json.loads(text)
+            except json.JSONDecodeError:
+                return text
+
+        listed = {key: parse(text) for key, text in cells}
+        assert len(listed) == len(cells)
+        assert {k: (type(v), v) for k, v in listed.items()} == \
+            {k: (type(v), v) for k, v in CONFIG_DEFAULTS.items()}
 
     def test_echoed_config_reproduces_run(self, pipeline, tmp_path):
         root, corpus, vocab = pipeline

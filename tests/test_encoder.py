@@ -6,6 +6,8 @@ from mlmforge.encoder import (
     EncodedBatch,
     EncoderOutput,
     ModelConfig,
+    _dense,
+    _dense_backward,
     classifier_n_classes,
     cls_logits,
     count_params,
@@ -16,7 +18,7 @@ from mlmforge.encoder import (
     mlm_logits,
 )
 from mlmforge.errors import ConfigError, ShapeError
-from mlmforge.numerics import grad_check
+from mlmforge.numerics import ParameterStore, grad_check, ops
 
 TINY = ModelConfig(n_layers=2, hidden=32, n_heads=2, ffn=64, vocab_size=50,
                    max_positions=16, dropout=0.0)
@@ -150,6 +152,39 @@ class TestEncodeBatch:
             probs = layer["probs"]  # [b, heads, q, k]
             npt.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
             assert (probs[..., 4:] < 1e-9).all()
+
+
+class TestDense:
+    """_dense/_dense_backward against the explicit op composition they replace.
+    The [3, 8, 512] -> 128 input (the desk FFN output projection over 8
+    positions) is a shape where one 2-D GEMM over the flattened rows gives
+    other float bits than the 3-D product (OpenBLAS 0.3.31, x86-64), so a
+    helper that reshapes fails here."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_explicit_ops_bitwise_and_accumulates(self, dtype):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((3, 8, 512)).astype(dtype)
+        dout = rng.standard_normal((3, 8, 128)).astype(dtype)
+        store = ParameterStore()
+        w = store.add("w", rng.standard_normal((512, 128)).astype(dtype))
+        b = store.add("b", rng.standard_normal(128).astype(dtype))
+        w.grad[...] = rng.standard_normal(w.grad.shape)
+        b.grad[...] = rng.standard_normal(b.grad.shape)
+        w_grad0, b_grad0 = w.grad.copy(), b.grad.copy()
+
+        y = _dense(store, x, "w", "b")
+        want_y = ops.add_bias(ops.matmul(x, w.value), b.value)
+        assert y.shape == (3, 8, 128) and y.dtype == dtype
+        assert y.tobytes() == want_y.tobytes()
+
+        dx = _dense_backward(store, dout, x, "w", "b")
+        d, db = ops.add_bias_backward(dout)
+        want_dx, dw = ops.matmul_backward(d, x, w.value)
+        assert dx.shape == x.shape and dx.dtype == dtype
+        assert dx.tobytes() == want_dx.tobytes()
+        assert w.grad.tobytes() == (w_grad0 + dw).tobytes()
+        assert b.grad.tobytes() == (b_grad0 + db).tobytes()
 
 
 class TestMlmHead:

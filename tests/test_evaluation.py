@@ -6,7 +6,7 @@ import pytest
 
 from mlmforge.benchmarks import Example, LabeledDataset
 from mlmforge.encoder import ModelConfig, init_classifier, init_params
-from mlmforge.errors import DataError
+from mlmforge.errors import ConfigError, DataError
 from mlmforge.evaluation import (
     ConfusionTable,
     EvalReport,
@@ -150,6 +150,12 @@ class TestEvaluateModel:
         empty = LabeledDataset(ds.name, ds.examples, ds.label_map, {"test": []})
         with pytest.raises(DataError):
             evaluate_model(params, config, empty, "test", vocab)
+
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_batch_size_below_one_is_config_error(self, eval_setup, batch_size):
+        ds, vocab, config, params = eval_setup
+        with pytest.raises(ConfigError, match="batch_size"):
+            evaluate_model(params, config, ds, "validation", vocab, batch_size=batch_size)
 
     def test_threads_do_not_change_result(self, eval_setup):
         ds, vocab, config, params = eval_setup
