@@ -37,7 +37,9 @@ class Vocab:
         if len(set(tokens)) != len(tokens):
             raise ConfigError("vocabulary contains duplicate tokens")
         for t in tokens:
-            if not t or any(c.isspace() for c in t):
+            # split() drops whitespace (the same code points as isspace())
+            # and turns "" into [], so only a non-empty, space-free t passes.
+            if t.split() != [t]:
                 raise ConfigError(f"invalid vocabulary token: {t!r}")
         self.tokens = tokens
         self.id_of = {t: i for i, t in enumerate(tokens)}
@@ -70,12 +72,6 @@ class Vocab:
         return cls(lines)
 
 
-def normalize(text: str) -> str:
-    """Lowercase and strip accents (canonical decomposition, drop combining marks)."""
-    decomposed = unicodedata.normalize("NFD", text.lower())
-    return "".join(ch for ch in decomposed if unicodedata.category(ch) != "Mn")
-
-
 def _is_punct(ch: str) -> bool:
     cp = ord(ch)
     if 33 <= cp <= 47 or 58 <= cp <= 64 or 91 <= cp <= 96 or 123 <= cp <= 126:
@@ -83,22 +79,52 @@ def _is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
 
 
+def _drop_mark(ch: str) -> str | None:
+    return None if unicodedata.category(ch) == "Mn" else ch
+
+
+def _drop_mark_split_punct(ch: str) -> str | None:
+    # No punctuation character is a combining mark.
+    return f" {ch} " if _is_punct(ch) else _drop_mark(ch)
+
+
+class _CharTable(dict):
+    """A `str.translate` table applying `rule` to each character, filled on
+    first sight of each code point.
+
+    `rule(ch)` returns None to delete ch, or its replacement string. Code
+    points 0-255 are prefilled. Above them only the characters that change
+    are stored, so the table stays at a few thousand entries however many
+    distinct characters the input holds; any other character is looked up
+    again each time it is seen.
+    """
+
+    __slots__ = ("_rule",)
+
+    def __init__(self, rule):
+        super().__init__((cp, rule(chr(cp))) for cp in range(256))
+        self._rule = rule
+
+    def __missing__(self, cp: int) -> str | None:
+        ch = chr(cp)
+        out = self._rule(ch)
+        if out != ch:
+            self[cp] = out
+        return out
+
+
+_MARKS = _CharTable(_drop_mark)
+_MARKS_AND_PUNCT = _CharTable(_drop_mark_split_punct)
+
+
+def normalize(text: str) -> str:
+    """Lowercase and strip accents (canonical decomposition, drop combining marks)."""
+    return unicodedata.normalize("NFD", text.lower()).translate(_MARKS)
+
+
 def pretokenize(text: str) -> list[str]:
     """Normalize, split on whitespace, split punctuation chars into own tokens."""
-    words: list[str] = []
-    for chunk in normalize(text).split():
-        buf = ""
-        for ch in chunk:
-            if _is_punct(ch):
-                if buf:
-                    words.append(buf)
-                    buf = ""
-                words.append(ch)
-            else:
-                buf += ch
-        if buf:
-            words.append(buf)
-    return words
+    return unicodedata.normalize("NFD", text.lower()).translate(_MARKS_AND_PUNCT).split()
 
 
 def _initial_symbols(word: str) -> list[str]:
@@ -126,6 +152,8 @@ def train_vocab(corpus: SentenceCorpus, target_size: int = 8192, min_freq: int =
     min_freq times, then merge tokens in merge order. Merges also require
     pair frequency >= min_freq.
     """
+    if min_freq < 1:
+        raise ConfigError(f"min_freq must be >= 1, got {min_freq}")
     if not corpus.sentences:
         raise DataError("cannot train a vocabulary on an empty corpus")
 

@@ -59,8 +59,10 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         # lr 0 is allowed: it freezes a group bitwise (e.g. frozen encoder).
-        if self.lr_encoder < 0 or self.lr_head < 0:
-            raise ConfigError("learning rates must be >= 0")
+        for name in ("lr_encoder", "lr_head"):
+            lr = getattr(self, name)
+            if not (math.isfinite(lr) and lr >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {lr}")
         if self.masking_mode not in MASKING_MODES:
             raise ConfigError(f"masking_mode must be one of {MASKING_MODES}")
         if self.epochs < 0:

@@ -192,6 +192,25 @@ class TestErrors:
         assert "\n" not in err.strip()
         assert override.split("=")[0].split(".")[1] in err
 
+    @pytest.mark.parametrize("command, override", [
+        ("build-vocab", "vocab.min_freq=0"),
+        ("build-vocab", "vocab.min_freq=-1"),
+        ("pretrain", "train.lr_encoder=nan"),
+        ("pretrain", "train.lr_encoder=-inf"),
+        ("pretrain", "train.lr_head=inf"),
+    ])
+    def test_bad_vocab_or_train_value_is_one_line_config_error(self, pipeline, tmp_path,
+                                                                capsys, command, override):
+        _, corpus, vocab = pipeline
+        code = run(command, "--corpus", str(corpus), "--run-dir", str(tmp_path / "run"),
+                   *(["--vocab", str(vocab)] if command == "pretrain" else []),
+                   *FAST_TRAIN, "--set", override)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("CONFIG/")
+        assert "\n" not in err.strip()
+        assert override.split("=")[0].split(".")[1] in err
+
     def test_mixed_aggregation_report_rejected(self, tmp_path, capsys):
         r1 = {"model": "a", "dataset": "d", "split": "test", "aggregation": "weighted",
               "recall": 50.0, "f1": 50.0}

@@ -1,5 +1,10 @@
-import pytest
+import unicodedata
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mlmforge import tokenizer
 from mlmforge.corpus import CorpusStats, SentenceCorpus
 from mlmforge.errors import ConfigError, DataError
 from mlmforge.tokenizer import (
@@ -24,6 +29,60 @@ def corpus_of(*sentences):
 
 def manual_vocab(*tokens):
     return Vocab([*SPECIAL_TOKENS, *tokens])
+
+
+# The per-character loops that `normalize` and `pretokenize` ran before they
+# became `str.translate` tables, kept as the reference both must match.
+def reference_normalize(text):
+    decomposed = unicodedata.normalize("NFD", text.lower())
+    return "".join(ch for ch in decomposed if unicodedata.category(ch) != "Mn")
+
+
+def reference_is_punct(ch):
+    cp = ord(ch)
+    if 33 <= cp <= 47 or 58 <= cp <= 64 or 91 <= cp <= 96 or 123 <= cp <= 126:
+        return True
+    return unicodedata.category(ch).startswith("P")
+
+
+def reference_pretokenize(text):
+    words = []
+    for chunk in reference_normalize(text).split():
+        buf = ""
+        for ch in chunk:
+            if reference_is_punct(ch):
+                if buf:
+                    words.append(buf)
+                    buf = ""
+                words.append(ch)
+            else:
+                buf += ch
+        if buf:
+            words.append(buf)
+    return words
+
+
+def reference_encode(vocab, text, max_len):
+    ids = [CLS_ID]
+    for word in reference_pretokenize(text):
+        ids.extend(tokenizer._wordpiece_ids(vocab, word))
+    return ids[: max_len - 1] + [SEP_ID]
+
+
+def code_point_chunks(size=4096):
+    for lo in range(0, 0x110000, size):
+        yield [chr(cp) for cp in range(lo, min(lo + size, 0x110000))]
+
+
+ODD_SPACE = "\x1c\x1d\x1e\x1f\x85\u2028\u3000"
+mixed_text = st.text(
+    alphabet=st.one_of(
+        st.characters(categories=["Mn", "Pc", "Pd", "Ps", "Pe", "Pi", "Pf", "Po",
+                                  "Zs", "Zl", "Zp", "Cc", "Lu", "Ll", "Lo", "Nd"]),
+        st.sampled_from(ODD_SPACE + " \t\naZÉé,.'!?"),
+    ),
+    max_size=40,
+)
 
 
 class TestTrainVocab:
@@ -59,6 +118,11 @@ class TestTrainVocab:
         vocab = train_vocab(corpus_of("aa aa aa z"), target_size=64, min_freq=2)
         assert "z" not in vocab.id_of
         assert "a" in vocab.id_of
+
+    @pytest.mark.parametrize("min_freq", [0, -1])
+    def test_min_freq_below_one_errors(self, min_freq):
+        with pytest.raises(ConfigError, match="min_freq"):
+            train_vocab(corpus_of("aa aa aa"), target_size=64, min_freq=min_freq)
 
     def test_deterministic_byte_identical(self):
         sentences = ["the rain keeps falling.", "the sleep never came!", "rain again today."]
@@ -160,6 +224,21 @@ class TestVocabContainer:
         with pytest.raises(ConfigError):
             Vocab([*SPECIAL_TOKENS, "a", "a"])
 
+    def test_rejects_whitespace_in_a_token_and_the_empty_token(self):
+        spaces = [chr(cp) for cp in range(0x110000) if chr(cp).isspace()]
+        assert "\u3000" in spaces and "\x1c" in spaces
+        for sp in spaces:
+            for token in (sp, f"a{sp}b", f"{sp}a", f"a{sp}"):
+                with pytest.raises(ConfigError):
+                    Vocab([*SPECIAL_TOKENS, token])
+        with pytest.raises(ConfigError):
+            Vocab([*SPECIAL_TOKENS, ""])
+
+    def test_accepts_every_other_code_point(self):
+        tokens = ["".join(ch for ch in chunk if not ch.isspace())
+                  for chunk in code_point_chunks()]
+        assert len(Vocab([*SPECIAL_TOKENS, *tokens])) == len(SPECIAL_TOKENS) + len(tokens)
+
     def test_id_of_is_inverse(self):
         vocab = train_vocab(corpus_of("some words here."), target_size=64, min_freq=1)
         for i, t in enumerate(vocab.tokens):
@@ -182,3 +261,58 @@ class TestNormalization:
 
     def test_pretokenize(self):
         assert pretokenize("Don't stop!") == ["don", "'", "t", "stop", "!"]
+
+
+class TestTranslateTablesMatchReference:
+    def test_every_code_point(self):
+        for chars in code_point_chunks():
+            text = "a".join(chars)
+            assert pretokenize(text) == reference_pretokenize(text)
+            assert normalize(text) == reference_normalize(text)
+
+    def test_tables_stay_bounded_after_every_code_point(self):
+        every = "".join(chr(cp) for cp in range(0x110000))
+        for table in (tokenizer._MARKS, tokenizer._MARKS_AND_PUNCT):
+            every.translate(table)
+            assert len(table) < 4000
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_text)
+    def test_mixed_text(self, text):
+        assert pretokenize(text) == reference_pretokenize(text)
+        assert normalize(text) == reference_normalize(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(["rain", "Rains", "CAFÉ", "café", "don't",
+                                               "wait,what?", "sleeps"]), mixed_text),
+                    max_size=8),
+           st.integers(min_value=2, max_value=24))
+    def test_encode(self, parts, max_len):
+        vocab = manual_vocab("rain", "sleep", "cafe", "##s", "don", "t", "'", ",", "?",
+                             "wait", "what", "a", "##a", "e", "##e")
+        text = " ".join(parts)
+        assert encode(vocab, text, max_len) == reference_encode(vocab, text, max_len)
+
+
+ROUND_TRIP_CORPUS = corpus_of(
+    "the rain kept falling all night.",
+    "i could not sleep again, so tired of waiting.",
+    "morning came slowly and the house was quiet.",
+)
+ROUND_TRIP_VOCAB = train_vocab(ROUND_TRIP_CORPUS, target_size=96, min_freq=1)
+# Corpus words decompose into the trained pieces (every character of the
+# corpus is in the alphabet at min_freq 1), and a word-initial token is its
+# own longest prefix.
+ROUND_TRIP_WORDS = sorted(
+    {w for s in ROUND_TRIP_CORPUS.sentences for w in pretokenize(s) if w.isalpha()}
+    | {t for t in ROUND_TRIP_VOCAB.tokens[len(SPECIAL_TOKENS):]
+       if t.isalpha() and t.islower()}
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(ROUND_TRIP_WORDS), max_size=30))
+def test_decode_inverts_encode_on_in_vocabulary_words(words):
+    text = " ".join(words)
+    max_len = 2 + sum(len(w) for w in words)
+    assert decode(ROUND_TRIP_VOCAB, encode(ROUND_TRIP_VOCAB, text, max_len)) == text

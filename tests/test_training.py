@@ -76,6 +76,16 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(lr_encoder=-1.0)
 
+    @pytest.mark.parametrize("name", ["lr_encoder", "lr_head"])
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_learning_rate_rejected(self, name, lr):
+        with pytest.raises(ConfigError, match=name):
+            TrainConfig(**{name: lr})
+
+    def test_zero_learning_rate_allowed(self):
+        cfg = TrainConfig(lr_encoder=0.0, lr_head=0.0)
+        assert (cfg.lr_encoder, cfg.lr_head) == (0.0, 0.0)
+
 
 class TestPretrain:
     def test_same_seed_identical_loss_logs(self):
