@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._files import atomic_write
 from .errors import ConfigError, DataError
 
 logger = logging.getLogger(__name__)
@@ -140,7 +141,7 @@ def load_dataset(path, fmt: str | None = None, name: str | None = None) -> Label
 def save_dataset(dataset: LabeledDataset, path, split: str | None = None) -> None:
     """Canonical JSONL: sorted keys, no ASCII escaping, LF endings."""
     examples = dataset.examples if split is None else dataset.split_examples(split)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         for ex in examples:
             fh.write(json.dumps({"label": ex.label, "text": ex.text},
                                 sort_keys=True, ensure_ascii=False) + "\n")
@@ -244,7 +245,7 @@ def read_manifest(path) -> dict:
 
 
 def write_manifest(manifest: dict, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write(json.dumps(manifest, sort_keys=True, indent=2, ensure_ascii=False) + "\n")
 
 
@@ -333,7 +334,7 @@ def make_fixture(name: str, out_dir, seed: int = 0,
     files = {}
     for split, n in zip(("train", "validation", "test"), sizes):
         path = out / f"{split}.jsonl"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_write(path) as fh:
             for i in range(n):
                 lab = labels[i % c]
                 own = [pools[lab][int(j)] for j in rng.integers(0, 6, size=4)]

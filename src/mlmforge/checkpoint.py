@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._files import atomic_write
 from .encoder import ModelConfig
 from .errors import CheckpointError, ConfigError
 from .numerics import ParameterStore
@@ -65,22 +66,13 @@ def save_checkpoint(
         "tensors": tensors,
     }
     mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", FORMAT_VERSION))
-            fh.write(struct.pack("<Q", len(mbytes)))
-            fh.write(mbytes)
-            for arr in arrays:
-                fh.write(np.ascontiguousarray(arr, dtype=_STORED_DTYPE).data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_write(path, binary=True) as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<I", FORMAT_VERSION))
+        fh.write(struct.pack("<Q", len(mbytes)))
+        fh.write(mbytes)
+        for arr in arrays:
+            fh.write(np.ascontiguousarray(arr, dtype=_STORED_DTYPE).data)
 
 
 def read_manifest(path) -> dict:

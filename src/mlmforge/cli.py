@@ -4,7 +4,9 @@ pretraining, fine-tuning, evaluation, and report rendering.
 Every command works inside a run directory (config.json echo, ckpt/, logs/,
 results/) guarded by a lock file, and is reproducible bit-for-bit from the
 echoed config. Errors exit nonzero with a single-line, machine-parsable
-message prefixed by its category (CONFIG/, DATA/, CKPT/).
+message prefixed by its category (CONFIG/, DATA/, CKPT/, NUMERIC/,
+INTERNAL/). Commands run with numpy's floating-point warnings silenced:
+a non-finite value is reported once, by the op's own check.
 """
 
 import argparse
@@ -14,14 +16,20 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from . import benchmarks, corpus, evaluation, tokenizer
+from ._files import atomic_write
 from .checkpoint import load_checkpoint, save_checkpoint
 from .encoder import ModelConfig, init_params
 from .errors import (
     CheckpointError,
     ConfigError,
     DataError,
+    DeterminismError,
     ForgeError,
+    NonFiniteError,
+    ShapeError,
 )
 from .training import TrainConfig, finetune, pretrain, write_log
 
@@ -159,7 +167,7 @@ class RunDir:
         return False
 
     def echo_config(self, cfg: dict) -> None:
-        with open(self.path / "config.json", "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_write(self.path / "config.json") as fh:
             fh.write(json.dumps(cfg, sort_keys=True, indent=2) + "\n")
 
     def subdir(self, name: str) -> Path:
@@ -204,7 +212,7 @@ def cmd_prep_corpus(args, cfg) -> None:
         corpus.write_sentences(built, run.path / "corpus.txt")
         stats = corpus.corpus_stats(built).as_dict()
         stats["n_malformed_lines"] = len(warnings)
-        with open(run.path / "stats.json", "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_write(run.path / "stats.json") as fh:
             fh.write(json.dumps(stats, sort_keys=True, indent=2) + "\n")
         print(f"wrote {stats['n_sentences']} sentences to {run.path / 'corpus.txt'}")
 
@@ -306,7 +314,7 @@ def cmd_evaluate(args, cfg) -> None:
         safe = "".join(c if c.isalnum() or c in "-_." else "_"
                        for c in f"{args.model_name}__{dataset.name}__{args.split}")
         out = results_dir / f"{safe}.json"
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_write(out) as fh:
             fh.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
         print(f"{args.model_name} on {dataset.name}/{args.split}: "
               f"recall {record['recall']:.2f}, f1 {record['f1']:.2f} -> {out}")
@@ -334,8 +342,9 @@ def cmd_report(args, cfg) -> None:
         run.echo_config(cfg)
         md = evaluation.render_report(report, "markdown")
         js = evaluation.render_report(report, "json")
-        (run.path / "report.md").write_text(md, encoding="utf-8")
-        (run.path / "report.json").write_text(js, encoding="utf-8")
+        for name, text in (("report.md", md), ("report.json", js)):
+            with atomic_write(run.path / name) as fh:
+                fh.write(text)
         print(f"wrote {run.path / 'report.md'}")
 
 
@@ -411,6 +420,9 @@ _CATEGORIES = (
     (ConfigError, "CONFIG/", 2),
     (DataError, "DATA/", 3),
     (CheckpointError, "CKPT/", 4),
+    (NonFiniteError, "NUMERIC/", 5),
+    (ShapeError, "INTERNAL/", 6),
+    (DeterminismError, "INTERNAL/", 6),
 )
 
 
@@ -418,7 +430,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = build_run_config(args.config, args.overrides)
-        args.func(args, cfg)
+        with np.errstate(all="ignore"):
+            args.func(args, cfg)
     except ForgeError as exc:
         msg = " ".join(str(exc).split())
         for klass, prefix, code in _CATEGORIES:

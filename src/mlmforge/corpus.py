@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from ._files import atomic_write
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
@@ -133,7 +134,7 @@ def corpus_stats(corpus: SentenceCorpus) -> CorpusStats:
 
 def write_sentences(corpus: SentenceCorpus, path) -> None:
     """One sentence per line, UTF-8, LF endings."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         for s in corpus.sentences:
             fh.write(s + "\n")
 

@@ -2,10 +2,18 @@
 
 Post-layer-norm stack: summed token/position/segment embeddings, then per
 layer multi-head self-attention + residual + layer norm and a gelu FFN +
-residual + layer norm. Padded positions are excluded from attention with
--inf pre-softmax scores. The MLM projection is weight-tied to the token
+residual + layer norm. The MLM projection is weight-tied to the token
 embedding matrix. The classifier head is dense -> tanh -> dense on the
 position-0 hidden state of the last layer.
+
+The stack runs token-major: the real tokens of a padded batch are gathered
+once, and every row-wise layer (embeddings, the dense projections, gelu,
+layer norms, residual adds, dropout) runs on (n_real, width) rows. Only
+attention is padded: q, k and v are scattered into zero [batch, heads, seq,
+dh] buffers, padded keys get -inf pre-softmax scores, and the context is
+gathered back to the real rows. Dropout masks are drawn at the padded shape
+and gathered, so the rng stream is that of a fully padded stack. The hidden
+states come back as [batch, seq, hidden] with every pad row exactly 0.
 
 Forward functions optionally return a cache consumed by the matching
 backward functions, which accumulate into ParameterStore gradients.
@@ -205,9 +213,23 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, s, nh * dh)
 
 
+def _to_heads(z: np.ndarray, rows: np.ndarray, b: int, s: int, n_heads: int) -> np.ndarray:
+    """Scatter token rows into a zero [b, s, width] buffer and split heads."""
+    padded = np.zeros((b * s, z.shape[-1]), dtype=z.dtype)
+    padded[rows] = z
+    return _split_heads(padded.reshape(b, s, -1), n_heads)
+
+
+def _from_heads(zh: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Merge the heads of [b, heads, s, dh] and gather the token rows."""
+    z = _merge_heads(zh)
+    return z.reshape(-1, z.shape[-1])[rows]
+
+
 def _dense(params: ParameterStore, x: np.ndarray, w: str, b: str) -> np.ndarray:
-    """x @ params[w] + params[b]. `x` keeps its leading shape: one 2-D GEMM
-    over the flattened rows gives different float bits for some shapes."""
+    """x @ params[w] + params[b]. The encoder passes 2-D token rows; other
+    callers' leading shapes are kept, because one 2-D GEMM over flattened
+    rows can give other float bits than the batched product."""
     return ops.add_bias(ops.matmul(x, params[w].value), params[b].value)
 
 
@@ -221,18 +243,27 @@ def _dense_backward(params: ParameterStore, dout: np.ndarray, x: np.ndarray,
     return dx
 
 
-def _maybe_dropout(x, p, training, rng):
-    if training and p > 0.0:
-        if rng is None:
-            raise ConfigError("training-mode forward with dropout needs an rng")
+def _maybe_dropout(x, p, training, rng, tokens=None):
+    """Dropout in training mode, else (x, None). With `tokens` = (rows,
+    n_cells), `x` holds rows `rows` of an [n_cells, width] padded tensor: the
+    mask is drawn at that padded shape and gathered, so the rng stream and
+    every real element's mask are those of a padded run."""
+    if not (training and p > 0.0):
+        return x, None
+    if rng is None:
+        raise ConfigError("training-mode forward with dropout needs an rng")
+    if tokens is None:
         return ops.dropout(x, p, rng)
-    return x, None
+    rows, n_cells = tokens
+    keep = ops.dropout_keep((n_cells, x.shape[-1]), p, rng, x.dtype)[rows]
+    return x * keep, keep
 
 
 def forward_hidden(params: ParameterStore, config: ModelConfig, batch: EncodedBatch,
                    training: bool = False, rng: np.random.Generator | None = None,
                    want_cache: bool = False):
-    """Run the full encoder stack. Returns (hidden_states, cache or None)."""
+    """Run the full encoder stack. Returns (hidden_states, cache or None);
+    hidden_states is [batch, seq, hidden] with every pad row exactly 0."""
     ids = np.asarray(batch.ids)
     if ids.ndim != 2:
         raise ShapeError(f"batch ids must be 2-d, got {ids.shape}")
@@ -247,43 +278,47 @@ def forward_hidden(params: ParameterStore, config: ModelConfig, batch: EncodedBa
     tok_emb = params["encoder.tok_emb"].value
     dtype = tok_emb.dtype
     p_drop = config.dropout
+    nh = config.n_heads
 
-    x = ops.embedding_lookup(tok_emb, ids)
-    x = x + params["encoder.pos_emb"].value[:s]
-    x = x + ops.embedding_lookup(params["encoder.seg_emb"].value, seg)
+    # Token-major: flat positions of the real tokens, row-major over the batch.
+    rows = np.flatnonzero(att.reshape(-1))
+    tokens = (rows, b * s)
+    tok_ids = ids.reshape(-1)[rows]
+    seg_ids = seg.reshape(-1)[rows]
+    positions = rows % s
+
+    x = ops.embedding_lookup(tok_emb, tok_ids)
+    x = x + params["encoder.pos_emb"].value[positions]
+    x = x + ops.embedding_lookup(params["encoder.seg_emb"].value, seg_ids)
     x, emb_norm_cache = ops.layer_norm(
         x, params["encoder.emb_norm.gain"].value, params["encoder.emb_norm.bias"].value
     )
-    x, emb_keep = _maybe_dropout(x, p_drop, training, rng)
+    x, emb_keep = _maybe_dropout(x, p_drop, training, rng, tokens)
 
     # [b, 1, 1, s]: 0 at real keys, -inf at padded keys.
     key_bias = np.where(att[:, None, None, :] > 0, dtype.type(0.0), dtype.type(-np.inf))
-    inv_sqrt_dh = dtype.type(1.0 / np.sqrt(config.hidden // config.n_heads))
+    inv_sqrt_dh = dtype.type(1.0 / np.sqrt(config.hidden // nh))
 
     layer_caches = []
     for i in range(config.n_layers):
         pre = f"encoder.layer{i}"
         x_in = x
-        q = _dense(params, x_in, f"{pre}.attn.wq", f"{pre}.attn.bq")
-        k = _dense(params, x_in, f"{pre}.attn.wk", f"{pre}.attn.bk")
-        v = _dense(params, x_in, f"{pre}.attn.wv", f"{pre}.attn.bv")
-        qh = _split_heads(q, config.n_heads)
-        kh = _split_heads(k, config.n_heads)
-        vh = _split_heads(v, config.n_heads)
+        qh = _to_heads(_dense(params, x_in, f"{pre}.attn.wq", f"{pre}.attn.bq"), rows, b, s, nh)
+        kh = _to_heads(_dense(params, x_in, f"{pre}.attn.wk", f"{pre}.attn.bk"), rows, b, s, nh)
+        vh = _to_heads(_dense(params, x_in, f"{pre}.attn.wv", f"{pre}.attn.bv"), rows, b, s, nh)
         scores = np.matmul(qh, kh.swapaxes(-1, -2)) * inv_sqrt_dh + key_bias
         probs = ops.softmax(scores)
         probs_d, att_keep = _maybe_dropout(probs, p_drop, training, rng)
-        ctx = ops.matmul(probs_d, vh)
-        ctxm = _merge_heads(ctx)
+        ctxm = _from_heads(ops.matmul(probs_d, vh), rows)
         ao = _dense(params, ctxm, f"{pre}.attn.wo", f"{pre}.attn.bo")
-        ao, ao_keep = _maybe_dropout(ao, p_drop, training, rng)
+        ao, ao_keep = _maybe_dropout(ao, p_drop, training, rng, tokens)
         n1, n1_cache = ops.layer_norm(
             x_in + ao, params[f"{pre}.attn_norm.gain"].value, params[f"{pre}.attn_norm.bias"].value
         )
         a1 = _dense(params, n1, f"{pre}.ffn.w1", f"{pre}.ffn.b1")
         hmid = ops.gelu(a1)
         ff = _dense(params, hmid, f"{pre}.ffn.w2", f"{pre}.ffn.b2")
-        ff, ff_keep = _maybe_dropout(ff, p_drop, training, rng)
+        ff, ff_keep = _maybe_dropout(ff, p_drop, training, rng, tokens)
         x, n2_cache = ops.layer_norm(
             n1 + ff, params[f"{pre}.ffn_norm.gain"].value, params[f"{pre}.ffn_norm.bias"].value
         )
@@ -295,21 +330,28 @@ def forward_hidden(params: ParameterStore, config: ModelConfig, batch: EncodedBa
                 "a1": a1, "hmid": hmid, "ff_keep": ff_keep, "n2_cache": n2_cache,
             })
 
+    hidden = np.zeros((b * s, x.shape[-1]), dtype=dtype)
+    hidden[rows] = x
     cache = None
     if want_cache:
         cache = {
-            "ids": ids, "seg": seg, "seq_len": s,
+            "rows": rows, "batch_shape": (b, s), "tok_ids": tok_ids, "seg_ids": seg_ids,
+            "positions": positions,
             "emb_norm_cache": emb_norm_cache, "emb_keep": emb_keep,
             "inv_sqrt_dh": inv_sqrt_dh, "layers": layer_caches,
         }
-    return x, cache
+    return hidden.reshape(b, s, -1), cache
 
 
 def backward_hidden(params: ParameterStore, config: ModelConfig, cache: dict,
                     d_hidden: np.ndarray) -> None:
-    """Accumulate encoder gradients given d(loss)/d(hidden_states)."""
+    """Accumulate encoder gradients given d(loss)/d(hidden_states). Only the
+    real tokens' rows of `d_hidden` are read."""
+    rows = cache["rows"]
+    b, s = cache["batch_shape"]
+    nh = config.n_heads
     inv_sqrt_dh = cache["inv_sqrt_dh"]
-    dx = d_hidden
+    dx = d_hidden.reshape(-1, d_hidden.shape[-1])[rows]
     for i in reversed(range(config.n_layers)):
         pre = f"encoder.layer{i}"
         lc = cache["layers"][i]
@@ -333,7 +375,7 @@ def backward_hidden(params: ParameterStore, config: ModelConfig, cache: dict,
         if lc["ao_keep"] is not None:
             dao = ops.dropout_backward(dao, lc["ao_keep"])
         dctxm = _dense_backward(params, dao, lc["ctxm"], f"{pre}.attn.wo", f"{pre}.attn.bo")
-        dctx = _split_heads(dctxm, config.n_heads)
+        dctx = _to_heads(dctxm, rows, b, s, nh)
         dprobs_d, dvh = ops.matmul_backward(dctx, lc["probs_d"], lc["vh"])
         dprobs = dprobs_d
         if lc["att_keep"] is not None:
@@ -343,9 +385,10 @@ def backward_hidden(params: ParameterStore, config: ModelConfig, cache: dict,
         dqh, dkhT = ops.matmul_backward(dscores, lc["qh"], khT)
         dkh = dkhT.swapaxes(-1, -2)
 
-        # Merged before the projections: merging each one inside the loop
-        # fragments the retained heap (+1.5 MB peak RSS on a desk pretrain).
-        dzs = [_merge_heads(dzh) for dzh in (dqh, dkh, dvh)]
+        # Merged and gathered before the projections: merging each one inside
+        # the loop fragmented the retained heap (+1.5 MB peak RSS on a desk
+        # pretrain).
+        dzs = [_from_heads(dzh, rows) for dzh in (dqh, dkh, dvh)]
         for dz, proj in zip(dzs, "qkv"):
             dx_in = dx_in + _dense_backward(params, dz, lc["x_in"],
                                             f"{pre}.attn.w{proj}", f"{pre}.attn.b{proj}")
@@ -358,10 +401,11 @@ def backward_hidden(params: ParameterStore, config: ModelConfig, cache: dict,
     params["encoder.emb_norm.bias"].grad += db
 
     tok = params["encoder.tok_emb"]
-    tok.grad += ops.embedding_lookup_backward(demb, cache["ids"], tok.value.shape[0])
-    params["encoder.pos_emb"].grad[: cache["seq_len"]] += demb.sum(axis=0)
+    tok.grad += ops.embedding_lookup_backward(demb, cache["tok_ids"], tok.value.shape[0])
+    params["encoder.pos_emb"].grad[:s] += ops.embedding_lookup_backward(
+        demb, cache["positions"], s)
     seg = params["encoder.seg_emb"]
-    seg.grad += ops.embedding_lookup_backward(demb, cache["seg"], seg.value.shape[0])
+    seg.grad += ops.embedding_lookup_backward(demb, cache["seg_ids"], seg.value.shape[0])
 
 
 def encode_batch(params: ParameterStore, config: ModelConfig, batch: EncodedBatch,

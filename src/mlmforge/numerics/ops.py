@@ -237,13 +237,22 @@ def cross_entropy_backward(cache) -> np.ndarray:
 
 # --- dropout (internal helper, inverted scaling) ----------------------------
 
-def dropout(x: np.ndarray, p: float, rng: np.random.Generator):
-    """Returns (out, keep) where keep already carries the 1/(1-p) scaling."""
+def dropout_keep(shape, p: float, rng: np.random.Generator, dtype) -> np.ndarray:
+    """The dropout mask for an input of `shape`: 0 where an element is
+    dropped, 1/(1-p) where it is kept. Draws one uniform per element, in C
+    order, so a caller that keeps only some rows of the mask consumes the
+    rng stream exactly as a full-shape dropout would."""
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
-    draw = rng.random(x.shape)
-    keep = np.greater_equal(draw, p, out=draw).astype(x.dtype, copy=False)
+    draw = rng.random(shape)
+    keep = np.greater_equal(draw, p, out=draw).astype(dtype, copy=False)
     keep /= 1.0 - p
+    return keep
+
+
+def dropout(x: np.ndarray, p: float, rng: np.random.Generator):
+    """Returns (out, keep) where keep already carries the 1/(1-p) scaling."""
+    keep = dropout_keep(x.shape, p, rng, x.dtype)
     return x * keep, keep
 
 

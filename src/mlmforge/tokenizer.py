@@ -12,6 +12,7 @@ import unicodedata
 from collections import Counter, defaultdict
 from pathlib import Path
 
+from ._files import atomic_write
 from .corpus import SentenceCorpus
 from .errors import ConfigError, DataError
 
@@ -57,7 +58,7 @@ class Vocab:
         return hashlib.sha256(self.serialize().encode("utf-8")).hexdigest()
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_write(path) as fh:
             fh.write(self.serialize())
 
     @classmethod

@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import evaluation
+from ._files import atomic_write
 from .benchmarks import LabeledDataset
 from .encoder import (
     EncodedBatch,
@@ -94,7 +95,7 @@ class FinetuneResult:
 
 def write_log(log: list[dict], path) -> None:
     """JSONL, one record per event. No timestamps: logs must be bit-stable."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         for rec in log:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 

@@ -1,13 +1,18 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mlmforge
+from mlmforge import cli
 from mlmforge.benchmarks import make_fixture
 from mlmforge.cli import CONFIG_DEFAULTS, build_run_config, main
-from mlmforge.errors import ConfigError
+from mlmforge.errors import ConfigError, DeterminismError, NonFiniteError, ShapeError
 
 
 def run(*argv):
@@ -210,6 +215,34 @@ class TestErrors:
         assert err.startswith("CONFIG/")
         assert "\n" not in err.strip()
         assert override.split("=")[0].split(".")[1] in err
+
+    def test_non_finite_training_is_one_line_numeric_error(self, pipeline, tmp_path):
+        # A fresh interpreter, so numpy's RuntimeWarnings would reach stderr.
+        _, corpus, vocab = pipeline
+        src = str(Path(mlmforge.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mlmforge.cli", "pretrain", "--corpus", str(corpus),
+             "--vocab", str(vocab), "--run-dir", str(tmp_path / "run"), *FAST_TRAIN,
+             "--set", "train.lr_encoder=1e30", "--set", "train.max_steps=4"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 5
+        assert proc.stderr.startswith("NUMERIC/aborting at step ")
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert not (tmp_path / "run" / ".lock").exists()
+
+    @pytest.mark.parametrize("exc, prefix, code", [
+        (NonFiniteError("matmul: produced non-finite values"), "NUMERIC/", 5),
+        (ShapeError("matmul: incompatible shapes"), "INTERNAL/", 6),
+        (DeterminismError("reruns differ"), "INTERNAL/", 6),
+    ])
+    def test_numeric_and_internal_categories(self, monkeypatch, capsys, exc, prefix, code):
+        def fail(args, cfg):
+            raise exc
+        monkeypatch.setattr(cli, "cmd_report", fail)
+        assert run("report", "r.json", "--run-dir", "unused") == code
+        assert capsys.readouterr().err == f"{prefix}{exc}\n"
 
     def test_mixed_aggregation_report_rejected(self, tmp_path, capsys):
         r1 = {"model": "a", "dataset": "d", "split": "test", "aggregation": "weighted",

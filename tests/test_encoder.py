@@ -1,13 +1,22 @@
+from unittest import mock
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mlmforge import training
 from mlmforge.encoder import (
     EncodedBatch,
     EncoderOutput,
     ModelConfig,
     _dense,
     _dense_backward,
+    _maybe_dropout,
+    _merge_heads,
+    _split_heads,
+    backward_hidden,
     classifier_n_classes,
     cls_logits,
     count_params,
@@ -18,6 +27,7 @@ from mlmforge.encoder import (
     mlm_logits,
 )
 from mlmforge.errors import ConfigError, ShapeError
+from mlmforge.masking import build_batch
 from mlmforge.numerics import ParameterStore, grad_check, ops
 
 TINY = ModelConfig(n_layers=2, hidden=32, n_heads=2, ffn=64, vocab_size=50,
@@ -273,3 +283,191 @@ class TestDropout:
         a = encode_batch(store, cfg, batch_of([2, 6, 3]))
         b = encode_batch(store, cfg, batch_of([2, 6, 3]))
         assert (a.hidden_states == b.hidden_states).all()
+
+
+# --- token-major layout vs the padded reference ---------------------------------
+
+
+def reference_forward_hidden(params, config, batch, training=False, rng=None,
+                             want_cache=False):
+    """The padded encoder: every layer runs on all [batch, seq] positions."""
+    ids = np.asarray(batch.ids)
+    b, s = ids.shape
+    att = np.asarray(batch.attention_mask)
+    seg = np.asarray(batch.segment_ids)
+    tok_emb = params["encoder.tok_emb"].value
+    dtype = tok_emb.dtype
+    p_drop = config.dropout
+
+    x = ops.embedding_lookup(tok_emb, ids)
+    x = x + params["encoder.pos_emb"].value[:s]
+    x = x + ops.embedding_lookup(params["encoder.seg_emb"].value, seg)
+    x, emb_norm_cache = ops.layer_norm(
+        x, params["encoder.emb_norm.gain"].value, params["encoder.emb_norm.bias"].value
+    )
+    x, emb_keep = _maybe_dropout(x, p_drop, training, rng)
+    key_bias = np.where(att[:, None, None, :] > 0, dtype.type(0.0), dtype.type(-np.inf))
+    inv_sqrt_dh = dtype.type(1.0 / np.sqrt(config.hidden // config.n_heads))
+
+    layer_caches = []
+    for i in range(config.n_layers):
+        pre = f"encoder.layer{i}"
+        x_in = x
+        q = _dense(params, x_in, f"{pre}.attn.wq", f"{pre}.attn.bq")
+        k = _dense(params, x_in, f"{pre}.attn.wk", f"{pre}.attn.bk")
+        v = _dense(params, x_in, f"{pre}.attn.wv", f"{pre}.attn.bv")
+        qh = _split_heads(q, config.n_heads)
+        kh = _split_heads(k, config.n_heads)
+        vh = _split_heads(v, config.n_heads)
+        scores = np.matmul(qh, kh.swapaxes(-1, -2)) * inv_sqrt_dh + key_bias
+        probs = ops.softmax(scores)
+        probs_d, att_keep = _maybe_dropout(probs, p_drop, training, rng)
+        ctxm = _merge_heads(ops.matmul(probs_d, vh))
+        ao = _dense(params, ctxm, f"{pre}.attn.wo", f"{pre}.attn.bo")
+        ao, ao_keep = _maybe_dropout(ao, p_drop, training, rng)
+        n1, n1_cache = ops.layer_norm(
+            x_in + ao, params[f"{pre}.attn_norm.gain"].value, params[f"{pre}.attn_norm.bias"].value
+        )
+        a1 = _dense(params, n1, f"{pre}.ffn.w1", f"{pre}.ffn.b1")
+        hmid = ops.gelu(a1)
+        ff = _dense(params, hmid, f"{pre}.ffn.w2", f"{pre}.ffn.b2")
+        ff, ff_keep = _maybe_dropout(ff, p_drop, training, rng)
+        x, n2_cache = ops.layer_norm(
+            n1 + ff, params[f"{pre}.ffn_norm.gain"].value, params[f"{pre}.ffn_norm.bias"].value
+        )
+        layer_caches.append({
+            "x_in": x_in, "qh": qh, "kh": kh, "vh": vh,
+            "probs": probs, "probs_d": probs_d, "att_keep": att_keep,
+            "ctxm": ctxm, "ao_keep": ao_keep, "n1": n1, "n1_cache": n1_cache,
+            "a1": a1, "hmid": hmid, "ff_keep": ff_keep, "n2_cache": n2_cache,
+        })
+    cache = {"ids": ids, "seg": seg, "seq_len": s, "emb_norm_cache": emb_norm_cache,
+             "emb_keep": emb_keep, "inv_sqrt_dh": inv_sqrt_dh, "layers": layer_caches}
+    return x, (cache if want_cache else None)
+
+
+def reference_backward_hidden(params, config, cache, d_hidden):
+    inv_sqrt_dh = cache["inv_sqrt_dh"]
+    dx = d_hidden
+    for i in reversed(range(config.n_layers)):
+        pre = f"encoder.layer{i}"
+        lc = cache["layers"][i]
+        dres2, dg2, db2 = ops.layer_norm_backward(dx, lc["n2_cache"])
+        params[f"{pre}.ffn_norm.gain"].grad += dg2
+        params[f"{pre}.ffn_norm.bias"].grad += db2
+        dff = dres2
+        if lc["ff_keep"] is not None:
+            dff = ops.dropout_backward(dff, lc["ff_keep"])
+        dhmid = _dense_backward(params, dff, lc["hmid"], f"{pre}.ffn.w2", f"{pre}.ffn.b2")
+        da1 = ops.gelu_backward(dhmid, lc["a1"])
+        dn1 = dres2 + _dense_backward(params, da1, lc["n1"], f"{pre}.ffn.w1", f"{pre}.ffn.b1")
+        dres1, dg1, db1 = ops.layer_norm_backward(dn1, lc["n1_cache"])
+        params[f"{pre}.attn_norm.gain"].grad += dg1
+        params[f"{pre}.attn_norm.bias"].grad += db1
+        dx_in = dres1
+        dao = dres1
+        if lc["ao_keep"] is not None:
+            dao = ops.dropout_backward(dao, lc["ao_keep"])
+        dctxm = _dense_backward(params, dao, lc["ctxm"], f"{pre}.attn.wo", f"{pre}.attn.bo")
+        dctx = _split_heads(dctxm, config.n_heads)
+        dprobs, dvh = ops.matmul_backward(dctx, lc["probs_d"], lc["vh"])
+        if lc["att_keep"] is not None:
+            dprobs = ops.dropout_backward(dprobs, lc["att_keep"])
+        dscores = ops.softmax_backward(dprobs, lc["probs"]) * inv_sqrt_dh
+        dqh, dkhT = ops.matmul_backward(dscores, lc["qh"], lc["kh"].swapaxes(-1, -2))
+        for dzh, proj in zip((dqh, dkhT.swapaxes(-1, -2), dvh), "qkv"):
+            dx_in = dx_in + _dense_backward(params, _merge_heads(dzh), lc["x_in"],
+                                            f"{pre}.attn.w{proj}", f"{pre}.attn.b{proj}")
+        dx = dx_in
+    if cache["emb_keep"] is not None:
+        dx = ops.dropout_backward(dx, cache["emb_keep"])
+    demb, dg, db = ops.layer_norm_backward(dx, cache["emb_norm_cache"])
+    params["encoder.emb_norm.gain"].grad += dg
+    params["encoder.emb_norm.bias"].grad += db
+    tok = params["encoder.tok_emb"]
+    tok.grad += ops.embedding_lookup_backward(demb, cache["ids"], tok.value.shape[0])
+    params["encoder.pos_emb"].grad[: cache["seq_len"]] += demb.sum(axis=0)
+    seg = params["encoder.seg_emb"]
+    seg.grad += ops.embedding_lookup_backward(demb, cache["seg"], seg.value.shape[0])
+
+
+DROP = ModelConfig(n_layers=2, hidden=16, n_heads=2, ffn=32, vocab_size=40,
+                   max_positions=16, dropout=0.1)
+
+
+def masked_batch(lengths, seed=0):
+    rng = np.random.default_rng(seed)
+    corpus = [list(rng.integers(5, DROP.vocab_size, size=n)) for n in lengths]
+    return build_batch(corpus, range(len(corpus)), "static", 0, seed,
+                       DROP.vocab_size, DROP.max_positions)
+
+
+def check_against_reference(lengths, seed=0):
+    """Token-major vs padded encoder in float64 with dropout, same rng."""
+    batch = masked_batch(lengths, seed)
+    enc = batch.encoded()
+    params = init_params(DROP, seed).astype(np.float64)
+    init_classifier(params, DROP, 3, seed=seed + 1)
+    real = enc.attention_mask.astype(bool)
+
+    hidden, _ = forward_hidden(params, DROP, enc, training=True,
+                               rng=np.random.default_rng(seed))
+    ref, _ = reference_forward_hidden(params, DROP, enc, training=True,
+                                      rng=np.random.default_rng(seed))
+    assert hidden.shape == ref.shape
+    npt.assert_allclose(hidden[real], ref[real], rtol=1e-12, atol=0)
+    assert (hidden[~real] == 0).all()
+
+    targets = np.arange(len(lengths)) % 3
+    runs = {
+        "mlm": lambda store: training.mlm_loss_and_backward(
+            store, DROP, batch, training=True, rng=np.random.default_rng(seed)),
+        "cls": lambda store: training.cls_loss_and_backward(
+            store, DROP, enc, targets, training=True, rng=np.random.default_rng(seed)),
+    }
+    for head, run in runs.items():
+        new, old = params.clone(), params.clone()
+        loss = run(new)
+        with mock.patch.multiple(training, forward_hidden=reference_forward_hidden,
+                                 backward_hidden=reference_backward_hidden):
+            want = run(old)
+        assert loss == pytest.approx(want, rel=1e-12), head
+        for name in new.names():
+            npt.assert_allclose(new[name].grad, old[name].grad, rtol=1e-9, atol=1e-15,
+                                err_msg=f"{head}: {name}")
+        assert (new["encoder.layer0.ffn.w1"].grad != 0).any(), head
+
+
+class TestTokenMajorLayout:
+    """forward_hidden/backward_hidden run every row-wise layer on the real
+    tokens only; attention stays padded. Held to the padded encoder above."""
+
+    def test_mixed_lengths_match_padded_reference(self):
+        check_against_reference([9, 3, 14, 1, 6])
+
+    def test_no_padding_matches_padded_reference(self):
+        check_against_reference([7, 7, 7])
+
+    def test_single_real_token_per_row_matches_padded_reference(self):
+        check_against_reference([1, 1, 1, 1])
+
+    @settings(max_examples=25, deadline=None)
+    @given(lengths=st.lists(st.integers(1, DROP.max_positions), min_size=1, max_size=6),
+           seed=st.integers(0, 2**16))
+    def test_random_lengths_match_padded_reference(self, lengths, seed):
+        check_against_reference(lengths, seed)
+
+    def test_pad_rows_are_zero_and_ignored_by_backward(self):
+        store = tiny_store()
+        batch = EncodedBatch.from_sequences([[2, 10, 11, 3]], pad_to=8)
+        hidden, cache = forward_hidden(store, TINY, batch, want_cache=True)
+        assert (hidden[0, 4:] == 0).all()
+        d = np.random.default_rng(0).standard_normal(hidden.shape).astype(hidden.dtype)
+        a, b = store.clone(), store.clone()
+        for s in (a, b):
+            s.zero_grads()
+        backward_hidden(a, TINY, cache, d)
+        d[0, 4:] = 1e3
+        backward_hidden(b, TINY, cache, d)
+        for name in a.names():
+            assert a[name].grad.tobytes() == b[name].grad.tobytes(), name

@@ -1,0 +1,27 @@
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import mlmforge
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
+
+
+def test_digests_every_output_once(tmp_path):
+    src = Path(mlmforge.__file__).resolve().parents[1]
+    out = tmp_path / "digest.txt"
+    proc = subprocess.run([sys.executable, str(TOOL), str(src), str(out)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
+    names = [line.split("  ", 1)[1] for line in lines]
+    assert len(names) == len(set(names))
+    for want in ("lib/step/float32/encoder.layer0.ffn.w1.grad", "lib/step/float64/loss",
+                 "lib/pretrain/float64/best/encoder.tok_emb.adam_v",
+                 "lib/finetune/float32/final/cls.out.w.value", "lib/finetune/float64/log",
+                 "cli/pt/ckpt/best.ckpt", "cli/ct/logs/pretrain.jsonl",
+                 "cli/ft/config.json", "cli/ev-val/results/val__Dreaddit__validation.json",
+                 "cli/rep/report.md"):
+        assert want in names, want
