@@ -75,6 +75,14 @@ def save_checkpoint(
             fh.write(np.ascontiguousarray(arr, dtype=_STORED_DTYPE).data)
 
 
+def _read_header_int(fh, p: Path, fmt: str) -> int:
+    size = struct.calcsize(fmt)
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise CheckpointError(f"{p}: truncated header")
+    return struct.unpack(fmt, raw)[0]
+
+
 def read_manifest(path) -> dict:
     p = Path(path)
     if not p.is_file():
@@ -83,10 +91,10 @@ def read_manifest(path) -> dict:
         head = fh.read(len(MAGIC))
         if head != MAGIC:
             raise CheckpointError(f"{p}: not a checkpoint file (bad magic)")
-        (version,) = struct.unpack("<I", fh.read(4))
+        version = _read_header_int(fh, p, "<I")
         if version != FORMAT_VERSION:
             raise CheckpointError(f"{p}: unsupported format version {version}")
-        (mlen,) = struct.unpack("<Q", fh.read(8))
+        mlen = _read_header_int(fh, p, "<Q")
         mbytes = fh.read(mlen)
         if len(mbytes) != mlen:
             raise CheckpointError(f"{p}: truncated manifest")

@@ -112,6 +112,18 @@ def compute_metrics(table: ConfusionTable, aggregation: str = "weighted") -> Met
     return Metrics(aggregation, agg[0], agg[1], agg[2], per_class)
 
 
+def encode_split(dataset, split: str, vocab: Vocab, max_len: int):
+    """(token sequences, class indices) of one split, in manifest order."""
+    seqs, labels = [], []
+    for i in dataset.splits.get(split, []):
+        ex = dataset.examples[i]
+        if ex.label not in dataset.label_map:
+            raise DataError(f"label {ex.label!r} not in label map of dataset {dataset.name!r}")
+        seqs.append(encode(vocab, ex.text, max_len))
+        labels.append(dataset.label_map[ex.label])
+    return seqs, np.asarray(labels, dtype=np.int64)
+
+
 def evaluate_model(params, config, dataset, split: str, vocab: Vocab,
                    batch_size: int = 32, threads: int = 1) -> ConfusionTable:
     """Eval-mode forward over the split in manifest order; argmax predictions
@@ -119,8 +131,7 @@ def evaluate_model(params, config, dataset, split: str, vocab: Vocab,
     the reduction keeps batch order, so results are identical either way."""
     if batch_size < 1:
         raise ConfigError(f"evaluation batch_size must be >= 1, got {batch_size}")
-    idx = dataset.splits.get(split, [])
-    if not idx:
+    if not dataset.splits.get(split):
         raise DataError(f"dataset {dataset.name!r} has no examples in split {split!r}")
     n_classes = dataset.n_classes()
     have = classifier_n_classes(params)
@@ -128,30 +139,27 @@ def evaluate_model(params, config, dataset, split: str, vocab: Vocab,
         raise ConfigError(
             f"classifier head has {have} classes but dataset {dataset.name!r} has {n_classes}"
         )
-    seqs, labels = [], []
-    for i in idx:
-        ex = dataset.examples[i]
-        seqs.append(encode(vocab, ex.text, config.max_positions))
-        labels.append(dataset.label_map[ex.label])
+    seqs, labels = encode_split(dataset, split, vocab, config.max_positions)
+    return confusion_table(params, config, seqs, labels, n_classes, batch_size, threads)
 
-    chunks = [
-        (seqs[lo : lo + batch_size], labels[lo : lo + batch_size])
-        for lo in range(0, len(seqs), batch_size)
-    ]
 
-    def run(chunk):
-        batch_seqs, batch_labels = chunk
-        batch = EncodedBatch.from_sequences(batch_seqs)
+def confusion_table(params, config, seqs, labels, n_classes: int,
+                    batch_size: int = 32, threads: int = 1) -> ConfusionTable:
+    """The classifier's confusion table on already-encoded sequences."""
+
+    def run(lo):
+        batch = EncodedBatch.from_sequences(seqs[lo : lo + batch_size])
         hidden, _ = forward_hidden(params, config, batch, training=False)
         logits, _ = cls_head(params, hidden[:, 0, :])
         preds = np.argmax(logits, axis=1)
-        return ConfusionTable.from_predictions(batch_labels, preds, n_classes)
+        return ConfusionTable.from_predictions(labels[lo : lo + batch_size], preds, n_classes)
 
+    starts = range(0, len(seqs), batch_size)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(run, chunks))
+            partials = list(pool.map(run, starts))
     else:
-        partials = [run(c) for c in chunks]
+        partials = [run(lo) for lo in starts]
     table = ConfusionTable.empty(n_classes)
     for part in partials:
         table = table.merge(part)

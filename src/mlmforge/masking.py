@@ -14,7 +14,7 @@ import numpy as np
 from .encoder import EncodedBatch
 from .errors import ConfigError, DataError
 from .numerics.ops import IGNORE_ID
-from .tokenizer import MASK_ID, N_SPECIALS, PAD_ID, SEP_ID
+from .tokenizer import MASK_ID, N_SPECIALS, SEP_ID
 
 MASK_RATIO = 0.15
 MASK_FRAC = 0.8    # replace with [MASK]
@@ -112,17 +112,11 @@ def build_batch(
         rng = _sequence_rng(seed, int(i), epoch, mode)
         seq = _truncate(corpus_ids[i], max_len)
         masked.append(mask_sequence(seq, vocab_size, rng, ratio, mask_frac, random_frac))
-    width = max(len(m[0]) for m in masked)
-    n = len(masked)
-    input_ids = np.full((n, width), PAD_ID, dtype=np.int64)
-    attention = np.zeros((n, width), dtype=np.int64)
-    labels = np.full((n, width), IGNORE_ID, dtype=np.int64)
-    for row, (ids, labs) in enumerate(masked):
-        input_ids[row, : ids.size] = ids
-        attention[row, : ids.size] = 1
+    enc = EncodedBatch.from_sequences([ids for ids, _ in masked])
+    labels = np.full(enc.ids.shape, IGNORE_ID, dtype=np.int64)
+    for row, (_, labs) in enumerate(masked):
         labels[row, : labs.size] = labs
-    segment_ids = np.zeros((n, width), dtype=np.int64)
-    return MaskedBatch(input_ids, attention, segment_ids, labels)
+    return MaskedBatch(enc.ids, enc.attention_mask, enc.segment_ids, labels)
 
 
 def build_epoch_batches(

@@ -62,23 +62,16 @@ class ParameterStore:
         return sum(p.value.size for p in self.entries.values())
 
     def clone(self) -> "ParameterStore":
-        out = ParameterStore()
-        for name, p in self.entries.items():
-            out.entries[name] = Param(
-                p.value.copy(), p.grad.copy(), p.adam_m.copy(), p.adam_v.copy()
-            )
-        out.step_count = self.step_count
-        return out
+        """An independent copy; every tensor keeps its dtype."""
+        return self._copy(lambda a: a.copy())
 
     def astype(self, dtype) -> "ParameterStore":
+        return self._copy(lambda a: a.astype(dtype))
+
+    def _copy(self, copy) -> "ParameterStore":
         out = ParameterStore()
         for name, p in self.entries.items():
-            out.entries[name] = Param(
-                p.value.astype(dtype),
-                p.grad.astype(dtype),
-                p.adam_m.astype(dtype),
-                p.adam_v.astype(dtype),
-            )
+            out.entries[name] = Param(copy(p.value), copy(p.grad), copy(p.adam_m), copy(p.adam_v))
         out.step_count = self.step_count
         return out
 

@@ -32,6 +32,7 @@ from .errors import ConfigError, DataError, NonFiniteError
 from .masking import MASKING_MODES, MASK_RATIO, build_batch, build_epoch_batches
 from .numerics import ParameterStore, adam_step
 from .numerics.ops import IGNORE_ID, cross_entropy, cross_entropy_backward
+# `encode` is unused here, but perfbench/tracing.py looks it up in this module.
 from .tokenizer import TokenSequence, Vocab, encode
 
 # Offset mixed into the seed tuple for validation masking so validation
@@ -100,10 +101,28 @@ def write_log(log: list[dict], path) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-# --- MLM loss plumbing --------------------------------------------------------
+# --- loss plumbing ------------------------------------------------------------
 #
-# Sparse token prediction: only the labelled positions (~15 % of a batch) go
-# through the vocab-wide head and the loss; the rest carry no gradient.
+# One path for both heads: the MLM head reads only the labelled positions
+# (~15 % of a batch; the rest carry no gradient), the classifier row 0.
+
+
+def _head_loss(params, config, enc: EncodedBatch, rows, targets, head,
+               head_backward=None, training=False, rng=None) -> float:
+    """Cross-entropy of `head` on the flat hidden `rows`. Given
+    `head_backward`, also scatters the head's input gradient into a zero
+    gradient and runs the encoder backward."""
+    backward = head_backward is not None
+    hidden, cache = forward_hidden(params, config, enc, training=training, rng=rng,
+                                   want_cache=backward)
+    flat = hidden.reshape(-1, hidden.shape[-1])
+    logits, hcache = head(params, flat[rows], want_cache=backward)
+    loss, ce_cache = cross_entropy(logits, targets, IGNORE_ID)
+    if backward:
+        dflat = np.zeros_like(flat)
+        dflat[rows] = head_backward(params, hcache, cross_entropy_backward(ce_cache))
+        backward_hidden(params, config, cache, dflat.reshape(hidden.shape))
+    return loss
 
 
 def _labelled_rows(labels: np.ndarray):
@@ -113,27 +132,21 @@ def _labelled_rows(labels: np.ndarray):
     return pos, flat[pos]
 
 
+def _cls_rows(batch: EncodedBatch) -> np.ndarray:
+    """Flat index of each sequence's first ([CLS]) position."""
+    return np.arange(batch.ids.shape[0]) * batch.ids.shape[1]
+
+
 def mlm_loss(params, config, batch) -> float:
     """Forward-only MLM loss (eval mode); used by gradient-check probes."""
-    hidden, _ = forward_hidden(params, config, batch.encoded(), training=False)
-    pos, targets = _labelled_rows(batch.labels)
-    logits, _ = mlm_head(params, hidden.reshape(-1, hidden.shape[-1])[pos])
-    loss, _ = cross_entropy(logits, targets, IGNORE_ID)
-    return loss
+    rows, targets = _labelled_rows(batch.labels)
+    return _head_loss(params, config, batch.encoded(), rows, targets, mlm_head)
 
 
 def mlm_loss_and_backward(params, config, batch, training=True, rng=None) -> float:
-    hidden, cache = forward_hidden(params, config, batch.encoded(), training=training,
-                                   rng=rng, want_cache=True)
-    flat = hidden.reshape(-1, hidden.shape[-1])
-    pos, targets = _labelled_rows(batch.labels)
-    logits, hcache = mlm_head(params, flat[pos], want_cache=True)
-    loss, ce_cache = cross_entropy(logits, targets, IGNORE_ID)
-    dlogits = cross_entropy_backward(ce_cache)
-    dflat = np.zeros_like(flat)
-    dflat[pos] = mlm_head_backward(params, hcache, dlogits)
-    backward_hidden(params, config, cache, dflat.reshape(hidden.shape))
-    return loss
+    rows, targets = _labelled_rows(batch.labels)
+    return _head_loss(params, config, batch.encoded(), rows, targets, mlm_head,
+                      mlm_head_backward, training, rng)
 
 
 def mlm_eval_loss(params, config, batches) -> float:
@@ -141,15 +154,23 @@ def mlm_eval_loss(params, config, batches) -> float:
     total = 0.0
     n = 0
     for batch in batches:
-        hidden, _ = forward_hidden(params, config, batch.encoded(), training=False)
-        pos, targets = _labelled_rows(batch.labels)
-        logits, _ = mlm_head(params, hidden.reshape(-1, hidden.shape[-1])[pos])
-        loss, _ = cross_entropy(logits, targets, IGNORE_ID)
-        total += loss * pos.size
-        n += pos.size
+        rows, targets = _labelled_rows(batch.labels)
+        total += _head_loss(params, config, batch.encoded(), rows, targets, mlm_head) * rows.size
+        n += rows.size
     if n == 0:
         raise DataError("no labeled positions in evaluation stream")
     return total / n
+
+
+def cls_loss(params, config, batch: EncodedBatch, targets) -> float:
+    """Forward-only classification loss (eval mode)."""
+    return _head_loss(params, config, batch, _cls_rows(batch), targets, cls_head)
+
+
+def cls_loss_and_backward(params, config, batch: EncodedBatch, targets,
+                          training=True, rng=None) -> float:
+    return _head_loss(params, config, batch, _cls_rows(batch), targets, cls_head,
+                      cls_head_backward, training, rng)
 
 
 def _dropout_rng(config: ModelConfig, cfg: TrainConfig, step: int):
@@ -226,41 +247,6 @@ def pretrain(
 # --- fine-tuning ----------------------------------------------------------------
 
 
-def _encode_split(dataset: LabeledDataset, split: str, vocab: Vocab, max_len: int):
-    idx = dataset.splits.get(split, [])
-    seqs, labels = [], []
-    for i in idx:
-        ex = dataset.examples[i]
-        if ex.label not in dataset.label_map:
-            raise DataError(f"label {ex.label!r} not in label map of dataset {dataset.name!r}")
-        seqs.append(encode(vocab, ex.text, max_len))
-        labels.append(dataset.label_map[ex.label])
-    return seqs, np.asarray(labels, dtype=np.int64)
-
-
-def cls_loss(params, config, batch: EncodedBatch, targets) -> float:
-    """Forward-only classification loss (eval mode)."""
-    hidden, _ = forward_hidden(params, config, batch, training=False)
-    logits, _ = cls_head(params, hidden[:, 0, :])
-    loss, _ = cross_entropy(logits, targets)
-    return loss
-
-
-def cls_loss_and_backward(params, config, batch: EncodedBatch, targets,
-                          training=True, rng=None) -> float:
-    hidden, cache = forward_hidden(params, config, batch, training=training, rng=rng,
-                                   want_cache=True)
-    cls_vec = hidden[:, 0, :]
-    logits, hcache = cls_head(params, cls_vec, want_cache=True)
-    loss, ce_cache = cross_entropy(logits, targets)
-    dlogits = cross_entropy_backward(ce_cache)
-    dcls = cls_head_backward(params, hcache, dlogits)
-    dhidden = np.zeros_like(hidden)
-    dhidden[:, 0, :] = dcls
-    backward_hidden(params, config, cache, dhidden)
-    return loss
-
-
 def _finetune_groups(params: ParameterStore, cfg: TrainConfig) -> dict[str, float]:
     groups = {"cls.*": cfg.lr_head, "encoder.*": cfg.lr_encoder}
     if any(n.startswith("mlm.") for n in params.names()):
@@ -293,9 +279,12 @@ def finetune(
                 f"classifier head has {have} classes but dataset {dataset.name!r} has {n_classes}"
             )
     max_len = config.max_positions
-    train_seqs, train_labels = _encode_split(dataset, "train", vocab, max_len)
+    train_seqs, train_labels = evaluation.encode_split(dataset, "train", vocab, max_len)
     if not train_seqs:
         raise DataError(f"dataset {dataset.name!r} has an empty train split")
+    val_seqs, val_labels = evaluation.encode_split(dataset, "validation", vocab, max_len)
+    if not val_seqs:
+        raise DataError(f"dataset {dataset.name!r} has no examples in split 'validation'")
     groups = _finetune_groups(params, cfg)
     if cfg.epochs > 0:
         # Fresh optimizer for the downstream task: pretraining moments and the
@@ -312,7 +301,7 @@ def finetune(
 
     def epoch_metrics(epoch: int):
         nonlocal best_params, best_epoch, best_f1
-        table = evaluation.evaluate_model(params, config, dataset, "validation", vocab)
+        table = evaluation.confusion_table(params, config, val_seqs, val_labels, n_classes)
         m = evaluation.compute_metrics(table, "weighted")
         log.append({"epoch": epoch, "split": "validation", "metric": "recall_weighted",
                     "value": m.recall})

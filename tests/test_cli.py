@@ -143,6 +143,18 @@ class TestErrors:
         assert err.startswith("CKPT/")
         assert "\n" not in err.strip()
 
+    def test_checkpoint_cut_inside_header_is_one_ckpt_line(self, pipeline, tmp_path, capsys):
+        root, corpus, vocab = pipeline
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes((root / "pt" / "ckpt" / "last.ckpt").read_bytes()[:10])
+        code = run("continue-pretrain", "--from", str(cut), "--corpus", str(corpus),
+                   "--vocab", str(vocab), "--run-dir", str(tmp_path / "run"), *FAST_TRAIN,
+                   "--set", "train.max_steps=9")
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("CKPT/") and "truncated header" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
         posts = tmp_path / "p.jsonl"
         write_posts(posts, n=3)

@@ -151,6 +151,14 @@ class TestEvaluateModel:
         with pytest.raises(DataError):
             evaluate_model(params, config, empty, "test", vocab)
 
+    def test_label_outside_label_map_is_data_error(self, eval_setup):
+        ds, vocab, config, params = eval_setup
+        # Built directly, without validate(): example 3's label is unmapped.
+        examples = ds.examples[:3] + [Example(ds.examples[3].text, "c")]
+        broken = LabeledDataset(ds.name, examples, ds.label_map, {"validation": [0, 1, 2, 3]})
+        with pytest.raises(DataError, match="'c' not in label map"):
+            evaluate_model(params, config, broken, "validation", vocab)
+
     @pytest.mark.parametrize("batch_size", [0, -3])
     def test_batch_size_below_one_is_config_error(self, eval_setup, batch_size):
         ds, vocab, config, params = eval_setup

@@ -19,7 +19,7 @@ from mlmforge.encoder import (
     mlm_head,
     mlm_head_backward,
 )
-from mlmforge.errors import CheckpointError, ConfigError, NonFiniteError
+from mlmforge.errors import CheckpointError, ConfigError, DataError, NonFiniteError
 from mlmforge.numerics import _heap, adam_step
 from mlmforge.masking import build_batch, build_epoch_batches
 from mlmforge.numerics.ops import IGNORE_ID, cross_entropy, cross_entropy_backward
@@ -278,6 +278,17 @@ class TestFinetune:
         with pytest.raises(DataError, match="unknown"):
             finetune(broken, params, config, micro_cfg(epochs=1), vocab)
 
+    def test_validation_label_outside_label_map_is_data_error(self, toy_setup):
+        ds, vocab, config = toy_setup
+        # Built directly, without validate(): validation example 2 says "c".
+        examples = list(ds.examples)
+        examples[2] = Example(examples[2].text, "c")
+        broken = LabeledDataset("broken", examples, dict(ds.label_map),
+                                {"train": [0, 1, 4, 5], "validation": [2, 3]})
+        params = init_params(config, seed=0)
+        with pytest.raises(DataError, match="'c' not in label map"):
+            finetune(broken, params, config, micro_cfg(epochs=1), vocab)
+
     def test_head_class_count_mismatch(self, toy_setup):
         ds, vocab, config = toy_setup
         from mlmforge.encoder import init_classifier
@@ -393,6 +404,18 @@ class TestCheckpointFormat:
         path = tmp_path / "x.ckpt"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
         with pytest.raises(CheckpointError, match="magic"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("length", range(20))
+    def test_file_cut_inside_header_is_checkpoint_error(self, tmp_path, length):
+        # 8 bytes magic + 4 bytes version + 8 bytes manifest length = 20
+        path = tmp_path / "cut.ckpt"
+        save_checkpoint(init_params(MICRO, 0), MICRO, path)
+        path.write_bytes(path.read_bytes()[:length])
+        match = "magic" if length < len(MAGIC) else "truncated header"
+        with pytest.raises(CheckpointError, match=match):
+            read_manifest(path)
+        with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
 
     def test_vocab_hash_mismatch(self, tmp_path):
