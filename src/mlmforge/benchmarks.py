@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._files import atomic_write
+from ._files import JSON_ERRORS, atomic_write, open_text, read_json_object
 from .errors import ConfigError, DataError
 
 logger = logging.getLogger(__name__)
@@ -78,16 +78,25 @@ def _build_label_map(labels) -> dict[str, int]:
     return {lab: i for i, lab in enumerate(sorted(set(labels)))}
 
 
+def _read_records(path, fmt: str) -> list[Example]:
+    if fmt == "jsonl":
+        return _read_jsonl_records(path)
+    if fmt == "csv":
+        return _read_csv_records(path)
+    raise DataError(f"unsupported dataset format: {fmt!r}")
+
+
 def _read_jsonl_records(path) -> list[Example]:
     out = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, "dataset") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+            except JSON_ERRORS as exc:
+                raise DataError(
+                    f"{path}:{lineno}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
             if not isinstance(rec, dict):
                 raise DataError(f"{path}:{lineno}: record is not an object")
             out.append(_record_to_example(rec, f"{path}:{lineno}"))
@@ -96,12 +105,15 @@ def _read_jsonl_records(path) -> list[Example]:
 
 def _read_csv_records(path) -> list[Example]:
     out = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_text(path, "dataset", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"text", "label"} <= set(reader.fieldnames):
-            raise DataError(f"{path}: CSV needs a header with 'text' and 'label' columns")
-        for rec in reader:
-            out.append(_record_to_example(rec, f"{path}:{reader.line_num}"))
+        try:
+            if reader.fieldnames is None or not {"text", "label"} <= set(reader.fieldnames):
+                raise DataError(f"{path}: CSV needs a header with 'text' and 'label' columns")
+            for rec in reader:
+                out.append(_record_to_example(rec, f"{path}:{reader.line_num}"))
+        except csv.Error as exc:  # e.g. an unclosed quote that runs past the field limit
+            raise DataError(f"{path}:{reader.line_num}: invalid CSV ({exc})") from exc
     return out
 
 
@@ -118,16 +130,9 @@ def _record_to_example(rec: dict, where: str) -> Example:
 def load_dataset(path, fmt: str | None = None, name: str | None = None) -> LabeledDataset:
     """Load one file of labeled records; every example lands in 'train'."""
     p = Path(path)
-    if not p.is_file():
-        raise DataError(f"cannot read dataset file: {p}")
     if fmt is None:
         fmt = "csv" if p.suffix.lower() == ".csv" else "jsonl"
-    if fmt == "jsonl":
-        examples = _read_jsonl_records(p)
-    elif fmt == "csv":
-        examples = _read_csv_records(p)
-    else:
-        raise DataError(f"unsupported dataset format: {fmt!r}")
+    examples = _read_records(p, fmt)
     ds = LabeledDataset(
         name=name or p.stem,
         examples=examples,
@@ -231,16 +236,29 @@ def registry_entry(name: str) -> DatasetInfo:
 # --- manifests ------------------------------------------------------------------
 
 
+def _is_count(n) -> bool:
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
+
+
 def read_manifest(path) -> dict:
+    """A dataset manifest: `name` a string, `files` an object of file names,
+    and, when present, `labels` a list of strings and `expected_splits` an
+    object of non-negative counts."""
     p = Path(path)
-    if not p.is_file():
-        raise DataError(f"cannot read dataset manifest: {p}")
-    try:
-        manifest = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{p}: invalid manifest JSON ({exc.msg})") from exc
-    if not isinstance(manifest, dict) or "name" not in manifest or "files" not in manifest:
-        raise DataError(f"{p}: manifest must be an object with 'name' and 'files'")
+    manifest = read_json_object(p, "dataset manifest")
+    files = manifest.get("files")
+    labels = manifest.get("labels")
+    expected = manifest.get("expected_splits")
+    if not isinstance(manifest.get("name"), str):
+        raise DataError(f"{p}: manifest 'name' must be a string")
+    if not (isinstance(files, dict) and all(isinstance(f, str) for f in files.values())):
+        raise DataError(f"{p}: manifest 'files' must be an object of file names")
+    if labels is not None and not (isinstance(labels, list)
+                                   and all(isinstance(x, str) for x in labels)):
+        raise DataError(f"{p}: manifest 'labels' must be a list of strings")
+    if expected is not None and not (isinstance(expected, dict)
+                                     and all(_is_count(n) for n in expected.values())):
+        raise DataError(f"{p}: manifest 'expected_splits' must map splits to counts >= 0")
     return manifest
 
 
@@ -264,10 +282,7 @@ def load_manifest_dataset(path) -> LabeledDataset:
         fname = manifest["files"].get(split)
         if not fname:
             continue
-        fpath = (p.parent / fname).resolve()
-        if not fpath.is_file():
-            raise DataError(f"{p}: split file not found: {fpath}")
-        recs = _read_jsonl_records(fpath) if fmt == "jsonl" else _read_csv_records(fpath)
+        recs = _read_records(p.parent / fname, fmt)
         start = len(examples)
         examples.extend(recs)
         splits[split] = list(range(start, len(examples)))

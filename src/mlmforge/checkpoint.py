@@ -12,8 +12,9 @@ are stored as float32 regardless of compute mode.
 
 A save writes a temporary file beside the target, syncs it and renames it
 over the target, so a failed or interrupted save leaves the previous
-checkpoint intact. A load validates the whole tensor table against the
-file size before reading each tensor straight into its parameter buffer.
+checkpoint intact. A load opens the file once and checks the manifest
+length and the whole tensor table against the file size before reading
+each tensor straight into its parameter buffer.
 """
 
 import json
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._files import atomic_write
+from ._files import JSON_ERRORS, atomic_write, require_file
 from .encoder import ModelConfig
 from .errors import CheckpointError, ConfigError
 from .numerics import ParameterStore
@@ -75,6 +76,9 @@ def save_checkpoint(
             fh.write(np.ascontiguousarray(arr, dtype=_STORED_DTYPE).data)
 
 
+_HEADER_LEN = len(MAGIC) + 4 + 8  # magic, uint32 version, uint64 manifest length
+
+
 def _read_header_int(fh, p: Path, fmt: str) -> int:
     size = struct.calcsize(fmt)
     raw = fh.read(size)
@@ -83,28 +87,31 @@ def _read_header_int(fh, p: Path, fmt: str) -> int:
     return struct.unpack(fmt, raw)[0]
 
 
-def read_manifest(path) -> dict:
-    p = Path(path)
-    if not p.is_file():
-        raise CheckpointError(f"cannot read checkpoint file: {p}")
-    with open(p, "rb") as fh:
-        head = fh.read(len(MAGIC))
-        if head != MAGIC:
-            raise CheckpointError(f"{p}: not a checkpoint file (bad magic)")
-        version = _read_header_int(fh, p, "<I")
-        if version != FORMAT_VERSION:
-            raise CheckpointError(f"{p}: unsupported format version {version}")
-        mlen = _read_header_int(fh, p, "<Q")
-        mbytes = fh.read(mlen)
-        if len(mbytes) != mlen:
-            raise CheckpointError(f"{p}: truncated manifest")
-        try:
-            manifest = json.loads(mbytes.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"{p}: corrupt manifest ({exc})") from exc
+def _read_manifest(fh, p: Path) -> dict:
+    """Reads the header and manifest at the start of `fh`, leaving `fh` at
+    the tensor blob."""
+    head = fh.read(len(MAGIC))
+    if head != MAGIC:
+        raise CheckpointError(f"{p}: not a checkpoint file (bad magic)")
+    version = _read_header_int(fh, p, "<I")
+    if version != FORMAT_VERSION:
+        raise CheckpointError(f"{p}: unsupported format version {version}")
+    mlen = _read_header_int(fh, p, "<Q")
+    if mlen > os.fstat(fh.fileno()).st_size - _HEADER_LEN:
+        raise CheckpointError(f"{p}: truncated manifest")
+    try:
+        manifest = json.loads(fh.read(mlen).decode("utf-8"))
+    except JSON_ERRORS as exc:  # a UnicodeDecodeError is a ValueError too
+        raise CheckpointError(f"{p}: corrupt manifest ({exc})") from exc
     if not isinstance(manifest, dict):
         raise CheckpointError(f"{p}: manifest is not a JSON object")
     return manifest
+
+
+def read_manifest(path) -> dict:
+    p = require_file(path, "checkpoint", CheckpointError)
+    with open(p, "rb") as fh:
+        return _read_manifest(fh, p)
 
 
 def _is_int(x) -> bool:
@@ -141,34 +148,32 @@ def load_checkpoint(
 ):
     """Returns (ParameterStore, manifest dict). Validates magic, version,
     offset table, blob length, and optional config / vocab-hash pins."""
-    p = Path(path)
-    manifest = read_manifest(p)
-    try:
-        config = ModelConfig.from_dict(manifest["model_config"])
-    except (KeyError, TypeError, ConfigError) as exc:
-        raise CheckpointError(f"{p}: manifest missing or invalid model_config") from exc
-    if expected_config is not None and config != expected_config:
-        raise CheckpointError(
-            f"{p}: checkpoint model_config {config.as_dict()} does not match "
-            f"expected {expected_config.as_dict()}"
-        )
-    if expected_vocab_hash is not None and manifest.get("vocab_hash") != expected_vocab_hash:
-        raise CheckpointError(
-            f"{p}: vocabulary hash mismatch (checkpoint "
-            f"{str(manifest.get('vocab_hash', ''))[:12]}..., expected {expected_vocab_hash[:12]}...)"
-        )
-
-    records = manifest.get("tensors", [])
-    if not isinstance(records, list):
-        raise CheckpointError(f"{p}: manifest tensor table is not a list")
-    step = manifest.get("step", 0)
-    if not _is_int(step) or step < 0:
-        raise CheckpointError(f"{p}: manifest has invalid step {step!r}")
-
+    p = require_file(path, "checkpoint", CheckpointError)
     with open(p, "rb") as fh:
-        fh.seek(len(MAGIC) + 4)
-        (mlen,) = struct.unpack("<Q", fh.read(8))
-        fh.seek(mlen, 1)
+        manifest = _read_manifest(fh, p)
+        try:
+            config = ModelConfig.from_dict(manifest["model_config"])
+        except (KeyError, TypeError, ConfigError) as exc:
+            raise CheckpointError(f"{p}: manifest missing or invalid model_config") from exc
+        if expected_config is not None and config != expected_config:
+            raise CheckpointError(
+                f"{p}: checkpoint model_config {config.as_dict()} does not match "
+                f"expected {expected_config.as_dict()}"
+            )
+        if expected_vocab_hash is not None and manifest.get("vocab_hash") != expected_vocab_hash:
+            found = str(manifest.get("vocab_hash", ""))[:12]
+            raise CheckpointError(
+                f"{p}: vocabulary hash mismatch (checkpoint {found}..., "
+                f"expected {expected_vocab_hash[:12]}...)"
+            )
+
+        records = manifest.get("tensors", [])
+        if not isinstance(records, list):
+            raise CheckpointError(f"{p}: manifest tensor table is not a list")
+        step = manifest.get("step", 0)
+        if not _is_int(step) or step < 0:
+            raise CheckpointError(f"{p}: manifest has invalid step {step!r}")
+
         blob_len = os.fstat(fh.fileno()).st_size - fh.tell()
 
         shapes: dict[str, tuple] = {}

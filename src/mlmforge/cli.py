@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import benchmarks, corpus, evaluation, tokenizer
-from ._files import atomic_write
+from ._files import JSON_ERRORS, atomic_write, read_json_object
 from .checkpoint import load_checkpoint, save_checkpoint
 from .encoder import ModelConfig, init_params
 from .errors import (
@@ -84,16 +84,7 @@ def build_run_config(config_path: str | None, overrides: list[str]) -> dict:
     Unknown keys are configuration errors."""
     cfg = dict(CONFIG_DEFAULTS)
     if config_path:
-        p = Path(config_path)
-        if not p.is_file():
-            raise ConfigError(f"config file not found: {p}")
-        try:
-            loaded = json.loads(p.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{p}: invalid config JSON ({exc.msg})") from exc
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"{p}: config must be a flat JSON object")
-        for key, value in loaded.items():
+        for key, value in read_json_object(config_path, "config", ConfigError).items():
             if key not in CONFIG_DEFAULTS:
                 raise ConfigError(f"unknown config key: {key}")
             cfg[key] = _coerce(key, value)
@@ -105,7 +96,7 @@ def build_run_config(config_path: str | None, overrides: list[str]) -> dict:
             raise ConfigError(f"unknown config key: {key}")
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except JSON_ERRORS:
             value = raw
         cfg[key] = _coerce(key, value)
     return cfg
@@ -176,15 +167,11 @@ class RunDir:
         return d
 
 
-def _require_file(path, category_hint: str = "input") -> Path:
-    p = Path(path)
-    if not p.is_file():
-        raise DataError(f"{category_hint} file not found: {p}")
-    return p
-
-
-def _load_vocab(path) -> tokenizer.Vocab:
-    return tokenizer.Vocab.load(_require_file(path, "vocabulary"))
+def _load_model(args):
+    """(vocab, params, model config) from --vocab and a --from checkpoint trained with it."""
+    vocab = tokenizer.Vocab.load(args.vocab)
+    params, manifest = load_checkpoint(args.from_ckpt, expected_vocab_hash=vocab.content_hash())
+    return vocab, params, ModelConfig.from_dict(manifest["model_config"])
 
 
 def _encode_corpus(vocab, sentences, max_len):
@@ -203,12 +190,11 @@ def _with_validation(dataset, cfg: dict):
 
 
 def cmd_prep_corpus(args, cfg) -> None:
-    posts_path = _require_file(args.input, "posts")
+    warnings: list[str] = []
+    built = corpus.segment(corpus.ingest(args.input, warnings=warnings),
+                           dedup=cfg["corpus.dedup"])
     with RunDir(args.run_dir) as run:
         run.echo_config(cfg)
-        warnings: list[str] = []
-        posts = corpus.ingest(posts_path, warnings=warnings)
-        built = corpus.segment(posts, dedup=cfg["corpus.dedup"])
         corpus.write_sentences(built, run.path / "corpus.txt")
         stats = corpus.corpus_stats(built).as_dict()
         stats["n_malformed_lines"] = len(warnings)
@@ -218,7 +204,7 @@ def cmd_prep_corpus(args, cfg) -> None:
 
 
 def cmd_build_vocab(args, cfg) -> None:
-    sentences = corpus.read_sentences(_require_file(args.corpus, "corpus"))
+    sentences = corpus.read_sentences(args.corpus)
     with RunDir(args.run_dir) as run:
         run.echo_config(cfg)
         vocab = tokenizer.train_vocab(
@@ -230,7 +216,8 @@ def cmd_build_vocab(args, cfg) -> None:
 
 
 def _run_pretrain(args, cfg, vocab, start_store=None) -> None:
-    sentences = corpus.read_sentences(_require_file(args.corpus, "corpus"))
+    sentences = corpus.read_sentences(args.corpus)
+    val_sentences = corpus.read_sentences(args.val_corpus) if args.val_corpus else None
     with RunDir(args.run_dir) as run:
         run.echo_config(cfg)
         train_cfg = train_config_from(cfg)
@@ -240,10 +227,8 @@ def _run_pretrain(args, cfg, vocab, start_store=None) -> None:
         else:
             params, config = start_store
         corpus_ids = _encode_corpus(vocab, sentences.sentences, config.max_positions)
-        val_ids = None
-        if args.val_corpus:
-            val_sentences = corpus.read_sentences(_require_file(args.val_corpus, "corpus"))
-            val_ids = _encode_corpus(vocab, val_sentences.sentences, config.max_positions)
+        val_ids = (None if val_sentences is None
+                   else _encode_corpus(vocab, val_sentences.sentences, config.max_positions))
         result = pretrain(corpus_ids, params, config, train_cfg, val_ids)
         ckpt_dir = run.subdir("ckpt")
         logs_dir = run.subdir("logs")
@@ -257,23 +242,17 @@ def _run_pretrain(args, cfg, vocab, start_store=None) -> None:
 
 
 def cmd_pretrain(args, cfg) -> None:
-    _run_pretrain(args, cfg, _load_vocab(args.vocab))
+    _run_pretrain(args, cfg, tokenizer.Vocab.load(args.vocab))
 
 
 def cmd_continue_pretrain(args, cfg) -> None:
-    vocab = _load_vocab(args.vocab)
-    ckpt_path = Path(args.from_ckpt)
-    store, manifest = load_checkpoint(ckpt_path, expected_vocab_hash=vocab.content_hash())
-    config = ModelConfig.from_dict(manifest["model_config"])
+    vocab, store, config = _load_model(args)
     _run_pretrain(args, cfg, vocab, start_store=(store, config))
 
 
 def cmd_finetune(args, cfg) -> None:
-    vocab = _load_vocab(args.vocab)
-    params, manifest = load_checkpoint(Path(args.from_ckpt),
-                                       expected_vocab_hash=vocab.content_hash())
-    config = ModelConfig.from_dict(manifest["model_config"])
-    dataset = benchmarks.load_manifest_dataset(_require_file(args.dataset, "dataset manifest"))
+    vocab, params, config = _load_model(args)
+    dataset = benchmarks.load_manifest_dataset(args.dataset)
     dataset = _with_validation(dataset, cfg)
     with RunDir(args.run_dir) as run:
         run.echo_config(cfg)
@@ -293,11 +272,8 @@ def cmd_finetune(args, cfg) -> None:
 
 
 def cmd_evaluate(args, cfg) -> None:
-    vocab = _load_vocab(args.vocab)
-    params, manifest = load_checkpoint(Path(args.from_ckpt),
-                                       expected_vocab_hash=vocab.content_hash())
-    config = ModelConfig.from_dict(manifest["model_config"])
-    dataset = benchmarks.load_manifest_dataset(_require_file(args.dataset, "dataset manifest"))
+    vocab, params, config = _load_model(args)
+    dataset = benchmarks.load_manifest_dataset(args.dataset)
     if args.split == "validation":
         dataset = _with_validation(dataset, cfg)
     with RunDir(args.run_dir) as run:
@@ -320,18 +296,26 @@ def cmd_evaluate(args, cfg) -> None:
               f"recall {record['recall']:.2f}, f1 {record['f1']:.2f} -> {out}")
 
 
+_RESULTS_FIELDS = (("model", str), ("dataset", str), ("aggregation", str),
+                   ("recall", float), ("f1", float))
+
+
+def _read_results(path) -> dict:
+    """One results file from `evaluate`, with the fields `report` reads."""
+    rec = read_json_object(path, "results")
+    for key, kind in _RESULTS_FIELDS:
+        if key not in rec:
+            raise DataError(f"{path}: results file missing field {key!r}")
+        value = rec[key]
+        if kind is str and not isinstance(value, str):
+            raise DataError(f"{path}: results field {key!r} must be a string, got {value!r}")
+        if kind is float and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise DataError(f"{path}: results field {key!r} must be a number, got {value!r}")
+    return rec
+
+
 def cmd_report(args, cfg) -> None:
-    records = []
-    for path in args.results:
-        p = _require_file(path, "results")
-        try:
-            rec = json.loads(p.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{p}: invalid results JSON ({exc.msg})") from exc
-        for key in ("model", "dataset", "aggregation", "recall", "f1"):
-            if key not in rec:
-                raise DataError(f"{p}: results file missing field {key!r}")
-        records.append(rec)
+    records = [_read_results(path) for path in args.results]
     aggs = {r["aggregation"] for r in records}
     if len(aggs) > 1:
         raise ConfigError(f"results mix aggregations {sorted(aggs)}; report needs one")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from ._files import atomic_write
+from ._files import JSON_ERRORS, atomic_write, open_text
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
@@ -62,22 +62,20 @@ def ingest(path, fmt: str = "jsonl", warnings: list[str] | None = None) -> Itera
     if fmt != "jsonl":
         raise DataError(f"unsupported input format: {fmt!r}")
     p = Path(path)
-    if not p.is_file():
-        raise DataError(f"cannot read posts file: {p}")
 
     def warn(msg: str) -> None:
         logger.warning(msg)
         if warnings is not None:
             warnings.append(msg)
 
-    with open(p, encoding="utf-8") as fh:
+    with open_text(p, "posts") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                warn(f"{p}:{lineno}: invalid JSON ({exc.msg})")
+            except JSON_ERRORS as exc:
+                warn(f"{p}:{lineno}: invalid JSON ({getattr(exc, 'msg', exc)})")
                 continue
             if not isinstance(rec, dict):
                 warn(f"{p}:{lineno}: not a JSON object")
@@ -140,10 +138,7 @@ def write_sentences(corpus: SentenceCorpus, path) -> None:
 
 
 def read_sentences(path) -> SentenceCorpus:
-    p = Path(path)
-    if not p.is_file():
-        raise DataError(f"cannot read corpus file: {p}")
-    with open(p, encoding="utf-8") as fh:
+    with open_text(path, "corpus") as fh:
         sentences = [line.rstrip("\n") for line in fh]
     sentences = [s for s in sentences if s.strip()]
     stats = CorpusStats(

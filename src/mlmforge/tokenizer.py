@@ -10,9 +10,8 @@ cross-multiplication so training is fully deterministic.
 import hashlib
 import unicodedata
 from collections import Counter, defaultdict
-from pathlib import Path
 
-from ._files import atomic_write
+from ._files import atomic_write, open_text
 from .corpus import SentenceCorpus
 from .errors import ConfigError, DataError
 
@@ -63,14 +62,14 @@ class Vocab:
 
     @classmethod
     def load(cls, path) -> "Vocab":
-        p = Path(path)
-        if not p.is_file():
-            raise DataError(f"cannot read vocabulary file: {p}")
-        text = p.read_text(encoding="utf-8")
-        lines = text.split("\n")
+        with open_text(path, "vocabulary") as fh:
+            lines = fh.read().split("\n")
         if lines and lines[-1] == "":
             lines.pop()
-        return cls(lines)
+        try:
+            return cls(lines)
+        except ConfigError as exc:  # a bad file is bad input data, not a bad setting
+            raise DataError(f"{fh.name}: {exc}") from exc
 
 
 def _is_punct(ch: str) -> bool:

@@ -47,6 +47,12 @@ class TestLoadDataset:
         assert ds.examples[0].text == "hello, world"
         assert ds.n_classes() == 2
 
+    def test_unclosed_quote_past_the_field_limit_is_data_error(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text('text,label\n"' + "x " * 70000 + ",a\nplain,b\n", encoding="utf-8")
+        with pytest.raises(DataError, match="invalid CSV"):
+            load_dataset(p)
+
     def test_empty_label_error_names_line(self, tmp_path):
         p = tmp_path / "d.jsonl"
         write_jsonl(p, [
@@ -215,6 +221,25 @@ class TestManifestLoading:
         write_manifest(manifest, path)
         with pytest.raises(DataError, match="absent"):
             load_manifest_dataset(path)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("name", ["x"], "'name' must be a string"),
+        ("files", ["train.jsonl"], "'files' must be an object"),
+        ("files", {"train": 5}, "'files' must be an object"),
+        ("labels", "pq", "'labels' must be a list of strings"),
+        ("labels", ["class0", 1], "'labels' must be a list of strings"),
+        ("expected_splits", [1], "'expected_splits'"),
+        ("expected_splits", {"train": -1}, "'expected_splits'"),
+        ("expected_splits", {"train": True}, "'expected_splits'"),
+        ("format", "xml", "unsupported dataset format: 'xml'"),
+    ])
+    def test_mistyped_field_is_data_error(self, tmp_path, field, value, match):
+        mpath = make_fixture("Dreaddit", tmp_path / "d", seed=0)
+        manifest = read_manifest(mpath)
+        manifest[field] = value
+        write_manifest(manifest, mpath)
+        with pytest.raises(DataError, match=match):
+            load_manifest_dataset(mpath)
 
 
 class TestCanonicalForm:

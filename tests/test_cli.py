@@ -155,6 +155,17 @@ class TestErrors:
         assert err.startswith("CKPT/") and "truncated header" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_manifest_length_past_the_file_is_one_ckpt_line(self, pipeline, tmp_path, capsys):
+        root, corpus, vocab = pipeline
+        data = (root / "pt" / "ckpt" / "last.ckpt").read_bytes()
+        long = tmp_path / "long.ckpt"
+        long.write_bytes(data[:19] + b"\x80" + data[20:])  # high byte of the manifest length
+        code = run("continue-pretrain", "--from", str(long), "--corpus", str(corpus),
+                   "--vocab", str(vocab), "--run-dir", str(tmp_path / "run"), *FAST_TRAIN)
+        err = capsys.readouterr().err
+        assert code == 4 and len(err.strip().splitlines()) == 1
+        assert err.startswith("CKPT/") and "truncated manifest" in err
+
     def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
         posts = tmp_path / "p.jsonl"
         write_posts(posts, n=3)
@@ -255,6 +266,66 @@ class TestErrors:
         monkeypatch.setattr(cli, "cmd_report", fail)
         assert run("report", "r.json", "--run-dir", "unused") == code
         assert capsys.readouterr().err == f"{prefix}{exc}\n"
+
+    @pytest.mark.parametrize("kind", ["config", "posts", "missing posts", "corpus",
+                                      "val-corpus", "vocab", "manifest", "split file",
+                                      "results"])
+    def test_unreadable_input_is_one_line_and_no_run_dir(self, pipeline, tmp_path, capsys,
+                                                          kind):
+        root, corpus, vocab = pipeline
+        ckpt = root / "pt" / "ckpt" / "last.ckpt"
+        posts = tmp_path / "posts.jsonl"
+        write_posts(posts, n=3)
+        manifest = make_fixture("Dreaddit", tmp_path / "ds", seed=0)
+        bad = manifest.parent / "test.jsonl" if kind == "split file" else tmp_path / "bad"
+        argv, source = {
+            "config": (["prep-corpus", "--input", posts, "--config", bad],
+                       b'{"train.max_steps": 5}'),
+            "posts": (["prep-corpus", "--input", bad], posts.read_bytes()),
+            "missing posts": (["prep-corpus", "--input", bad], None),
+            "corpus": (["build-vocab", "--corpus", bad], corpus.read_bytes()),
+            "val-corpus": (["pretrain", "--corpus", corpus, "--vocab", vocab,
+                            "--val-corpus", bad], corpus.read_bytes()),
+            "vocab": (["pretrain", "--corpus", corpus, "--vocab", bad], vocab.read_bytes()),
+            "manifest": (["evaluate", "--from", ckpt, "--dataset", bad, "--vocab", vocab],
+                         manifest.read_bytes()),
+            "split file": (["evaluate", "--from", ckpt, "--dataset", manifest,
+                            "--vocab", vocab], (manifest.parent / "test.jsonl").read_bytes()),
+            "results": (["report", bad], json.dumps({
+                "model": "a", "dataset": "d", "aggregation": "weighted",
+                "recall": 50.0, "f1": 50.0}).encode()),
+        }[kind]
+        if source is not None:  # one byte in the middle becomes 0xFF: not UTF-8
+            mid = len(source) // 2
+            bad.write_bytes(source[:mid] + b"\xff" + source[mid + 1:])
+        run_dir = tmp_path / "run"
+        code = run(*map(str, argv), "--run-dir", str(run_dir))
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert (code, err[:err.index("/") + 1]) == ((2, "CONFIG/") if kind == "config"
+                                                     else (3, "DATA/"))
+        assert ("not found" if source is None else "is not UTF-8") in err
+        assert not run_dir.exists()
+
+    @pytest.mark.parametrize("edit, field", [
+        ({"recall": "abc"}, "recall"),
+        ({"f1": True}, "f1"),
+        ({"aggregation": ["w"]}, "aggregation"),
+        ({"model": 3}, "model"),
+        ({"dataset": None}, "dataset"),
+        ("a results string", None),
+    ])
+    def test_mistyped_results_file_is_one_data_line(self, tmp_path, capsys, edit, field):
+        rec = {"model": "a", "dataset": "d", "split": "test", "aggregation": "weighted",
+               "recall": 50.0, "f1": 50.0}
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(dict(rec, **edit) if field else edit), encoding="utf-8")
+        code = run("report", str(path), "--run-dir", str(tmp_path / "rep"))
+        err = capsys.readouterr().err
+        assert code == 3 and len(err.strip().splitlines()) == 1
+        assert err.startswith(f"DATA/{path}: ")
+        assert (f"'{field}'" if field else "must be a JSON object") in err
+        assert not (tmp_path / "rep").exists()
 
     def test_mixed_aggregation_report_rejected(self, tmp_path, capsys):
         r1 = {"model": "a", "dataset": "d", "split": "test", "aggregation": "weighted",

@@ -1,0 +1,158 @@
+"""Every text input is opened and decoded in one module, `_files`, and a
+damaged input file either loads or raises a ForgeError, never another
+exception."""
+
+import ast
+import json
+import struct
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mlmforge import benchmarks, cli, corpus, tokenizer
+from mlmforge.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from mlmforge.encoder import ModelConfig, init_params
+from mlmforge.errors import ForgeError
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "mlmforge"
+
+# Calls that open or probe a file; only `_files.py` may make them.
+FILE_CALLS = {"open", "read_text", "read_bytes", "is_file"}
+
+
+def file_calls(tree):
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id == "open":
+            yield node
+        elif (isinstance(f, ast.Attribute) and f.attr in FILE_CALLS
+              and not (isinstance(f.value, ast.Name) and f.value.id == "os")):
+            yield node
+
+
+def is_binary_open(node) -> bool:
+    mode = node.args[1] if len(node.args) > 1 else None
+    return (isinstance(node.func, ast.Name) and isinstance(mode, ast.Constant)
+            and mode.value == "rb")
+
+
+def test_only_files_module_opens_or_probes_files():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "_files.py":
+            continue
+        for node in file_calls(ast.parse(path.read_text(encoding="utf-8"))):
+            if path.name == "checkpoint.py" and is_binary_open(node):
+                continue
+            offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert offenders == []
+
+
+# --- byte-mutation fuzzing of every loader --------------------------------------
+
+TINY = ModelConfig(n_layers=1, hidden=8, n_heads=2, ffn=16, vocab_size=12,
+                   max_positions=8, dropout=0.0)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """kind -> (path to write the mutated file to, its intact bytes, the byte
+    range that mutations touch, loader)."""
+    root = tmp_path_factory.mktemp("inputs")
+    manifest = benchmarks.make_fixture("Dreaddit", root / "ds", seed=0, sizes=(8, 4, 4))
+    ckpt = root / "intact.ckpt"
+    save_checkpoint(init_params(TINY, 0), TINY, ckpt, vocab_hash="h")
+    ckpt_bytes = ckpt.read_bytes()
+    header = len(MAGIC) + 4 + 8
+    (mlen,) = struct.unpack("<Q", ckpt_bytes[header - 8:header])
+    posts = "".join(json.dumps({"id": str(i), "body": f"Post {i} is here. Naïve café?"}) + "\n"
+                    for i in range(4)) + "{not json\n"
+    texts = {
+        "config": json.dumps({"train.max_steps": 50, "corpus.dedup": True,
+                              "eval.aggregation": "macro", "model.dropout": 0.1}, indent=2),
+        "manifest": manifest.read_text(encoding="utf-8"),
+        "dataset jsonl": (manifest.parent / "train.jsonl").read_text(encoding="utf-8"),
+        "dataset csv": 'text,label\n"hello, world",a\n"two\nlines",b\nplain café,a\n',
+        "vocab": "\n".join([*tokenizer.SPECIAL_TOKENS, "rain", "café", "##s", "naïve"]) + "\n",
+        "corpus": "It rained all night.\nNaïve café talk!\n\nStill tired.\n",
+        "posts": posts,
+        "results": json.dumps({"model": "m", "dataset": "d", "aggregation": "weighted",
+                               "recall": 50.0, "f1": 40.5}),
+    }
+    cases = {
+        "config": ("c.json", lambda p: cli.build_run_config(str(p), [])),
+        "manifest": ("ds/mutated.json", benchmarks.load_manifest_dataset),
+        "dataset jsonl": ("d.jsonl", benchmarks.load_dataset),
+        "dataset csv": ("d.csv", benchmarks.load_dataset),
+        "vocab": ("vocab.txt", tokenizer.Vocab.load),
+        "corpus": ("corpus.txt", corpus.read_sentences),
+        "posts": ("posts.jsonl", lambda p: list(corpus.ingest(p))),
+        "results": ("r.json", cli._read_results),
+    }
+    out = {kind: (root / name, texts[kind].encode("utf-8"), (0, None), load)
+           for kind, (name, load) in cases.items()}
+    # checkpoint blob bytes are not checksummed yet, so only the header and
+    # the manifest are mutated
+    out["checkpoint header"] = (root / "m.ckpt", ckpt_bytes, (0, header), load_checkpoint)
+    out["checkpoint manifest"] = (root / "m.ckpt", ckpt_bytes, (header, header + mlen),
+                                  load_checkpoint)
+    return out
+
+
+def mutate(data: bytes, edits, lo: int, hi: int | None) -> bytes:
+    """Applies each (op, position, byte) edit in turn: 'r' replaces, 'i'
+    inserts, 'd' deletes the byte at lo + position mod the range length."""
+    buf = bytearray(data)
+    for op, pos, byte in edits:
+        pos = lo + pos % ((len(buf) if hi is None else hi) - lo)
+        if op == "r":
+            buf[pos] = byte
+        elif op == "i":
+            buf.insert(pos, byte)
+        else:
+            del buf[pos]
+    return bytes(buf)
+
+
+EDITS = st.lists(st.tuples(st.sampled_from("rid"), st.integers(0, 2**16), st.integers(0, 255)),
+                 min_size=1, max_size=3)
+
+
+KINDS = ["config", "manifest", "dataset jsonl", "dataset csv", "vocab", "corpus", "posts",
+         "results", "checkpoint header", "checkpoint manifest"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_intact_input_loads(inputs, kind):
+    path, data, _, load = inputs[kind]
+    path.write_bytes(data)
+    load(path)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=200, deadline=None)
+@given(edits=EDITS)
+def test_mutated_input_loads_or_raises_forge_error(inputs, kind, edits):
+    path, data, (lo, hi), load = inputs[kind]
+    path.write_bytes(mutate(data, edits, lo, hi))
+    try:
+        load(path)
+    except ForgeError:
+        pass
+
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"text": "a", "label": ' + "1" * 5000 + "}"],
+                         ids=["deep nesting", "5000-digit integer"])
+@pytest.mark.parametrize("kind", ["config", "manifest", "dataset jsonl", "posts", "results"])
+def test_json_too_deep_or_too_long_is_forge_error(inputs, kind, text):
+    path, _, _, load = inputs[kind]
+    path.write_text(text + "\n", encoding="utf-8")
+    try:
+        load(path)
+    except ForgeError:
+        pass

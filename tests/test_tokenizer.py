@@ -254,6 +254,14 @@ class TestVocabContainer:
         vocab.save(tmp_path / "vocab2.txt")
         assert (tmp_path / "vocab.txt").read_bytes() == (tmp_path / "vocab2.txt").read_bytes()
 
+    @pytest.mark.parametrize("text", ["", "rain\nsleep\n", "\n".join([*SPECIAL_TOKENS, "a", "a"]),
+                                      "\n".join([*SPECIAL_TOKENS, "two words"])])
+    def test_malformed_vocab_file_is_data_error_naming_it(self, tmp_path, text):
+        path = tmp_path / "vocab.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match="vocab.txt: "):
+            Vocab.load(path)
+
 
 class TestNormalization:
     def test_normalize(self):

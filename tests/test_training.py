@@ -418,6 +418,20 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("mlen", ["size - 19", 2**40, 2**63, 2**64 - 1])
+    def test_manifest_length_beyond_the_file_is_checkpoint_error(self, tmp_path, mlen):
+        path = tmp_path / "long.ckpt"
+        save_checkpoint(init_params(MICRO, 0), MICRO, path)
+        data = path.read_bytes()
+        if mlen == "size - 19":
+            mlen = len(data) - 19  # one byte more than the file holds after the header
+        head = len(MAGIC) + 4
+        path.write_bytes(data[:head] + struct.pack("<Q", mlen) + data[head + 8:])
+        with pytest.raises(CheckpointError, match="truncated manifest"):
+            read_manifest(path)
+        with pytest.raises(CheckpointError, match="truncated manifest"):
+            load_checkpoint(path)
+
     def test_vocab_hash_mismatch(self, tmp_path):
         params = init_params(MICRO, 0)
         path = tmp_path / "h.ckpt"
