@@ -38,9 +38,6 @@ class LabeledDataset:
     def n_classes(self) -> int:
         return len(self.label_map)
 
-    def split_examples(self, split: str) -> list[Example]:
-        return [self.examples[i] for i in self.splits.get(split, [])]
-
     def validate(self) -> None:
         seen: set[int] = set()
         for name, idx in self.splits.items():
@@ -127,12 +124,11 @@ def _record_to_example(rec: dict, where: str) -> Example:
     return Example(text=text, label=label)
 
 
-def load_dataset(path, fmt: str | None = None, name: str | None = None) -> LabeledDataset:
-    """Load one file of labeled records; every example lands in 'train'."""
+def load_dataset(path, name: str | None = None) -> LabeledDataset:
+    """Load one file of labeled records, CSV by a .csv suffix and JSONL
+    otherwise; every example lands in 'train'."""
     p = Path(path)
-    if fmt is None:
-        fmt = "csv" if p.suffix.lower() == ".csv" else "jsonl"
-    examples = _read_records(p, fmt)
+    examples = _read_records(p, "csv" if p.suffix.lower() == ".csv" else "jsonl")
     ds = LabeledDataset(
         name=name or p.stem,
         examples=examples,
@@ -143,11 +139,10 @@ def load_dataset(path, fmt: str | None = None, name: str | None = None) -> Label
     return ds
 
 
-def save_dataset(dataset: LabeledDataset, path, split: str | None = None) -> None:
+def save_dataset(dataset: LabeledDataset, path) -> None:
     """Canonical JSONL: sorted keys, no ASCII escaping, LF endings."""
-    examples = dataset.examples if split is None else dataset.split_examples(split)
     with atomic_write(path) as fh:
-        for ex in examples:
+        for ex in dataset.examples:
             fh.write(json.dumps({"label": ex.label, "text": ex.text},
                                 sort_keys=True, ensure_ascii=False) + "\n")
 

@@ -13,8 +13,9 @@ are stored as float32 regardless of compute mode.
 A save writes a temporary file beside the target, syncs it and renames it
 over the target, so a failed or interrupted save leaves the previous
 checkpoint intact. A load opens the file once and checks the manifest
-length and the whole tensor table against the file size before reading
-each tensor straight into its parameter buffer.
+length and the whole tensor table against the file size, and every value
+tensor's shape against the manifest's model_config, before reading each
+tensor straight into its parameter buffer.
 """
 
 import json
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from ._files import JSON_ERRORS, atomic_write, require_file
-from .encoder import ModelConfig
+from .encoder import ModelConfig, param_shapes
 from .errors import CheckpointError, ConfigError
 from .numerics import ParameterStore
 
@@ -141,13 +142,38 @@ def _tensor_record(p: Path, index: int, rec) -> tuple[str, tuple, int, int]:
     return name, tuple(shape), off, length
 
 
-def load_checkpoint(
-    path,
-    expected_config: ModelConfig | None = None,
-    expected_vocab_hash: str | None = None,
-):
+def _check_shapes(p: Path, config: ModelConfig, values: dict[str, tuple]) -> None:
+    """The value tensors must be exactly those `config` implies, at their
+    shapes, with a classifier head of n_classes = len(cls.out.b) >= 2 when
+    the checkpoint carries one."""
+    n_classes = None
+    if "cls.out.b" in values:
+        head = values["cls.out.b"]
+        if len(head) != 1 or head[0] < 2:
+            raise CheckpointError(
+                f"{p}: tensor 'cls.out.b' has shape {head}, not that of a head of >= 2 classes"
+            )
+        n_classes = head[0]
+    # Every layer holds at least one tensor; this bounds the layout built below.
+    if config.n_layers > len(values):
+        raise CheckpointError(f"{p}: model_config has {config.n_layers} layers but the "
+                              f"checkpoint holds {len(values)} value tensors")
+    expected = param_shapes(config, n_classes)
+    for name, shape in values.items():
+        if name not in expected:
+            raise CheckpointError(f"{p}: tensor '{name}' is not part of the model_config")
+        if shape != expected[name]:
+            raise CheckpointError(f"{p}: tensor '{name}' has shape {shape}, "
+                                  f"model_config implies {expected[name]}")
+    for name in expected:
+        if name not in values:
+            raise CheckpointError(f"{p}: tensor '{name}' missing for the model_config")
+
+
+def load_checkpoint(path, expected_vocab_hash: str | None = None):
     """Returns (ParameterStore, manifest dict). Validates magic, version,
-    offset table, blob length, and optional config / vocab-hash pins."""
+    offset table, blob length, the optional vocab-hash pin, and every
+    tensor's shape against the manifest's model_config."""
     p = require_file(path, "checkpoint", CheckpointError)
     with open(p, "rb") as fh:
         manifest = _read_manifest(fh, p)
@@ -155,11 +181,6 @@ def load_checkpoint(
             config = ModelConfig.from_dict(manifest["model_config"])
         except (KeyError, TypeError, ConfigError) as exc:
             raise CheckpointError(f"{p}: manifest missing or invalid model_config") from exc
-        if expected_config is not None and config != expected_config:
-            raise CheckpointError(
-                f"{p}: checkpoint model_config {config.as_dict()} does not match "
-                f"expected {expected_config.as_dict()}"
-            )
         if expected_vocab_hash is not None and manifest.get("vocab_hash") != expected_vocab_hash:
             found = str(manifest.get("vocab_hash", ""))[:12]
             raise CheckpointError(
@@ -207,6 +228,7 @@ def load_checkpoint(
             param = store.add(name, np.empty(shapes[name], dtype=np.float32))
             targets.update({name: param.value, name + "#m": param.adam_m,
                             name + "#v": param.adam_v})
+        _check_shapes(p, config, {n: s for n, s in shapes.items() if "#" not in n})
 
         for name, length in table:
             arr = targets.get(name)

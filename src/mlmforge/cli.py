@@ -33,8 +33,6 @@ from .errors import (
 )
 from .training import TrainConfig, finetune, pretrain, write_log
 
-THREADS_ENV = "MLMFORGE_THREADS"
-
 
 def _field_defaults(prefix: str, cls, skip: tuple[str, ...] = ()) -> dict[str, object]:
     return {f"{prefix}.{f.name}": f.default for f in fields(cls) if f.name not in skip}
@@ -116,19 +114,6 @@ def train_config_from(cfg: dict) -> TrainConfig:
     return TrainConfig(**_section(cfg, "train"))
 
 
-def n_threads() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be a positive integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    return n
-
-
 class RunDir:
     """Run directory with the fixed layout and a concurrency lock."""
 
@@ -196,7 +181,7 @@ def cmd_prep_corpus(args, cfg) -> None:
     with RunDir(args.run_dir) as run:
         run.echo_config(cfg)
         corpus.write_sentences(built, run.path / "corpus.txt")
-        stats = corpus.corpus_stats(built).as_dict()
+        stats = built.stats.as_dict()
         stats["n_malformed_lines"] = len(warnings)
         with atomic_write(run.path / "stats.json") as fh:
             fh.write(json.dumps(stats, sort_keys=True, indent=2) + "\n")
@@ -215,17 +200,15 @@ def cmd_build_vocab(args, cfg) -> None:
               f"(hash {vocab.content_hash()[:12]})")
 
 
-def _run_pretrain(args, cfg, vocab, start_store=None) -> None:
+def _run_pretrain(args, cfg, vocab, config, params=None) -> None:
+    """Pretrain `params`, or fresh ones when None, on --corpus."""
+    train_cfg = train_config_from(cfg)
     sentences = corpus.read_sentences(args.corpus)
     val_sentences = corpus.read_sentences(args.val_corpus) if args.val_corpus else None
     with RunDir(args.run_dir) as run:
         run.echo_config(cfg)
-        train_cfg = train_config_from(cfg)
-        if start_store is None:
-            config = model_config_from(cfg, len(vocab))
+        if params is None:
             params = init_params(config, train_cfg.seed)
-        else:
-            params, config = start_store
         corpus_ids = _encode_corpus(vocab, sentences.sentences, config.max_positions)
         val_ids = (None if val_sentences is None
                    else _encode_corpus(vocab, val_sentences.sentences, config.max_positions))
@@ -242,21 +225,22 @@ def _run_pretrain(args, cfg, vocab, start_store=None) -> None:
 
 
 def cmd_pretrain(args, cfg) -> None:
-    _run_pretrain(args, cfg, tokenizer.Vocab.load(args.vocab))
+    vocab = tokenizer.Vocab.load(args.vocab)
+    _run_pretrain(args, cfg, vocab, model_config_from(cfg, len(vocab)))
 
 
 def cmd_continue_pretrain(args, cfg) -> None:
-    vocab, store, config = _load_model(args)
-    _run_pretrain(args, cfg, vocab, start_store=(store, config))
+    vocab, params, config = _load_model(args)
+    _run_pretrain(args, cfg, vocab, config, params)
 
 
 def cmd_finetune(args, cfg) -> None:
+    train_cfg = train_config_from(cfg)
     vocab, params, config = _load_model(args)
     dataset = benchmarks.load_manifest_dataset(args.dataset)
     dataset = _with_validation(dataset, cfg)
     with RunDir(args.run_dir) as run:
         run.echo_config(cfg)
-        train_cfg = train_config_from(cfg)
         result = finetune(dataset, params, config, train_cfg, vocab)
         ckpt_dir = run.subdir("ckpt")
         logs_dir = run.subdir("logs")
@@ -278,10 +262,8 @@ def cmd_evaluate(args, cfg) -> None:
         dataset = _with_validation(dataset, cfg)
     with RunDir(args.run_dir) as run:
         run.echo_config(cfg)
-        table = evaluation.evaluate_model(
-            params, config, dataset, args.split, vocab,
-            batch_size=cfg["eval.batch_size"], threads=n_threads(),
-        )
+        table = evaluation.evaluate_model(params, config, dataset, args.split, vocab,
+                                          batch_size=cfg["eval.batch_size"])
         record = evaluation.results_record(
             args.model_name, dataset.name, args.split, table,
             aggregation=cfg["eval.aggregation"],

@@ -13,7 +13,6 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from ._files import JSON_ERRORS, atomic_write, open_text
-from .errors import DataError
 
 logger = logging.getLogger(__name__)
 
@@ -41,6 +40,12 @@ class CorpusStats:
         }
 
 
+def _stats(sentences: list[str], n_duplicates_removed: int = 0) -> CorpusStats:
+    return CorpusStats(n_sentences=len(sentences),
+                       n_tokens_ws=sum(len(s.split()) for s in sentences),
+                       n_duplicates_removed=n_duplicates_removed)
+
+
 @dataclass
 class SentenceCorpus:
     """Ordered, non-empty sentences plus bookkeeping counts.
@@ -52,15 +57,13 @@ class SentenceCorpus:
     stats: CorpusStats
 
 
-def ingest(path, fmt: str = "jsonl", warnings: list[str] | None = None) -> Iterator[RawPost]:
+def ingest(path, warnings: list[str] | None = None) -> Iterator[RawPost]:
     """Yield posts from a JSONL file in file order.
 
     Malformed lines (bad JSON, not an object, missing or blank "body") are
     skipped; a message per skipped line is appended to `warnings` when a
     list is supplied and logged either way.
     """
-    if fmt != "jsonl":
-        raise DataError(f"unsupported input format: {fmt!r}")
     p = Path(path)
 
     def warn(msg: str) -> None:
@@ -113,21 +116,12 @@ def segment(posts: Iterable[RawPost], dedup: bool = True) -> SentenceCorpus:
                         continue
                     seen.add(s)
                 sentences.append(s)
-    stats = CorpusStats(
-        n_sentences=len(sentences),
-        n_tokens_ws=sum(len(s.split()) for s in sentences),
-        n_duplicates_removed=n_dup,
-    )
-    return SentenceCorpus(sentences=sentences, stats=stats)
+    return SentenceCorpus(sentences=sentences, stats=_stats(sentences, n_dup))
 
 
 def corpus_stats(corpus: SentenceCorpus) -> CorpusStats:
     """Recount sentences and whitespace tokens; dedup count is carried over."""
-    return CorpusStats(
-        n_sentences=len(corpus.sentences),
-        n_tokens_ws=sum(len(s.split()) for s in corpus.sentences),
-        n_duplicates_removed=corpus.stats.n_duplicates_removed,
-    )
+    return _stats(corpus.sentences, corpus.stats.n_duplicates_removed)
 
 
 def write_sentences(corpus: SentenceCorpus, path) -> None:
@@ -141,9 +135,4 @@ def read_sentences(path) -> SentenceCorpus:
     with open_text(path, "corpus") as fh:
         sentences = [line.rstrip("\n") for line in fh]
     sentences = [s for s in sentences if s.strip()]
-    stats = CorpusStats(
-        n_sentences=len(sentences),
-        n_tokens_ws=sum(len(s.split()) for s in sentences),
-        n_duplicates_removed=0,
-    )
-    return SentenceCorpus(sentences=sentences, stats=stats)
+    return SentenceCorpus(sentences=sentences, stats=_stats(sentences))

@@ -19,7 +19,8 @@ Forward functions optionally return a cache consumed by the matching
 backward functions, which accumulate into ParameterStore gradients.
 """
 
-from dataclasses import asdict, dataclass, replace
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -74,9 +75,6 @@ class ModelConfig:
     def from_dict(cls, d: dict) -> "ModelConfig":
         return cls(**d)
 
-    def with_vocab(self, vocab_size: int) -> "ModelConfig":
-        return replace(self, vocab_size=vocab_size)
-
 
 @dataclass
 class EncodedBatch:
@@ -123,47 +121,53 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float, dtype) -> np.ndar
     return x.astype(dtype)
 
 
-def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ParameterStore:
-    """Fresh encoder + MLM head. Weights truncated-normal, biases zero,
-    layer-norm gains one. Deterministic given the seed."""
-    rng = np.random.default_rng(seed)
-    store = ParameterStore()
-
-    def weight(name, shape):
-        store.add(name, _trunc_normal(rng, shape, INIT_STD, dtype))
-
-    def zeros(name, shape):
-        store.add(name, np.zeros(shape, dtype=dtype))
-
-    def ones(name, shape):
-        store.add(name, np.ones(shape, dtype=dtype))
-
-    h, v = config.hidden, config.vocab_size
-    weight("encoder.tok_emb", (v, h))
-    weight("encoder.pos_emb", (config.max_positions, h))
-    weight("encoder.seg_emb", (config.n_segments, h))
-    ones("encoder.emb_norm.gain", (h,))
-    zeros("encoder.emb_norm.bias", (h,))
+def param_shapes(config: ModelConfig, n_classes: int | None = None) -> dict[str, tuple]:
+    """Every parameter's shape, in init order: the encoder and the MLM head
+    (its output projection is tied to encoder.tok_emb), then, given
+    n_classes, the dense -> tanh -> dense classifier head."""
+    h, f, v = config.hidden, config.ffn, config.vocab_size
+    shapes = {
+        "encoder.tok_emb": (v, h),
+        "encoder.pos_emb": (config.max_positions, h),
+        "encoder.seg_emb": (config.n_segments, h),
+        "encoder.emb_norm.gain": (h,),
+        "encoder.emb_norm.bias": (h,),
+    }
     for i in range(config.n_layers):
         pre = f"encoder.layer{i}"
-        for proj in ("wq", "wk", "wv", "wo"):
-            weight(f"{pre}.attn.{proj}", (h, h))
-        for bias in ("bq", "bk", "bv", "bo"):
-            zeros(f"{pre}.attn.{bias}", (h,))
-        ones(f"{pre}.attn_norm.gain", (h,))
-        zeros(f"{pre}.attn_norm.bias", (h,))
-        weight(f"{pre}.ffn.w1", (h, config.ffn))
-        zeros(f"{pre}.ffn.b1", (config.ffn,))
-        weight(f"{pre}.ffn.w2", (config.ffn, h))
-        zeros(f"{pre}.ffn.b2", (h,))
-        ones(f"{pre}.ffn_norm.gain", (h,))
-        zeros(f"{pre}.ffn_norm.bias", (h,))
-    # MLM head; output projection is tied to encoder.tok_emb.
-    weight("mlm.dense.w", (h, h))
-    zeros("mlm.dense.b", (h,))
-    ones("mlm.norm.gain", (h,))
-    zeros("mlm.norm.bias", (h,))
-    zeros("mlm.out_bias", (v,))
+        shapes.update({f"{pre}.attn.{w}": (h, h) for w in ("wq", "wk", "wv", "wo")})
+        shapes.update({f"{pre}.attn.{b}": (h,) for b in ("bq", "bk", "bv", "bo")})
+        shapes.update({
+            f"{pre}.attn_norm.gain": (h,), f"{pre}.attn_norm.bias": (h,),
+            f"{pre}.ffn.w1": (h, f), f"{pre}.ffn.b1": (f,),
+            f"{pre}.ffn.w2": (f, h), f"{pre}.ffn.b2": (h,),
+            f"{pre}.ffn_norm.gain": (h,), f"{pre}.ffn_norm.bias": (h,),
+        })
+    shapes.update({"mlm.dense.w": (h, h), "mlm.dense.b": (h,), "mlm.norm.gain": (h,),
+                   "mlm.norm.bias": (h,), "mlm.out_bias": (v,)})
+    if n_classes is not None:
+        shapes.update({"cls.dense.w": (h, h), "cls.dense.b": (h,),
+                       "cls.out.w": (h, n_classes), "cls.out.b": (n_classes,)})
+    return shapes
+
+
+def _add_initialized(store: ParameterStore, shapes: dict[str, tuple], seed: int, dtype) -> None:
+    """Matrices truncated-normal (drawn in order from one rng), layer-norm
+    gains one, biases zero."""
+    rng = np.random.default_rng(seed)
+    for name, shape in shapes.items():
+        if len(shape) == 2:
+            store.add(name, _trunc_normal(rng, shape, INIT_STD, dtype))
+        elif name.endswith(".gain"):
+            store.add(name, np.ones(shape, dtype=dtype))
+        else:
+            store.add(name, np.zeros(shape, dtype=dtype))
+
+
+def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ParameterStore:
+    """Fresh encoder + MLM head. Deterministic given the seed."""
+    store = ParameterStore()
+    _add_initialized(store, param_shapes(config), seed, dtype)
     return store
 
 
@@ -174,12 +178,9 @@ def init_classifier(store: ParameterStore, config: ModelConfig, n_classes: int, 
         raise ConfigError(f"classifier needs >= 2 classes, got {n_classes}")
     if "cls.out.b" in store:
         raise ConfigError("classifier head already initialized")
-    rng = np.random.default_rng(seed)
-    h = config.hidden
-    store.add("cls.dense.w", _trunc_normal(rng, (h, h), INIT_STD, dtype))
-    store.add("cls.dense.b", np.zeros(h, dtype=dtype))
-    store.add("cls.out.w", _trunc_normal(rng, (h, n_classes), INIT_STD, dtype))
-    store.add("cls.out.b", np.zeros(n_classes, dtype=dtype))
+    head = {name: shape for name, shape in param_shapes(config, n_classes).items()
+            if name.startswith("cls.")}
+    _add_initialized(store, head, seed, dtype)
 
 
 def classifier_n_classes(store: ParameterStore) -> int:
@@ -189,16 +190,9 @@ def classifier_n_classes(store: ParameterStore) -> int:
 
 
 def count_params(config: ModelConfig, n_classes: int | None = None) -> int:
-    """Closed-form scalar count; matches allocation exactly (tied MLM
-    projection counted once, inside the token embedding)."""
-    h, v, f = config.hidden, config.vocab_size, config.ffn
-    emb = v * h + config.max_positions * h + config.n_segments * h + 2 * h
-    per_layer = 4 * (h * h + h) + 2 * h + (h * f + f) + (f * h + h) + 2 * h
-    mlm = (h * h + h) + 2 * h + v
-    total = emb + config.n_layers * per_layer + mlm
-    if n_classes is not None:
-        total += (h * h + h) + (h * n_classes + n_classes)
-    return total
+    """Scalar count of the allocated parameters (the tied MLM projection
+    counted once, inside the token embedding)."""
+    return sum(math.prod(shape) for shape in param_shapes(config, n_classes).values())
 
 
 # --- encoder forward / backward ---------------------------------------------

@@ -8,7 +8,6 @@ per column.
 """
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,10 +124,9 @@ def encode_split(dataset, split: str, vocab: Vocab, max_len: int):
 
 
 def evaluate_model(params, config, dataset, split: str, vocab: Vocab,
-                   batch_size: int = 32, threads: int = 1) -> ConfusionTable:
+                   batch_size: int = 32) -> ConfusionTable:
     """Eval-mode forward over the split in manifest order; argmax predictions
-    (ties toward the lower class index). Batches may run on a thread pool;
-    the reduction keeps batch order, so results are identical either way."""
+    (ties toward the lower class index)."""
     if batch_size < 1:
         raise ConfigError(f"evaluation batch_size must be >= 1, got {batch_size}")
     if not dataset.splits.get(split):
@@ -140,29 +138,20 @@ def evaluate_model(params, config, dataset, split: str, vocab: Vocab,
             f"classifier head has {have} classes but dataset {dataset.name!r} has {n_classes}"
         )
     seqs, labels = encode_split(dataset, split, vocab, config.max_positions)
-    return confusion_table(params, config, seqs, labels, n_classes, batch_size, threads)
+    return confusion_table(params, config, seqs, labels, n_classes, batch_size)
 
 
 def confusion_table(params, config, seqs, labels, n_classes: int,
-                    batch_size: int = 32, threads: int = 1) -> ConfusionTable:
+                    batch_size: int = 32) -> ConfusionTable:
     """The classifier's confusion table on already-encoded sequences."""
-
-    def run(lo):
+    table = ConfusionTable.empty(n_classes)
+    for lo in range(0, len(seqs), batch_size):
         batch = EncodedBatch.from_sequences(seqs[lo : lo + batch_size])
         hidden, _ = forward_hidden(params, config, batch, training=False)
         logits, _ = cls_head(params, hidden[:, 0, :])
         preds = np.argmax(logits, axis=1)
-        return ConfusionTable.from_predictions(labels[lo : lo + batch_size], preds, n_classes)
-
-    starts = range(0, len(seqs), batch_size)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(run, starts))
-    else:
-        partials = [run(lo) for lo in starts]
-    table = ConfusionTable.empty(n_classes)
-    for part in partials:
-        table = table.merge(part)
+        table = table.merge(ConfusionTable.from_predictions(
+            labels[lo : lo + batch_size], preds, n_classes))
     return table
 
 

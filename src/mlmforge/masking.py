@@ -42,18 +42,14 @@ def mask_sequence(
     vocab_size: int,
     rng: np.random.Generator,
     ratio: float = MASK_RATIO,
-    mask_frac: float = MASK_FRAC,
-    random_frac: float = RANDOM_FRAC,
 ):
     """Select round(ratio * n_maskable) positions (minimum 1) uniformly
-    without replacement among non-special tokens; apply the
-    mask/random/keep replacement mix. Returns (input_ids, labels)."""
+    without replacement among non-special tokens; apply the fixed
+    MASK_FRAC/RANDOM_FRAC/keep replacement mix. Returns (input_ids, labels)."""
     if vocab_size <= N_SPECIALS:
         raise ConfigError(f"vocab_size {vocab_size} leaves no non-special tokens")
     if not 0.0 < ratio <= 1.0:
         raise ConfigError(f"mask ratio must be in (0, 1], got {ratio}")
-    if mask_frac < 0 or random_frac < 0 or mask_frac + random_frac > 1.0:
-        raise ConfigError("mask/random fractions must be non-negative and sum to <= 1")
 
     ids = np.asarray(seq, dtype=np.int64)
     maskable = np.nonzero(ids >= N_SPECIALS)[0]
@@ -67,9 +63,9 @@ def mask_sequence(
     for pos in selected:
         labels[pos] = ids[pos]
         u = rng.random()
-        if u < mask_frac:
+        if u < MASK_FRAC:
             input_ids[pos] = MASK_ID
-        elif u < mask_frac + random_frac:
+        elif u < MASK_FRAC + RANDOM_FRAC:
             input_ids[pos] = rng.integers(N_SPECIALS, vocab_size)
         # else: keep the original token
     return input_ids, labels
@@ -99,8 +95,6 @@ def build_batch(
     vocab_size: int,
     max_len: int,
     ratio: float = MASK_RATIO,
-    mask_frac: float = MASK_FRAC,
-    random_frac: float = RANDOM_FRAC,
 ) -> MaskedBatch:
     """Mask and pad the sequences at `indices` into one batch. Pure in
     (seed, mode, epoch, indices), so batch construction can be parallelized
@@ -111,7 +105,7 @@ def build_batch(
     for i in indices:
         rng = _sequence_rng(seed, int(i), epoch, mode)
         seq = _truncate(corpus_ids[i], max_len)
-        masked.append(mask_sequence(seq, vocab_size, rng, ratio, mask_frac, random_frac))
+        masked.append(mask_sequence(seq, vocab_size, rng, ratio))
     enc = EncodedBatch.from_sequences([ids for ids, _ in masked])
     labels = np.full(enc.ids.shape, IGNORE_ID, dtype=np.int64)
     for row, (_, labs) in enumerate(masked):
@@ -128,8 +122,6 @@ def build_epoch_batches(
     max_len: int,
     vocab_size: int,
     ratio: float = MASK_RATIO,
-    mask_frac: float = MASK_FRAC,
-    random_frac: float = RANDOM_FRAC,
 ) -> Iterator[MaskedBatch]:
     """Stream one epoch of masked batches in corpus order."""
     if not corpus_ids:
@@ -141,7 +133,4 @@ def build_epoch_batches(
     n = len(corpus_ids)
     for start in range(0, n, batch_size):
         indices = range(start, min(start + batch_size, n))
-        yield build_batch(
-            corpus_ids, indices, mode, epoch, seed, vocab_size, max_len,
-            ratio, mask_frac, random_frac,
-        )
+        yield build_batch(corpus_ids, indices, mode, epoch, seed, vocab_size, max_len, ratio)

@@ -90,17 +90,16 @@ def softmax_backward(dout: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 # --- layer norm -------------------------------------------------------------
 
-def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = LAYER_NORM_EPS):
-    """Normalize the last axis to zero mean / unit variance, then scale-shift.
+def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """Normalize the last axis to zero mean / unit variance (eps =
+    LAYER_NORM_EPS), then scale-shift.
 
     Returns (out, cache) where cache feeds layer_norm_backward.
     """
-    if eps <= 0:
-        raise ConfigError(f"layer_norm: eps must be > 0, got {eps}")
     # d = x - mean(x); xhat = d * (1 / sqrt(mean(d * d) + eps)); out = xhat * gain + bias
     xhat = np.subtract(x, x.mean(axis=-1, keepdims=True))
     out = np.multiply(xhat, xhat)
-    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
     xhat *= inv
     np.multiply(xhat, gain, out=out)
     out += bias

@@ -94,39 +94,34 @@ def resolve_groups(store: ParameterStore, lr_by_group: dict[str, float]) -> dict
     return resolved
 
 
-def adam_step(
-    store: ParameterStore,
-    lr_by_group: dict[str, float],
-    beta1: float = ADAM_BETA1,
-    beta2: float = ADAM_BETA2,
-    eps: float = ADAM_EPS,
-) -> None:
+def adam_step(store: ParameterStore, lr_by_group: dict[str, float]) -> None:
     """One bias-corrected Adam update per parameter, using its group's rate.
 
-    theta -= lr * m_hat / (sqrt(v_hat) + eps). Grads are zeroed afterwards
-    and step_count advances by exactly one.
+    theta -= lr * m_hat / (sqrt(v_hat) + eps), with beta1, beta2 and eps
+    the module's ADAM_* constants. Grads are zeroed afterwards and
+    step_count advances by exactly one.
     """
     rates = resolve_groups(store, lr_by_group)
     store.step_count += 1
     t = store.step_count
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     inv_bc2 = 1.0 / bc2
     for name, p in store.entries.items():
         g = p.grad
         m, v = p.adam_m, p.adam_v
         # one scratch array per tensor: first (1 - beta1) * g, then the update
-        upd = np.multiply(g, 1.0 - beta1)
-        m *= beta1
+        upd = np.multiply(g, 1.0 - ADAM_BETA1)
+        m *= ADAM_BETA1
         m += upd
-        v *= beta2
+        v *= ADAM_BETA2
         # grad buffer doubles as g*g scratch; it is zeroed below anyway
         g *= g
-        g *= 1.0 - beta2
+        g *= 1.0 - ADAM_BETA2
         v += g
         np.multiply(v, inv_bc2, out=upd)
         np.sqrt(upd, out=upd)
-        upd += eps
+        upd += ADAM_EPS
         np.divide(m, upd, out=upd)
         upd *= rates[name] / bc1
         p.value -= upd

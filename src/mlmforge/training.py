@@ -67,6 +67,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be finite and >= 0, got {lr}")
         if self.masking_mode not in MASKING_MODES:
             raise ConfigError(f"masking_mode must be one of {MASKING_MODES}")
+        if not 0.0 < self.mask_ratio <= 1.0:
+            raise ConfigError(f"mask_ratio must be in (0, 1], got {self.mask_ratio}")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if self.seed < 0:
@@ -260,7 +262,6 @@ def finetune(
     config: ModelConfig,
     cfg: TrainConfig,
     vocab: Vocab,
-    head_seed: int | None = None,
 ) -> FinetuneResult:
     """Cross-entropy fine-tuning with two Adam groups: encoder tensors at
     lr_encoder, classifier head at lr_head. Validation recall/F1 (weighted)
@@ -271,7 +272,7 @@ def finetune(
     """
     n_classes = dataset.n_classes()
     if "cls.out.b" not in params:
-        init_classifier(params, config, n_classes, head_seed if head_seed is not None else cfg.seed)
+        init_classifier(params, config, n_classes, cfg.seed)
     else:
         have = int(params["cls.out.b"].value.shape[0])
         if have != n_classes:

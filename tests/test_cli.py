@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -165,6 +166,46 @@ class TestErrors:
         err = capsys.readouterr().err
         assert code == 4 and len(err.strip().splitlines()) == 1
         assert err.startswith("CKPT/") and "truncated manifest" in err
+
+    def test_tensor_shapes_unlike_the_manifest_config_is_one_ckpt_line(self, pipeline, tmp_path,
+                                                                        capsys):
+        root, corpus, vocab = pipeline
+        data = (root / "pt" / "ckpt" / "last.ckpt").read_bytes()
+        (mlen,) = struct.unpack("<Q", data[12:20])
+        manifest = json.loads(data[20:20 + mlen])
+        manifest["model_config"]["hidden"] = 32  # the tensors are 16 wide
+        mbytes = json.dumps(manifest).encode("utf-8")
+        edited = tmp_path / "edited.ckpt"
+        edited.write_bytes(data[:12] + struct.pack("<Q", len(mbytes)) + mbytes
+                           + data[20 + mlen:])
+        code = run("continue-pretrain", "--from", str(edited), "--corpus", str(corpus),
+                   "--vocab", str(vocab), "--run-dir", str(tmp_path / "run"), *FAST_TRAIN,
+                   "--set", "train.max_steps=9")
+        err = capsys.readouterr().err
+        assert code == 4 and len(err.strip().splitlines()) == 1
+        assert err.startswith("CKPT/") and "'encoder.tok_emb' has shape" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command, override", [
+        ("pretrain", "train.batch_size=0"),
+        ("pretrain", "train.mask_ratio=0"),
+        ("pretrain", "train.mask_ratio=1.5"),
+        ("pretrain", "model.n_heads=3"),
+        ("finetune", "train.epochs=-1"),
+    ])
+    def test_bad_train_or_model_value_leaves_no_run_dir(self, pipeline, tmp_path, capsys,
+                                                         command, override):
+        root, corpus, vocab = pipeline
+        inputs = (["--corpus", corpus] if command == "pretrain" else
+                  ["--from", root / "pt" / "ckpt" / "last.ckpt",
+                   "--dataset", manifest_without_validation(tmp_path / "data")])
+        run_dir = tmp_path / "run"
+        code = run(command, *map(str, inputs), "--vocab", str(vocab), "--run-dir", str(run_dir),
+                   *FAST_TRAIN, "--set", override)
+        err = capsys.readouterr().err
+        assert code == 2 and len(err.strip().splitlines()) == 1
+        assert err.startswith("CONFIG/")
+        assert not run_dir.exists()
 
     def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
         posts = tmp_path / "p.jsonl"
@@ -336,24 +377,6 @@ class TestErrors:
         code = run("report", str(p1), str(p2), "--run-dir", str(tmp_path / "rep"))
         assert code != 0
         assert capsys.readouterr().err.startswith("CONFIG/")
-
-
-class TestThreadsEnv:
-    def test_invalid_value_is_config_error(self, monkeypatch):
-        from mlmforge.cli import n_threads
-        monkeypatch.setenv("MLMFORGE_THREADS", "many")
-        with pytest.raises(ConfigError):
-            n_threads()
-        monkeypatch.setenv("MLMFORGE_THREADS", "0")
-        with pytest.raises(ConfigError):
-            n_threads()
-
-    def test_valid_value(self, monkeypatch):
-        from mlmforge.cli import n_threads
-        monkeypatch.setenv("MLMFORGE_THREADS", "4")
-        assert n_threads() == 4
-        monkeypatch.delenv("MLMFORGE_THREADS")
-        assert n_threads() == 1
 
 
 class TestRunConfig:

@@ -62,12 +62,6 @@ class TestIngest:
         with pytest.raises(DataError):
             list(ingest(tmp_path / "nope.jsonl"))
 
-    def test_unknown_format(self, tmp_path):
-        p = tmp_path / "posts.jsonl"
-        p.write_text("", encoding="utf-8")
-        with pytest.raises(DataError):
-            list(ingest(p, fmt="xml"))
-
 
 def post(body, pid="p"):
     return RawPost(id=pid, subforum="", body=body)

@@ -165,13 +165,6 @@ class TestEvaluateModel:
         with pytest.raises(ConfigError, match="batch_size"):
             evaluate_model(params, config, ds, "validation", vocab, batch_size=batch_size)
 
-    def test_threads_do_not_change_result(self, eval_setup):
-        ds, vocab, config, params = eval_setup
-        one = evaluate_model(params, config, ds, "validation", vocab, batch_size=1)
-        par = evaluate_model(params, config, ds, "validation", vocab, batch_size=1,
-                             threads=3)
-        assert (one.counts == par.counts).all()
-
 
 class TestReports:
     def report(self):

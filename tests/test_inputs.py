@@ -1,6 +1,6 @@
-"""Every text input is opened and decoded in one module, `_files`, and a
-damaged input file either loads or raises a ForgeError, never another
-exception."""
+"""Every text input is opened and decoded in one module, `_files`, no
+module reads the environment, and a damaged input file either loads or
+raises a ForgeError, never another exception."""
 
 import ast
 import json
@@ -49,6 +49,27 @@ def test_only_files_module_opens_or_probes_files():
             if path.name == "checkpoint.py" and is_binary_open(node):
                 continue
             offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert offenders == []
+
+
+# Settings come from the CLI config and the command line only.
+ENV_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv"}
+
+
+def env_reads(tree):
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in ENV_NAMES
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            yield node
+        elif (isinstance(node, ast.ImportFrom) and node.module == "os"
+              and any(alias.name in ENV_NAMES for alias in node.names)):
+            yield node
+
+
+def test_no_module_reads_the_environment():
+    offenders = [f"{path.relative_to(SRC)}:{node.lineno}"
+                 for path in sorted(SRC.rglob("*.py"))
+                 for node in env_reads(ast.parse(path.read_text(encoding="utf-8")))]
     assert offenders == []
 
 
