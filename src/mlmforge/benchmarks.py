@@ -3,9 +3,9 @@
 Canonical record format: JSONL {"text": str, "label": str}; a CSV adapter
 (columns text,label) is provided. The registry mirrors the eight-benchmark
 inventory (category, platform, class count, split sizes) used for manifest
-validation and report row ordering. The restricted shared-task corpora are
-never bundled: synthetic fixtures with the same class counts stand in, and
-manifests point at locally obtained data.
+validation. The restricted shared-task corpora are never bundled:
+synthetic fixtures with the same class counts stand in, and manifests
+point at locally obtained data.
 """
 
 import csv
@@ -217,7 +217,7 @@ _REGISTRY = (
 
 
 def registry() -> list[DatasetInfo]:
-    """Static inventory of the eight benchmarks, in report row order."""
+    """Static inventory of the eight benchmarks."""
     return list(_REGISTRY)
 
 

@@ -13,9 +13,10 @@ are stored as float32 regardless of compute mode.
 A save writes a temporary file beside the target, syncs it and renames it
 over the target, so a failed or interrupted save leaves the previous
 checkpoint intact. A load opens the file once and checks the manifest
-length and the whole tensor table against the file size, and every value
-tensor's shape against the manifest's model_config, before reading each
-tensor straight into its parameter buffer.
+length and the whole tensor table against the file size, and every
+tensor's shape, Adam moments included, against the manifest's
+model_config, before reading each tensor straight into its parameter
+buffer.
 """
 
 import json
@@ -142,31 +143,32 @@ def _tensor_record(p: Path, index: int, rec) -> tuple[str, tuple, int, int]:
     return name, tuple(shape), off, length
 
 
-def _check_shapes(p: Path, config: ModelConfig, values: dict[str, tuple]) -> None:
-    """The value tensors must be exactly those `config` implies, at their
-    shapes, with a classifier head of n_classes = len(cls.out.b) >= 2 when
-    the checkpoint carries one."""
+def _check_shapes(p: Path, config: ModelConfig, shapes: dict[str, tuple]) -> None:
+    """The tensors must be exactly those `config` implies, each value tensor
+    with its two Adam moments at its shape, with a classifier head of
+    n_classes = len(cls.out.b) >= 2 when the checkpoint carries one."""
     n_classes = None
-    if "cls.out.b" in values:
-        head = values["cls.out.b"]
+    if "cls.out.b" in shapes:
+        head = shapes["cls.out.b"]
         if len(head) != 1 or head[0] < 2:
             raise CheckpointError(
                 f"{p}: tensor 'cls.out.b' has shape {head}, not that of a head of >= 2 classes"
             )
         n_classes = head[0]
     # Every layer holds at least one tensor; this bounds the layout built below.
-    if config.n_layers > len(values):
+    if config.n_layers > len(shapes):
         raise CheckpointError(f"{p}: model_config has {config.n_layers} layers but the "
-                              f"checkpoint holds {len(values)} value tensors")
-    expected = param_shapes(config, n_classes)
-    for name, shape in values.items():
+                              f"checkpoint holds {len(shapes)} tensors")
+    expected = {name + part: shape for name, shape in param_shapes(config, n_classes).items()
+                for part in ("", "#m", "#v")}
+    for name, shape in shapes.items():
         if name not in expected:
             raise CheckpointError(f"{p}: tensor '{name}' is not part of the model_config")
         if shape != expected[name]:
             raise CheckpointError(f"{p}: tensor '{name}' has shape {shape}, "
                                   f"model_config implies {expected[name]}")
     for name in expected:
-        if name not in values:
+        if name not in shapes:
             raise CheckpointError(f"{p}: tensor '{name}' missing for the model_config")
 
 
@@ -219,22 +221,16 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None):
         if running != blob_len:
             raise CheckpointError(f"{p}: {blob_len - running} trailing bytes after tensor table")
 
+        _check_shapes(p, config, shapes)
         store = ParameterStore()
         targets: dict[str, np.ndarray] = {}
         for name in [n for n in shapes if "#" not in n]:
-            for part in ("#m", "#v"):
-                if shapes.get(name + part) != shapes[name]:
-                    raise CheckpointError(f"{p}: incomplete tensor set for '{name}'")
             param = store.add(name, np.empty(shapes[name], dtype=np.float32))
             targets.update({name: param.value, name + "#m": param.adam_m,
                             name + "#v": param.adam_v})
-        _check_shapes(p, config, {n: s for n, s in shapes.items() if "#" not in n})
 
         for name, length in table:
-            arr = targets.get(name)
-            if arr is None:  # a '#' entry with no value tensor is validated, not loaded
-                fh.seek(length, 1)
-                continue
+            arr = targets[name]
             if fh.readinto(arr.reshape(-1).view(np.uint8)) != length:
                 raise CheckpointError(f"{p}: blob truncated inside tensor '{name}'")
             if not np.little_endian:

@@ -256,6 +256,8 @@ def cmd_finetune(args, cfg) -> None:
 
 
 def cmd_evaluate(args, cfg) -> None:
+    evaluation.check_batch_size(cfg["eval.batch_size"])
+    evaluation.check_aggregation(cfg["eval.aggregation"])
     vocab, params, config = _load_model(args)
     dataset = benchmarks.load_manifest_dataset(args.dataset)
     if args.split == "validation":

@@ -85,12 +85,10 @@ class EncodedBatch:
     segment_ids: np.ndarray
 
     @classmethod
-    def from_sequences(cls, seqs: list[list[int]], pad_to: int | None = None) -> "EncodedBatch":
+    def from_sequences(cls, seqs: list[list[int]]) -> "EncodedBatch":
         if not seqs:
             raise ShapeError("cannot build a batch from zero sequences")
         width = max(len(s) for s in seqs)
-        if pad_to is not None:
-            width = max(width, pad_to)
         n = len(seqs)
         ids = np.full((n, width), PAD_ID, dtype=np.int64)
         mask = np.zeros((n, width), dtype=np.int64)
@@ -171,16 +169,17 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ParameterSt
     return store
 
 
-def init_classifier(store: ParameterStore, config: ModelConfig, n_classes: int, seed: int,
-                    dtype=np.float32) -> None:
-    """Attach a dense -> tanh -> dense head for n_classes."""
+def init_classifier(store: ParameterStore, config: ModelConfig, n_classes: int,
+                    seed: int) -> None:
+    """Attach a dense -> tanh -> dense head for n_classes, in the dtype of
+    encoder.tok_emb."""
     if n_classes < 2:
         raise ConfigError(f"classifier needs >= 2 classes, got {n_classes}")
     if "cls.out.b" in store:
         raise ConfigError("classifier head already initialized")
     head = {name: shape for name, shape in param_shapes(config, n_classes).items()
             if name.startswith("cls.")}
-    _add_initialized(store, head, seed, dtype)
+    _add_initialized(store, head, seed, store["encoder.tok_emb"].value.dtype)
 
 
 def classifier_n_classes(store: ParameterStore) -> int:
@@ -237,15 +236,13 @@ def _dense_backward(params: ParameterStore, dout: np.ndarray, x: np.ndarray,
     return dx
 
 
-def _maybe_dropout(x, p, training, rng, tokens=None):
-    """Dropout in training mode, else (x, None). With `tokens` = (rows,
-    n_cells), `x` holds rows `rows` of an [n_cells, width] padded tensor: the
-    mask is drawn at that padded shape and gathered, so the rng stream and
-    every real element's mask are those of a padded run."""
-    if not (training and p > 0.0):
+def _maybe_dropout(x, p, rng, tokens=None):
+    """Dropout when given an rng and p > 0, else (x, None). With `tokens` =
+    (rows, n_cells), `x` holds rows `rows` of an [n_cells, width] padded
+    tensor: the mask is drawn at that padded shape and gathered, so the rng
+    stream and every real element's mask are those of a padded run."""
+    if rng is None or p == 0.0:
         return x, None
-    if rng is None:
-        raise ConfigError("training-mode forward with dropout needs an rng")
     if tokens is None:
         return ops.dropout(x, p, rng)
     rows, n_cells = tokens
@@ -254,9 +251,9 @@ def _maybe_dropout(x, p, training, rng, tokens=None):
 
 
 def forward_hidden(params: ParameterStore, config: ModelConfig, batch: EncodedBatch,
-                   training: bool = False, rng: np.random.Generator | None = None,
-                   want_cache: bool = False):
-    """Run the full encoder stack. Returns (hidden_states, cache or None);
+                   rng: np.random.Generator | None = None, want_cache: bool = False):
+    """Run the full encoder stack, with dropout drawn from `rng` when one is
+    given and config.dropout > 0. Returns (hidden_states, cache or None);
     hidden_states is [batch, seq, hidden] with every pad row exactly 0."""
     ids = np.asarray(batch.ids)
     if ids.ndim != 2:
@@ -287,7 +284,7 @@ def forward_hidden(params: ParameterStore, config: ModelConfig, batch: EncodedBa
     x, emb_norm_cache = ops.layer_norm(
         x, params["encoder.emb_norm.gain"].value, params["encoder.emb_norm.bias"].value
     )
-    x, emb_keep = _maybe_dropout(x, p_drop, training, rng, tokens)
+    x, emb_keep = _maybe_dropout(x, p_drop, rng, tokens)
 
     # [b, 1, 1, s]: 0 at real keys, -inf at padded keys.
     key_bias = np.where(att[:, None, None, :] > 0, dtype.type(0.0), dtype.type(-np.inf))
@@ -302,17 +299,17 @@ def forward_hidden(params: ParameterStore, config: ModelConfig, batch: EncodedBa
         vh = _to_heads(_dense(params, x_in, f"{pre}.attn.wv", f"{pre}.attn.bv"), rows, b, s, nh)
         scores = np.matmul(qh, kh.swapaxes(-1, -2)) * inv_sqrt_dh + key_bias
         probs = ops.softmax(scores)
-        probs_d, att_keep = _maybe_dropout(probs, p_drop, training, rng)
+        probs_d, att_keep = _maybe_dropout(probs, p_drop, rng)
         ctxm = _from_heads(ops.matmul(probs_d, vh), rows)
         ao = _dense(params, ctxm, f"{pre}.attn.wo", f"{pre}.attn.bo")
-        ao, ao_keep = _maybe_dropout(ao, p_drop, training, rng, tokens)
+        ao, ao_keep = _maybe_dropout(ao, p_drop, rng, tokens)
         n1, n1_cache = ops.layer_norm(
             x_in + ao, params[f"{pre}.attn_norm.gain"].value, params[f"{pre}.attn_norm.bias"].value
         )
         a1 = _dense(params, n1, f"{pre}.ffn.w1", f"{pre}.ffn.b1")
         hmid = ops.gelu(a1)
         ff = _dense(params, hmid, f"{pre}.ffn.w2", f"{pre}.ffn.b2")
-        ff, ff_keep = _maybe_dropout(ff, p_drop, training, rng, tokens)
+        ff, ff_keep = _maybe_dropout(ff, p_drop, rng, tokens)
         x, n2_cache = ops.layer_norm(
             n1 + ff, params[f"{pre}.ffn_norm.gain"].value, params[f"{pre}.ffn_norm.bias"].value
         )
@@ -402,9 +399,10 @@ def backward_hidden(params: ParameterStore, config: ModelConfig, cache: dict,
     seg.grad += ops.embedding_lookup_backward(demb, cache["seg_ids"], seg.value.shape[0])
 
 
-def encode_batch(params: ParameterStore, config: ModelConfig, batch: EncodedBatch,
-                 training: bool = False, rng: np.random.Generator | None = None) -> EncoderOutput:
-    hidden, _ = forward_hidden(params, config, batch, training=training, rng=rng)
+def encode_batch(params: ParameterStore, config: ModelConfig,
+                 batch: EncodedBatch) -> EncoderOutput:
+    """Eval-mode (no dropout) hidden states and [CLS] vectors of `batch`."""
+    hidden, _ = forward_hidden(params, config, batch)
     return EncoderOutput(hidden_states=hidden, cls_vector=hidden[:, 0, :])
 
 

@@ -54,9 +54,6 @@ class ConfusionTable:
         np.add.at(table.counts, (t, p), 1)
         return table
 
-    def merge(self, other: "ConfusionTable") -> "ConfusionTable":
-        return ConfusionTable(self.counts + other.counts)
-
 
 @dataclass
 class ClassMetrics:
@@ -76,11 +73,20 @@ class Metrics:
     per_class: list[ClassMetrics]
 
 
+def check_aggregation(aggregation: str) -> None:
+    if aggregation not in AGGREGATIONS:
+        raise ConfigError(f"aggregation must be one of {AGGREGATIONS}, got {aggregation!r}")
+
+
+def check_batch_size(batch_size: int) -> None:
+    if batch_size < 1:
+        raise ConfigError(f"evaluation batch_size must be >= 1, got {batch_size}")
+
+
 def compute_metrics(table: ConfusionTable, aggregation: str = "weighted") -> Metrics:
     """Per-class precision/recall/F1 with 0/0 defined as 0, plus the
     requested aggregate. Values are percentages."""
-    if aggregation not in AGGREGATIONS:
-        raise ConfigError(f"aggregation must be one of {AGGREGATIONS}, got {aggregation!r}")
+    check_aggregation(aggregation)
     total = table.total()
     if total == 0:
         raise DataError("cannot compute metrics for an empty confusion table")
@@ -127,8 +133,7 @@ def evaluate_model(params, config, dataset, split: str, vocab: Vocab,
                    batch_size: int = 32) -> ConfusionTable:
     """Eval-mode forward over the split in manifest order; argmax predictions
     (ties toward the lower class index)."""
-    if batch_size < 1:
-        raise ConfigError(f"evaluation batch_size must be >= 1, got {batch_size}")
+    check_batch_size(batch_size)
     if not dataset.splits.get(split):
         raise DataError(f"dataset {dataset.name!r} has no examples in split {split!r}")
     n_classes = dataset.n_classes()
@@ -144,15 +149,13 @@ def evaluate_model(params, config, dataset, split: str, vocab: Vocab,
 def confusion_table(params, config, seqs, labels, n_classes: int,
                     batch_size: int = 32) -> ConfusionTable:
     """The classifier's confusion table on already-encoded sequences."""
-    table = ConfusionTable.empty(n_classes)
+    preds = np.empty(len(seqs), dtype=np.int64)
     for lo in range(0, len(seqs), batch_size):
         batch = EncodedBatch.from_sequences(seqs[lo : lo + batch_size])
-        hidden, _ = forward_hidden(params, config, batch, training=False)
+        hidden, _ = forward_hidden(params, config, batch)
         logits, _ = cls_head(params, hidden[:, 0, :])
-        preds = np.argmax(logits, axis=1)
-        table = table.merge(ConfusionTable.from_predictions(
-            labels[lo : lo + batch_size], preds, n_classes))
-    return table
+        preds[lo : lo + batch_size] = np.argmax(logits, axis=1)
+    return ConfusionTable.from_predictions(labels, preds, n_classes)
 
 
 # --- comparison reports -----------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 from ..errors import ConfigError, DataError, NonFiniteError, ShapeError
 
 LAYER_NORM_EPS = 1e-12
-IGNORE_ID = -100
+IGNORE_ID = -100  # MLM label of a position with no target; never passed to cross_entropy
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
@@ -194,44 +194,38 @@ def embedding_lookup_backward(dout: np.ndarray, ids, n_rows: int) -> np.ndarray:
 
 # --- cross entropy ----------------------------------------------------------
 
-def cross_entropy(logits: np.ndarray, targets, ignore_id: int = IGNORE_ID):
-    """Mean negative log-likelihood over positions whose target != ignore_id.
+def cross_entropy(logits: np.ndarray, targets):
+    """Mean negative log-likelihood of (n, n_class) logits at n targets in
+    [0, n_class). Callers gather the rows that carry a label first.
 
-    Ignored positions contribute zero loss and receive exactly zero gradient.
     Returns (loss, cache).
     """
     targets = np.asarray(targets)
-    if logits.shape[:-1] != targets.shape:
+    if logits.ndim != 2 or targets.shape != logits.shape[:1]:
         raise ShapeError(
             f"cross_entropy: logits {logits.shape} do not match targets {targets.shape}"
         )
-    n_class = logits.shape[-1]
-    flat = logits.reshape(-1, n_class)
-    tgt = targets.reshape(-1)
-    rows = np.nonzero(tgt != ignore_id)[0]
-    n_valid = rows.size
-    if n_valid == 0:
-        raise DataError("cross_entropy: every target is ignore_id")
-    picked = tgt[rows]
-    if picked.min() < 0 or picked.max() >= n_class:
+    n, n_class = logits.shape
+    if n == 0:
+        raise DataError("cross_entropy: no rows")
+    if targets.min() < 0 or targets.max() >= n_class:
         raise ShapeError(f"cross_entropy: target id outside [0, {n_class})")
-    m = flat.max(axis=-1, keepdims=True)
-    sh = flat - m
-    lse = np.log(np.exp(sh).sum(axis=-1, keepdims=True))
-    logp = sh - lse
-    loss = -logp[rows, picked].sum() / n_valid
+    # logp = (x - max(x)) - log(sum(exp(x - max(x))))
+    logp = np.subtract(logits, logits.max(axis=-1, keepdims=True))
+    logp -= np.log(np.exp(logp).sum(axis=-1, keepdims=True))
+    loss = -logp[np.arange(n), targets].sum() / n
     ensure_finite("cross_entropy", loss)
-    cache = (logp, picked, rows, n_valid, logits.shape)
-    return float(loss), cache
+    return float(loss), (logp, targets)
 
 
 def cross_entropy_backward(cache) -> np.ndarray:
-    logp, picked, rows, n_valid, shape = cache
-    d = np.zeros_like(logp)
-    d[rows] = np.exp(logp[rows])
-    d[rows, picked] -= 1.0
-    d[rows] /= n_valid
-    return d.reshape(shape)
+    # (exp(logp) - onehot(targets)) / n
+    logp, targets = cache
+    n = logp.shape[0]
+    d = np.exp(logp)
+    d[np.arange(n), targets] -= 1.0
+    d /= n
+    return d
 
 
 # --- dropout (internal helper, inverted scaling) ----------------------------

@@ -110,16 +110,15 @@ def write_log(log: list[dict], path) -> None:
 
 
 def _head_loss(params, config, enc: EncodedBatch, rows, targets, head,
-               head_backward=None, training=False, rng=None) -> float:
-    """Cross-entropy of `head` on the flat hidden `rows`. Given
-    `head_backward`, also scatters the head's input gradient into a zero
-    gradient and runs the encoder backward."""
+               head_backward=None, rng=None) -> float:
+    """Cross-entropy of `head` on the flat hidden `rows`, with dropout when
+    given an rng. Given `head_backward`, also scatters the head's input
+    gradient into a zero gradient and runs the encoder backward."""
     backward = head_backward is not None
-    hidden, cache = forward_hidden(params, config, enc, training=training, rng=rng,
-                                   want_cache=backward)
+    hidden, cache = forward_hidden(params, config, enc, rng=rng, want_cache=backward)
     flat = hidden.reshape(-1, hidden.shape[-1])
     logits, hcache = head(params, flat[rows], want_cache=backward)
-    loss, ce_cache = cross_entropy(logits, targets, IGNORE_ID)
+    loss, ce_cache = cross_entropy(logits, targets)
     if backward:
         dflat = np.zeros_like(flat)
         dflat[rows] = head_backward(params, hcache, cross_entropy_backward(ce_cache))
@@ -145,10 +144,11 @@ def mlm_loss(params, config, batch) -> float:
     return _head_loss(params, config, batch.encoded(), rows, targets, mlm_head)
 
 
-def mlm_loss_and_backward(params, config, batch, training=True, rng=None) -> float:
+def mlm_loss_and_backward(params, config, batch, rng=None) -> float:
+    """MLM loss, accumulating gradients; dropout runs when given an rng."""
     rows, targets = _labelled_rows(batch.labels)
     return _head_loss(params, config, batch.encoded(), rows, targets, mlm_head,
-                      mlm_head_backward, training, rng)
+                      mlm_head_backward, rng)
 
 
 def mlm_eval_loss(params, config, batches) -> float:
@@ -169,16 +169,16 @@ def cls_loss(params, config, batch: EncodedBatch, targets) -> float:
     return _head_loss(params, config, batch, _cls_rows(batch), targets, cls_head)
 
 
-def cls_loss_and_backward(params, config, batch: EncodedBatch, targets,
-                          training=True, rng=None) -> float:
+def cls_loss_and_backward(params, config, batch: EncodedBatch, targets, rng=None) -> float:
+    """Classification loss, accumulating gradients; dropout runs when given
+    an rng."""
     return _head_loss(params, config, batch, _cls_rows(batch), targets, cls_head,
-                      cls_head_backward, training, rng)
+                      cls_head_backward, rng)
 
 
-def _dropout_rng(config: ModelConfig, cfg: TrainConfig, step: int):
-    if config.dropout > 0.0:
-        return np.random.default_rng((cfg.seed, _DROPOUT_SEED_OFFSET, step))
-    return None
+def _dropout_rng(cfg: TrainConfig, step: int) -> np.random.Generator:
+    """The step's dropout stream; unused when config.dropout is 0."""
+    return np.random.default_rng((cfg.seed, _DROPOUT_SEED_OFFSET, step))
 
 
 def pretrain(
@@ -226,10 +226,7 @@ def pretrain(
             config.vocab_size, max_len, cfg.mask_ratio,
         )
         try:
-            loss = mlm_loss_and_backward(
-                params, config, batch, training=True,
-                rng=_dropout_rng(config, cfg, step),
-            )
+            loss = mlm_loss_and_backward(params, config, batch, rng=_dropout_rng(cfg, step))
         except NonFiniteError as exc:
             raise NonFiniteError(f"aborting at step {step}: {exc}") from exc
         adam_step(params, {"*": cfg.lr_encoder})
@@ -322,10 +319,8 @@ def finetune(
             batch = EncodedBatch.from_sequences(train_seqs[lo:hi])
             targets = train_labels[lo:hi]
             try:
-                loss = cls_loss_and_backward(
-                    params, config, batch, targets, training=True,
-                    rng=_dropout_rng(config, cfg, step),
-                )
+                loss = cls_loss_and_backward(params, config, batch, targets,
+                                             rng=_dropout_rng(cfg, step))
             except NonFiniteError as exc:
                 raise NonFiniteError(f"aborting at epoch {epoch}: {exc}") from exc
             adam_step(params, groups)

@@ -80,12 +80,12 @@ def test_criterion_1_gradient_correctness():
     targets = np.array([0, 2])
 
     rep_mlm = grad_check(
-        lambda s: mlm_loss_and_backward(s, config, mlm_batch, training=False),
+        lambda s: mlm_loss_and_backward(s, config, mlm_batch),
         store64, h=1e-5, tol=1e-4, coords_per_tensor=64, seed=3,
         loss_fn=lambda s: mlm_loss(s, config, mlm_batch),
     )
     rep_cls = grad_check(
-        lambda s: cls_loss_and_backward(s, config, cls_batch, targets, training=False),
+        lambda s: cls_loss_and_backward(s, config, cls_batch, targets),
         store64, h=1e-5, tol=1e-4, coords_per_tensor=64, seed=4,
         loss_fn=lambda s: cls_loss(s, config, cls_batch, targets),
     )
@@ -197,7 +197,7 @@ def test_criterion_4_memorization():
         correct = total = 0
         for batch in build_epoch_batches(ids, "static", 0, seed, 16,
                                          config.max_positions, len(vocab)):
-            hidden, _ = forward_hidden(params, config, batch.encoded(), training=False)
+            hidden, _ = forward_hidden(params, config, batch.encoded())
             logits, _ = mlm_head(params, hidden)
             sel = batch.labels != IGNORE_ID
             pred = np.argmax(logits[sel], axis=-1)

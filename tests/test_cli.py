@@ -192,6 +192,8 @@ class TestErrors:
         ("pretrain", "train.mask_ratio=1.5"),
         ("pretrain", "model.n_heads=3"),
         ("finetune", "train.epochs=-1"),
+        ("evaluate", "eval.batch_size=0"),
+        ("evaluate", "eval.aggregation=median"),
     ])
     def test_bad_train_or_model_value_leaves_no_run_dir(self, pipeline, tmp_path, capsys,
                                                          command, override):

@@ -29,6 +29,7 @@ from mlmforge.encoder import (
 from mlmforge.errors import ConfigError, ShapeError
 from mlmforge.masking import build_batch
 from mlmforge.numerics import ParameterStore, grad_check, ops
+from mlmforge.tokenizer import PAD_ID
 
 TINY = ModelConfig(n_layers=2, hidden=32, n_heads=2, ffn=64, vocab_size=50,
                    max_positions=16, dropout=0.0)
@@ -43,6 +44,14 @@ def tiny_store(n_classes=None, seed=0):
 
 def batch_of(*seqs):
     return EncodedBatch.from_sequences([list(s) for s in seqs])
+
+
+def padded(seq, width):
+    """A one-row batch holding `seq` followed by pads up to `width`."""
+    ids = np.full((1, width), PAD_ID, dtype=np.int64)
+    ids[0, : len(seq)] = seq
+    mask = (np.arange(width) < len(seq)).astype(np.int64)[None]
+    return EncodedBatch(ids, mask, np.zeros_like(ids))
 
 
 class TestModelConfig:
@@ -131,9 +140,9 @@ class TestEncodeBatch:
         store = tiny_store()
         seq = [2, 10, 11, 12, 3]
         short = encode_batch(store, TINY, batch_of(seq))
-        padded = encode_batch(store, TINY, EncodedBatch.from_sequences([seq], pad_to=12))
+        long = encode_batch(store, TINY, padded(seq, 12))
         npt.assert_allclose(short.hidden_states[0],
-                            padded.hidden_states[0, : len(seq)], atol=1e-5)
+                            long.hidden_states[0, : len(seq)], atol=1e-5)
 
     def test_batch_permutation_invariance(self):
         store = tiny_store()
@@ -156,7 +165,7 @@ class TestEncodeBatch:
 
     def test_attention_rows_normalized_and_pads_excluded(self):
         store = tiny_store()
-        batch = EncodedBatch.from_sequences([[2, 10, 11, 3]], pad_to=8)
+        batch = padded([2, 10, 11, 3], 8)
         _, cache = forward_hidden(store, TINY, batch, want_cache=True)
         for layer in cache["layers"]:
             probs = layer["probs"]  # [b, heads, q, k]
@@ -260,7 +269,7 @@ class TestClsHead:
         batch = batch_of([2, 7, 8, 3], [2, 9, 3])
         targets = np.array([0, 2])
         report = grad_check(
-            lambda s: cls_loss_and_backward(s, TINY, batch, targets, training=False),
+            lambda s: cls_loss_and_backward(s, TINY, batch, targets),
             store, coords_per_tensor=16, seed=5,
             loss_fn=lambda s: cls_loss(s, TINY, batch, targets),
         )
@@ -269,12 +278,17 @@ class TestClsHead:
 
 
 class TestDropout:
-    def test_training_mode_needs_rng(self):
+    def test_an_rng_switches_dropout_on(self):
         cfg = ModelConfig(n_layers=1, hidden=16, n_heads=2, ffn=32, vocab_size=20,
                           max_positions=8, dropout=0.5)
         store = init_params(cfg, seed=0)
-        with pytest.raises(ConfigError):
-            encode_batch(store, cfg, batch_of([2, 6, 3]), training=True)
+        batch = batch_of([2, 6, 3])
+        plain, _ = forward_hidden(store, cfg, batch)
+        dropped, _ = forward_hidden(store, cfg, batch, rng=np.random.default_rng(0))
+        assert (dropped != plain).any()
+        no_drop = ModelConfig(**{**cfg.as_dict(), "dropout": 0.0})
+        same, _ = forward_hidden(store, no_drop, batch, rng=np.random.default_rng(0))
+        assert same.tobytes() == plain.tobytes()
 
     def test_eval_mode_ignores_dropout_config(self):
         cfg = ModelConfig(n_layers=1, hidden=16, n_heads=2, ffn=32, vocab_size=20,
@@ -288,8 +302,7 @@ class TestDropout:
 # --- token-major layout vs the padded reference ---------------------------------
 
 
-def reference_forward_hidden(params, config, batch, training=False, rng=None,
-                             want_cache=False):
+def reference_forward_hidden(params, config, batch, rng=None, want_cache=False):
     """The padded encoder: every layer runs on all [batch, seq] positions."""
     ids = np.asarray(batch.ids)
     b, s = ids.shape
@@ -305,7 +318,7 @@ def reference_forward_hidden(params, config, batch, training=False, rng=None,
     x, emb_norm_cache = ops.layer_norm(
         x, params["encoder.emb_norm.gain"].value, params["encoder.emb_norm.bias"].value
     )
-    x, emb_keep = _maybe_dropout(x, p_drop, training, rng)
+    x, emb_keep = _maybe_dropout(x, p_drop, rng)
     key_bias = np.where(att[:, None, None, :] > 0, dtype.type(0.0), dtype.type(-np.inf))
     inv_sqrt_dh = dtype.type(1.0 / np.sqrt(config.hidden // config.n_heads))
 
@@ -321,17 +334,17 @@ def reference_forward_hidden(params, config, batch, training=False, rng=None,
         vh = _split_heads(v, config.n_heads)
         scores = np.matmul(qh, kh.swapaxes(-1, -2)) * inv_sqrt_dh + key_bias
         probs = ops.softmax(scores)
-        probs_d, att_keep = _maybe_dropout(probs, p_drop, training, rng)
+        probs_d, att_keep = _maybe_dropout(probs, p_drop, rng)
         ctxm = _merge_heads(ops.matmul(probs_d, vh))
         ao = _dense(params, ctxm, f"{pre}.attn.wo", f"{pre}.attn.bo")
-        ao, ao_keep = _maybe_dropout(ao, p_drop, training, rng)
+        ao, ao_keep = _maybe_dropout(ao, p_drop, rng)
         n1, n1_cache = ops.layer_norm(
             x_in + ao, params[f"{pre}.attn_norm.gain"].value, params[f"{pre}.attn_norm.bias"].value
         )
         a1 = _dense(params, n1, f"{pre}.ffn.w1", f"{pre}.ffn.b1")
         hmid = ops.gelu(a1)
         ff = _dense(params, hmid, f"{pre}.ffn.w2", f"{pre}.ffn.b2")
-        ff, ff_keep = _maybe_dropout(ff, p_drop, training, rng)
+        ff, ff_keep = _maybe_dropout(ff, p_drop, rng)
         x, n2_cache = ops.layer_norm(
             n1 + ff, params[f"{pre}.ffn_norm.gain"].value, params[f"{pre}.ffn_norm.bias"].value
         )
@@ -410,10 +423,8 @@ def check_against_reference(lengths, seed=0):
     init_classifier(params, DROP, 3, seed=seed + 1)
     real = enc.attention_mask.astype(bool)
 
-    hidden, _ = forward_hidden(params, DROP, enc, training=True,
-                               rng=np.random.default_rng(seed))
-    ref, _ = reference_forward_hidden(params, DROP, enc, training=True,
-                                      rng=np.random.default_rng(seed))
+    hidden, _ = forward_hidden(params, DROP, enc, rng=np.random.default_rng(seed))
+    ref, _ = reference_forward_hidden(params, DROP, enc, rng=np.random.default_rng(seed))
     assert hidden.shape == ref.shape
     npt.assert_allclose(hidden[real], ref[real], rtol=1e-12, atol=0)
     assert (hidden[~real] == 0).all()
@@ -421,9 +432,9 @@ def check_against_reference(lengths, seed=0):
     targets = np.arange(len(lengths)) % 3
     runs = {
         "mlm": lambda store: training.mlm_loss_and_backward(
-            store, DROP, batch, training=True, rng=np.random.default_rng(seed)),
+            store, DROP, batch, rng=np.random.default_rng(seed)),
         "cls": lambda store: training.cls_loss_and_backward(
-            store, DROP, enc, targets, training=True, rng=np.random.default_rng(seed)),
+            store, DROP, enc, targets, rng=np.random.default_rng(seed)),
     }
     for head, run in runs.items():
         new, old = params.clone(), params.clone()
@@ -459,7 +470,7 @@ class TestTokenMajorLayout:
 
     def test_pad_rows_are_zero_and_ignored_by_backward(self):
         store = tiny_store()
-        batch = EncodedBatch.from_sequences([[2, 10, 11, 3]], pad_to=8)
+        batch = padded([2, 10, 11, 3], 8)
         hidden, cache = forward_hidden(store, TINY, batch, want_cache=True)
         assert (hidden[0, 4:] == 0).all()
         d = np.random.default_rng(0).standard_normal(hidden.shape).astype(hidden.dtype)

@@ -1,6 +1,7 @@
-"""The five public loss functions share one head-loss path, and build_batch
-pads through EncodedBatch.from_sequences. Both are held byte for byte to
-the separate bodies they replaced, kept below as `reference_*`."""
+"""The five public loss functions share one head-loss path, cross_entropy
+takes only the gathered rows, and build_batch pads through
+EncodedBatch.from_sequences. Each is held byte for byte to the separate
+bodies it replaced, kept below as `reference_*`."""
 
 import numpy as np
 import pytest
@@ -18,11 +19,48 @@ from mlmforge.encoder import (
     mlm_head,
     mlm_head_backward,
 )
-from mlmforge.errors import DataError
-from mlmforge.numerics.ops import IGNORE_ID, cross_entropy, cross_entropy_backward
+from mlmforge.errors import DataError, ShapeError
+from mlmforge.numerics.ops import IGNORE_ID, cross_entropy, cross_entropy_backward, ensure_finite
 from mlmforge.tokenizer import PAD_ID
 
 # --- the separate loss bodies and padding the shared code replaced -------------
+
+
+def reference_cross_entropy(logits, targets, ignore_id=IGNORE_ID):
+    """Mean negative log-likelihood over positions whose target != ignore_id,
+    for logits of any leading shape."""
+    targets = np.asarray(targets)
+    if logits.shape[:-1] != targets.shape:
+        raise ShapeError(
+            f"cross_entropy: logits {logits.shape} do not match targets {targets.shape}"
+        )
+    n_class = logits.shape[-1]
+    flat = logits.reshape(-1, n_class)
+    tgt = targets.reshape(-1)
+    rows = np.nonzero(tgt != ignore_id)[0]
+    n_valid = rows.size
+    if n_valid == 0:
+        raise DataError("cross_entropy: every target is ignore_id")
+    picked = tgt[rows]
+    if picked.min() < 0 or picked.max() >= n_class:
+        raise ShapeError(f"cross_entropy: target id outside [0, {n_class})")
+    m = flat.max(axis=-1, keepdims=True)
+    sh = flat - m
+    lse = np.log(np.exp(sh).sum(axis=-1, keepdims=True))
+    logp = sh - lse
+    loss = -logp[rows, picked].sum() / n_valid
+    ensure_finite("cross_entropy", loss)
+    cache = (logp, picked, rows, n_valid, logits.shape)
+    return float(loss), cache
+
+
+def reference_cross_entropy_backward(cache):
+    logp, picked, rows, n_valid, shape = cache
+    d = np.zeros_like(logp)
+    d[rows] = np.exp(logp[rows])
+    d[rows, picked] -= 1.0
+    d[rows] /= n_valid
+    return d.reshape(shape)
 
 
 def reference_labelled_rows(labels):
@@ -32,21 +70,20 @@ def reference_labelled_rows(labels):
 
 
 def reference_mlm_loss(params, config, batch) -> float:
-    hidden, _ = forward_hidden(params, config, batch.encoded(), training=False)
+    hidden, _ = forward_hidden(params, config, batch.encoded())
     pos, targets = reference_labelled_rows(batch.labels)
     logits, _ = mlm_head(params, hidden.reshape(-1, hidden.shape[-1])[pos])
-    loss, _ = cross_entropy(logits, targets, IGNORE_ID)
+    loss, _ = reference_cross_entropy(logits, targets, IGNORE_ID)
     return loss
 
 
-def reference_mlm_loss_and_backward(params, config, batch, training=True, rng=None) -> float:
-    hidden, cache = forward_hidden(params, config, batch.encoded(), training=training,
-                                   rng=rng, want_cache=True)
+def reference_mlm_loss_and_backward(params, config, batch, rng=None) -> float:
+    hidden, cache = forward_hidden(params, config, batch.encoded(), rng=rng, want_cache=True)
     flat = hidden.reshape(-1, hidden.shape[-1])
     pos, targets = reference_labelled_rows(batch.labels)
     logits, hcache = mlm_head(params, flat[pos], want_cache=True)
-    loss, ce_cache = cross_entropy(logits, targets, IGNORE_ID)
-    dlogits = cross_entropy_backward(ce_cache)
+    loss, ce_cache = reference_cross_entropy(logits, targets, IGNORE_ID)
+    dlogits = reference_cross_entropy_backward(ce_cache)
     dflat = np.zeros_like(flat)
     dflat[pos] = mlm_head_backward(params, hcache, dlogits)
     backward_hidden(params, config, cache, dflat.reshape(hidden.shape))
@@ -57,10 +94,10 @@ def reference_mlm_eval_loss(params, config, batches) -> float:
     total = 0.0
     n = 0
     for batch in batches:
-        hidden, _ = forward_hidden(params, config, batch.encoded(), training=False)
+        hidden, _ = forward_hidden(params, config, batch.encoded())
         pos, targets = reference_labelled_rows(batch.labels)
         logits, _ = mlm_head(params, hidden.reshape(-1, hidden.shape[-1])[pos])
-        loss, _ = cross_entropy(logits, targets, IGNORE_ID)
+        loss, _ = reference_cross_entropy(logits, targets, IGNORE_ID)
         total += loss * pos.size
         n += pos.size
     if n == 0:
@@ -69,20 +106,18 @@ def reference_mlm_eval_loss(params, config, batches) -> float:
 
 
 def reference_cls_loss(params, config, batch, targets) -> float:
-    hidden, _ = forward_hidden(params, config, batch, training=False)
+    hidden, _ = forward_hidden(params, config, batch)
     logits, _ = cls_head(params, hidden[:, 0, :])
-    loss, _ = cross_entropy(logits, targets)
+    loss, _ = reference_cross_entropy(logits, targets)
     return loss
 
 
-def reference_cls_loss_and_backward(params, config, batch, targets,
-                                    training=True, rng=None) -> float:
-    hidden, cache = forward_hidden(params, config, batch, training=training, rng=rng,
-                                   want_cache=True)
+def reference_cls_loss_and_backward(params, config, batch, targets, rng=None) -> float:
+    hidden, cache = forward_hidden(params, config, batch, rng=rng, want_cache=True)
     cls_vec = hidden[:, 0, :]
     logits, hcache = cls_head(params, cls_vec, want_cache=True)
-    loss, ce_cache = cross_entropy(logits, targets)
-    dlogits = cross_entropy_backward(ce_cache)
+    loss, ce_cache = reference_cross_entropy(logits, targets)
+    dlogits = reference_cross_entropy_backward(ce_cache)
     dcls = cls_head_backward(params, hcache, dlogits)
     dhidden = np.zeros_like(hidden)
     dhidden[:, 0, :] = dcls
@@ -138,7 +173,27 @@ def grads_bytes(params):
     return {name: p.grad.tobytes() for name, p in params.items()}
 
 
+def dropout_rng(train):
+    return np.random.default_rng(7) if train else None
+
+
 DTYPES = [np.float32, np.float64]
+
+
+class TestCrossEntropy:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("n, n_class", [(1, 2), (7, 3), (110, 8192)])
+    def test_matches_reference_bitwise(self, dtype, n, n_class):
+        rng = np.random.default_rng(n)
+        logits = (4.0 * rng.standard_normal((n, n_class))).astype(dtype)
+        targets = rng.integers(0, n_class, size=n)
+        loss, cache = cross_entropy(logits, targets)
+        want, want_cache = reference_cross_entropy(logits, targets)
+        assert np.float64(loss).tobytes() == np.float64(want).tobytes()
+        grad = cross_entropy_backward(cache)
+        want_grad = reference_cross_entropy_backward(want_cache)
+        assert grad.dtype == want_grad.dtype == dtype
+        assert grad.tobytes() == want_grad.tobytes()
 
 
 class TestSharedLossPath:
@@ -148,10 +203,8 @@ class TestSharedLossPath:
         batch = masking.build_batch(corpus(), range(len(LENGTHS)), "dynamic", 1, 4,
                                     CONFIG.vocab_size, CONFIG.max_positions)
         new, old = store(dtype), store(dtype)
-        loss = training.mlm_loss_and_backward(new, CONFIG, batch, training=train,
-                                              rng=np.random.default_rng(7))
-        want = reference_mlm_loss_and_backward(old, CONFIG, batch, training=train,
-                                               rng=np.random.default_rng(7))
+        loss = training.mlm_loss_and_backward(new, CONFIG, batch, rng=dropout_rng(train))
+        want = reference_mlm_loss_and_backward(old, CONFIG, batch, rng=dropout_rng(train))
         assert np.float64(loss).tobytes() == np.float64(want).tobytes()
         assert grads_bytes(new) == grads_bytes(old)
         assert (new["encoder.layer1.ffn.w1"].grad != 0).any()
@@ -162,10 +215,8 @@ class TestSharedLossPath:
         enc = EncodedBatch.from_sequences([s[: CONFIG.max_positions] for s in corpus(1)])
         targets = np.arange(len(LENGTHS)) % 3
         new, old = store(dtype), store(dtype)
-        loss = training.cls_loss_and_backward(new, CONFIG, enc, targets, training=train,
-                                              rng=np.random.default_rng(7))
-        want = reference_cls_loss_and_backward(old, CONFIG, enc, targets, training=train,
-                                               rng=np.random.default_rng(7))
+        loss = training.cls_loss_and_backward(new, CONFIG, enc, targets, rng=dropout_rng(train))
+        want = reference_cls_loss_and_backward(old, CONFIG, enc, targets, rng=dropout_rng(train))
         assert np.float64(loss).tobytes() == np.float64(want).tobytes()
         assert grads_bytes(new) == grads_bytes(old)
         assert (new["cls.dense.w"].grad != 0).any()

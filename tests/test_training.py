@@ -146,13 +146,15 @@ class TestPretrain:
 
 
 def dense_mlm_loss_and_backward(params, config, batch):
-    """Reference: project every position, pads included, and let
-    cross_entropy drop the unlabelled rows."""
-    hidden, cache = forward_hidden(params, config, batch.encoded(), training=False,
-                                   want_cache=True)
+    """Reference: project every position, pads included, and take the loss
+    on the labelled rows, the rest getting a zero logit gradient."""
+    hidden, cache = forward_hidden(params, config, batch.encoded(), want_cache=True)
     logits, hcache = mlm_head(params, hidden, want_cache=True)
-    loss, ce_cache = cross_entropy(logits, batch.labels, IGNORE_ID)
-    dhidden = mlm_head_backward(params, hcache, cross_entropy_backward(ce_cache))
+    labelled = batch.labels != IGNORE_ID
+    loss, ce_cache = cross_entropy(logits[labelled], batch.labels[labelled])
+    dlogits = np.zeros_like(logits)
+    dlogits[labelled] = cross_entropy_backward(ce_cache)
+    dhidden = mlm_head_backward(params, hcache, dlogits)
     backward_hidden(params, config, cache, dhidden)
     return loss
 
@@ -176,7 +178,7 @@ class TestSparseMLM:
     def test_matches_dense_reference(self, batch):
         params = init_params(MICRO, 0).astype(np.float64)
         dense = params.clone()
-        loss = mlm_loss_and_backward(params, MICRO, batch, training=False)
+        loss = mlm_loss_and_backward(params, MICRO, batch)
         ref = dense_mlm_loss_and_backward(dense, MICRO, batch)
         assert loss == pytest.approx(ref, rel=1e-12)
         for name in params.names():
@@ -192,10 +194,11 @@ class TestSparseMLM:
         assert len(stream) == 2
         losses, counts = [], []
         for batch in stream:
-            hidden, _ = forward_hidden(params, MICRO, batch.encoded(), training=False)
+            hidden, _ = forward_hidden(params, MICRO, batch.encoded())
             logits, _ = mlm_head(params, hidden)
-            losses.append(cross_entropy(logits, batch.labels, IGNORE_ID)[0])
-            counts.append(int((batch.labels != IGNORE_ID).sum()))
+            labelled = batch.labels != IGNORE_ID
+            losses.append(cross_entropy(logits[labelled], batch.labels[labelled])[0])
+            counts.append(int(labelled.sum()))
         expected = np.dot(losses, counts) / sum(counts)
         assert mlm_eval_loss(params, MICRO, stream) == pytest.approx(expected, rel=1e-12)
 
@@ -257,6 +260,16 @@ class TestFinetune:
         res = finetune(ds, params, config, micro_cfg(epochs=4, batch_size=8), vocab)
         logged = [r["value"] for r in res.log if r["metric"] == "f1_weighted"]
         assert res.best_val_f1 == max(logged)
+
+    def test_float64_store_stays_float64(self, toy_setup):
+        ds, vocab, config = toy_setup
+        params = init_params(config, seed=0, dtype=np.float64)
+        res = finetune(ds, params, config, micro_cfg(epochs=1, batch_size=8), vocab)
+        for store in (res.final_params, res.params):
+            assert "cls.out.w" in store
+            for name, p in store.items():
+                for part in ("value", "grad", "adam_m", "adam_v"):
+                    assert getattr(p, part).dtype == np.float64, f"{name}.{part}"
 
     def test_frozen_encoder_bitwise_unchanged(self, toy_setup):
         ds, vocab, config = toy_setup
@@ -380,7 +393,7 @@ class TestCheckpointFormat:
         (lambda m: dict(m, model_config=dict(m["model_config"], hidden=0)), "model_config"),
         (lambda m: dict(m, vocab_hash=5), "hash mismatch"),
         (lambda m: with_record(m, 1, name="encoder.tok_emb"), "duplicate tensor"),
-        (lambda m: with_record(m, 1, shape=[16, 24]), "incomplete tensor set"),
+        (lambda m: with_record(m, 1, shape=[16, 24]), "'encoder.tok_emb#m' has shape"),
         (lambda m: with_model(m, hidden=32), "'encoder.tok_emb' has shape"),
         (lambda m: with_model(m, n_layers=2), "'encoder.layer1.attn.wq' missing"),
         (lambda m: with_model(m, n_layers=10**12), "layers but the checkpoint holds"),
@@ -393,6 +406,18 @@ class TestCheckpointFormat:
         rewrite_manifest(path, edit(read_manifest(path)))
         with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path, expected_vocab_hash="h")
+
+    def test_stray_moment_tensor_is_checkpoint_error(self, tmp_path):
+        path = tmp_path / "stray.ckpt"
+        save_checkpoint(init_params(MICRO, 0), MICRO, path)
+        manifest = read_manifest(path)
+        end = manifest["tensors"][-1]
+        stray = {"name": "junk#m", "dtype": "float32", "shape": [4],
+                 "offset": end["offset"] + end["length"], "length": 16}
+        rewrite_manifest(path, dict(manifest, tensors=[*manifest["tensors"], stray]))
+        path.write_bytes(path.read_bytes() + bytes(16))
+        with pytest.raises(CheckpointError, match="'junk#m' is not part of the model_config"):
+            load_checkpoint(path)
 
     def test_one_class_head_is_checkpoint_error(self, tmp_path):
         params = init_params(MICRO, 0)

@@ -90,10 +90,10 @@ def library_runs(root: Path):
         params = encoder.init_params(config, SEED, dtype=dtype)
         batch = masking.build_batch(train_ids, range(16), "static", 0, SEED, len(vocab),
                                     config.max_positions)
-        hidden, _ = encoder.forward_hidden(params, config, batch.encoded(), training=True,
+        hidden, _ = encoder.forward_hidden(params, config, batch.encoded(),
                                            rng=np.random.default_rng(SEED))
         yield _sha(hidden[batch.attention_mask > 0].tobytes()), f"lib/step/{tag}/hidden"
-        loss = training.mlm_loss_and_backward(params, config, batch, training=True,
+        loss = training.mlm_loss_and_backward(params, config, batch,
                                               rng=np.random.default_rng(SEED))
         yield _sha(repr(loss).encode()), f"lib/step/{tag}/loss"
         for name, p in params.items():
