@@ -7,13 +7,19 @@ embedding matrix. The classifier head is dense -> tanh -> dense on the
 position-0 hidden state of the last layer.
 
 The stack runs token-major: the real tokens of a padded batch are gathered
-once, and every row-wise layer (embeddings, the dense projections, gelu,
-layer norms, residual adds, dropout) runs on (n_real, width) rows. Only
-attention is padded: q, k and v are scattered into zero [batch, heads, seq,
-dh] buffers, padded keys get -inf pre-softmax scores, and the context is
-gathered back to the real rows. Dropout masks are drawn at the padded shape
-and gathered, so the rng stream is that of a fully padded stack. The hidden
-states come back as [batch, seq, hidden] with every pad row exactly 0.
+once, and every layer runs on them alone. Row-wise layers (embeddings, the
+dense projections, gelu, layer norms, residual adds, dropout) run on
+(n_real, width) rows. Attention runs per group of sequences of one length
+l: their q, k and v rows are gathered into [g, heads, l, dh], the scores
+are [g, heads, l, l] with no key mask, and the context is scattered back
+to the token rows. Each attention_mask row must be a non-empty prefix of
+real tokens. Every dropout mask holds, on each real cell, the value that
+`ops.dropout_keep` would draw at the padded shape, and the rng ends where
+that padded draw leaves it: the uniforms of real cells are drawn and the
+pad cells are skipped with `bit_generator.advance`, which needs a PCG64
+generator (one step per float64 uniform); any other generator is a
+ConfigError when dropout is on. The hidden states come back as [batch,
+seq, hidden] with every pad row exactly 0.
 
 Forward functions optionally return a cache consumed by the matching
 backward functions, which accumulate into ParameterStore gradients.
@@ -21,6 +27,7 @@ backward functions, which accumulate into ParameterStore gradients.
 
 import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -206,17 +213,107 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, s, nh * dh)
 
 
-def _to_heads(z: np.ndarray, rows: np.ndarray, b: int, s: int, n_heads: int) -> np.ndarray:
-    """Scatter token rows into a zero [b, s, width] buffer and split heads."""
-    padded = np.zeros((b * s, z.shape[-1]), dtype=z.dtype)
-    padded[rows] = z
-    return _split_heads(padded.reshape(b, s, -1), n_heads)
+def _draw_real_cells(rng: np.random.Generator, s: int, inner: int, dests) -> None:
+    """Fill the real cells of a padded [batch, reps, s, inner] uniform draw
+    and skip the rest. dests[i], in batch order, is sequence i's float64
+    (reps, l, inner) block: each of its reps draws l * inner uniforms, then
+    the rng advances over the (s - l) * inner pad cells behind them. With
+    PCG64 one uniform is one step of the generator, so every real cell gets
+    the value and the rng ends in the state of the padded draw."""
+    for dest in dests:
+        skip = (s - dest.shape[1]) * inner
+        for block in dest:
+            rng.random(out=block)
+            rng.bit_generator.advance(skip)
 
 
-def _from_heads(zh: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Merge the heads of [b, heads, s, dh] and gather the token rows."""
-    z = _merge_heads(zh)
-    return z.reshape(-1, z.shape[-1])[rows]
+class _Layout(NamedTuple):
+    """Where the real tokens of a padded [batch, seq] batch sit.
+
+    `rows` are their flat positions, row-major: token-major order. `groups`
+    holds, per distinct sequence length l, the batch indices of the
+    sequences of that length and their tokens' token-major rows,
+    sequence-major, so `z[tok].reshape(g, l, width)` is the group's
+    sequences."""
+
+    seq: int
+    rows: np.ndarray
+    lengths: list
+    starts: list
+    groups: list  # [(l, seqs, tok)]
+
+    @classmethod
+    def of(cls, att: np.ndarray) -> "_Layout":
+        s = att.shape[1]
+        real = att != 0
+        lengths = real.sum(axis=1)
+        bad = (lengths == 0) | (real != (np.arange(s) < lengths[:, None])).any(axis=1)
+        if bad.any():
+            raise ShapeError(f"attention_mask row {int(np.flatnonzero(bad)[0])} is not a "
+                             "non-empty prefix of real tokens")
+        starts = np.cumsum(lengths) - lengths
+        groups = []
+        for l in np.unique(lengths).tolist():
+            seqs = np.flatnonzero(lengths == l)
+            groups.append((l, seqs, (starts[seqs, None] + np.arange(l)).reshape(-1)))
+        return cls(s, np.flatnonzero(real), lengths.tolist(), starts.tolist(), groups)
+
+    def row_keep(self, rng, p: float, dtype, width: int) -> np.ndarray:
+        """The dropout mask of the (n_real, width) token rows: the real rows
+        of `ops.dropout_keep((batch * seq, width), p, rng, dtype)`."""
+        buf = np.empty((len(self.rows), width))
+        _draw_real_cells(rng, self.seq, width,
+                         [buf[a:a + l][None] for a, l in zip(self.starts, self.lengths)])
+        return ops.keep_from_uniforms(buf, p, dtype)
+
+    def attention_keeps(self, rng, p: float, dtype, n_heads: int) -> list:
+        """Per group, the dropout mask of its [g, heads, l, l] probabilities:
+        the real cells of `ops.dropout_keep((batch, heads, seq, seq), ...)`.
+        Each (sequence, head) draws its l real query rows in full, (l, seq),
+        and keeps their first l columns."""
+        bufs, dests = [], [None] * len(self.lengths)
+        for l, seqs, _ in self.groups:
+            buf = np.empty((len(seqs), n_heads, l, self.seq))
+            for j, i in enumerate(seqs):
+                dests[i] = buf[j]
+            bufs.append(buf[..., :l])
+        _draw_real_cells(rng, self.seq, self.seq, dests)
+        return [ops.keep_from_uniforms(buf, p, dtype) for buf in bufs]
+
+
+def _attention(layout: _Layout, q, k, v, n_heads: int, inv_sqrt_dh, keeps):
+    """Self-attention of each length group on its own [g, heads, l, l]
+    scores, with no key mask. q, k and v are token rows; returns the context
+    as token rows and, per group, the cache of `_attention_backward`."""
+    ctx = np.empty_like(q)
+    caches = []
+    for (l, _, tok), keep in zip(layout.groups, keeps):
+        qh, kh, vh = (_split_heads(z[tok].reshape(-1, l, z.shape[-1]), n_heads)
+                      for z in (q, k, v))
+        scores = np.matmul(qh, kh.swapaxes(-1, -2))
+        scores *= inv_sqrt_dh
+        probs = ops.softmax(scores)
+        probs_d = probs if keep is None else probs * keep
+        ctx[tok] = _merge_heads(ops.matmul(probs_d, vh)).reshape(-1, ctx.shape[-1])
+        caches.append({"qh": qh, "kh": kh, "vh": vh, "probs": probs, "probs_d": probs_d,
+                       "keep": keep})
+    return ctx, caches
+
+
+def _attention_backward(layout: _Layout, caches, dctx, n_heads: int, inv_sqrt_dh):
+    """d/dq, d/dk and d/dv as token rows, given d/dctx."""
+    dq, dk, dv = (np.empty_like(dctx) for _ in range(3))
+    for (l, _, tok), gc in zip(layout.groups, caches):
+        dctxh = _split_heads(dctx[tok].reshape(-1, l, dctx.shape[-1]), n_heads)
+        dprobs, dvh = ops.matmul_backward(dctxh, gc["probs_d"], gc["vh"])
+        if gc["keep"] is not None:
+            dprobs = ops.dropout_backward(dprobs, gc["keep"])
+        dscores = ops.softmax_backward(dprobs, gc["probs"])
+        dscores *= inv_sqrt_dh
+        dqh, dkhT = ops.matmul_backward(dscores, gc["qh"], gc["kh"].swapaxes(-1, -2))
+        for dz, dzh in zip((dq, dk, dv), (dqh, dkhT.swapaxes(-1, -2), dvh)):
+            dz[tok] = _merge_heads(dzh).reshape(-1, dz.shape[-1])
+    return dq, dk, dv
 
 
 def _dense(params: ParameterStore, x: np.ndarray, w: str, b: str) -> np.ndarray:
@@ -236,25 +333,21 @@ def _dense_backward(params: ParameterStore, dout: np.ndarray, x: np.ndarray,
     return dx
 
 
-def _maybe_dropout(x, p, rng, tokens=None):
-    """Dropout when given an rng and p > 0, else (x, None). With `tokens` =
-    (rows, n_cells), `x` holds rows `rows` of an [n_cells, width] padded
-    tensor: the mask is drawn at that padded shape and gathered, so the rng
-    stream and every real element's mask are those of a padded run."""
-    if rng is None or p == 0.0:
+def _row_dropout(x, p, rng, layout: _Layout):
+    """Dropout of token rows when given an rng, else (x, None)."""
+    if rng is None:
         return x, None
-    if tokens is None:
-        return ops.dropout(x, p, rng)
-    rows, n_cells = tokens
-    keep = ops.dropout_keep((n_cells, x.shape[-1]), p, rng, x.dtype)[rows]
+    keep = layout.row_keep(rng, p, x.dtype, x.shape[-1])
     return x * keep, keep
 
 
 def forward_hidden(params: ParameterStore, config: ModelConfig, batch: EncodedBatch,
                    rng: np.random.Generator | None = None, want_cache: bool = False):
     """Run the full encoder stack, with dropout drawn from `rng` when one is
-    given and config.dropout > 0. Returns (hidden_states, cache or None);
-    hidden_states is [batch, seq, hidden] with every pad row exactly 0."""
+    given and config.dropout > 0; that rng must be PCG64. Each attention_mask
+    row must be a non-empty prefix of real tokens. Returns (hidden_states,
+    cache or None); hidden_states is [batch, seq, hidden] with every pad row
+    exactly 0."""
     ids = np.asarray(batch.ids)
     if ids.ndim != 2:
         raise ShapeError(f"batch ids must be 2-d, got {ids.shape}")
@@ -265,15 +358,19 @@ def forward_hidden(params: ParameterStore, config: ModelConfig, batch: EncodedBa
     seg = np.asarray(batch.segment_ids)
     if att.shape != ids.shape or seg.shape != ids.shape:
         raise ShapeError("ids, attention_mask and segment_ids must share a shape")
+    layout = _Layout.of(att)
 
     tok_emb = params["encoder.tok_emb"].value
     dtype = tok_emb.dtype
     p_drop = config.dropout
+    if p_drop == 0.0:
+        rng = None
+    if rng is not None and not isinstance(rng.bit_generator, np.random.PCG64):
+        raise ConfigError("dropout needs a PCG64 generator, which skips pad cells with "
+                          f"bit_generator.advance; got {type(rng.bit_generator).__name__}")
     nh = config.n_heads
 
-    # Token-major: flat positions of the real tokens, row-major over the batch.
-    rows = np.flatnonzero(att.reshape(-1))
-    tokens = (rows, b * s)
+    rows = layout.rows
     tok_ids = ids.reshape(-1)[rows]
     seg_ids = seg.reshape(-1)[rows]
     positions = rows % s
@@ -284,39 +381,32 @@ def forward_hidden(params: ParameterStore, config: ModelConfig, batch: EncodedBa
     x, emb_norm_cache = ops.layer_norm(
         x, params["encoder.emb_norm.gain"].value, params["encoder.emb_norm.bias"].value
     )
-    x, emb_keep = _maybe_dropout(x, p_drop, rng, tokens)
-
-    # [b, 1, 1, s]: 0 at real keys, -inf at padded keys.
-    key_bias = np.where(att[:, None, None, :] > 0, dtype.type(0.0), dtype.type(-np.inf))
+    x, emb_keep = _row_dropout(x, p_drop, rng, layout)
     inv_sqrt_dh = dtype.type(1.0 / np.sqrt(config.hidden // nh))
 
     layer_caches = []
     for i in range(config.n_layers):
         pre = f"encoder.layer{i}"
         x_in = x
-        qh = _to_heads(_dense(params, x_in, f"{pre}.attn.wq", f"{pre}.attn.bq"), rows, b, s, nh)
-        kh = _to_heads(_dense(params, x_in, f"{pre}.attn.wk", f"{pre}.attn.bk"), rows, b, s, nh)
-        vh = _to_heads(_dense(params, x_in, f"{pre}.attn.wv", f"{pre}.attn.bv"), rows, b, s, nh)
-        scores = np.matmul(qh, kh.swapaxes(-1, -2)) * inv_sqrt_dh + key_bias
-        probs = ops.softmax(scores)
-        probs_d, att_keep = _maybe_dropout(probs, p_drop, rng)
-        ctxm = _from_heads(ops.matmul(probs_d, vh), rows)
+        q, k, v = (_dense(params, x_in, f"{pre}.attn.w{z}", f"{pre}.attn.b{z}") for z in "qkv")
+        att_keeps = (layout.attention_keeps(rng, p_drop, dtype, nh) if rng is not None
+                     else [None] * len(layout.groups))
+        ctxm, attn_caches = _attention(layout, q, k, v, nh, inv_sqrt_dh, att_keeps)
         ao = _dense(params, ctxm, f"{pre}.attn.wo", f"{pre}.attn.bo")
-        ao, ao_keep = _maybe_dropout(ao, p_drop, rng, tokens)
+        ao, ao_keep = _row_dropout(ao, p_drop, rng, layout)
         n1, n1_cache = ops.layer_norm(
             x_in + ao, params[f"{pre}.attn_norm.gain"].value, params[f"{pre}.attn_norm.bias"].value
         )
         a1 = _dense(params, n1, f"{pre}.ffn.w1", f"{pre}.ffn.b1")
         hmid = ops.gelu(a1)
         ff = _dense(params, hmid, f"{pre}.ffn.w2", f"{pre}.ffn.b2")
-        ff, ff_keep = _maybe_dropout(ff, p_drop, rng, tokens)
+        ff, ff_keep = _row_dropout(ff, p_drop, rng, layout)
         x, n2_cache = ops.layer_norm(
             n1 + ff, params[f"{pre}.ffn_norm.gain"].value, params[f"{pre}.ffn_norm.bias"].value
         )
         if want_cache:
             layer_caches.append({
-                "x_in": x_in, "qh": qh, "kh": kh, "vh": vh,
-                "probs": probs, "probs_d": probs_d, "att_keep": att_keep,
+                "x_in": x_in, "attn": attn_caches,
                 "ctxm": ctxm, "ao_keep": ao_keep, "n1": n1, "n1_cache": n1_cache,
                 "a1": a1, "hmid": hmid, "ff_keep": ff_keep, "n2_cache": n2_cache,
             })
@@ -326,8 +416,7 @@ def forward_hidden(params: ParameterStore, config: ModelConfig, batch: EncodedBa
     cache = None
     if want_cache:
         cache = {
-            "rows": rows, "batch_shape": (b, s), "tok_ids": tok_ids, "seg_ids": seg_ids,
-            "positions": positions,
+            "layout": layout, "tok_ids": tok_ids, "seg_ids": seg_ids, "positions": positions,
             "emb_norm_cache": emb_norm_cache, "emb_keep": emb_keep,
             "inv_sqrt_dh": inv_sqrt_dh, "layers": layer_caches,
         }
@@ -338,11 +427,9 @@ def backward_hidden(params: ParameterStore, config: ModelConfig, cache: dict,
                     d_hidden: np.ndarray) -> None:
     """Accumulate encoder gradients given d(loss)/d(hidden_states). Only the
     real tokens' rows of `d_hidden` are read."""
-    rows = cache["rows"]
-    b, s = cache["batch_shape"]
-    nh = config.n_heads
-    inv_sqrt_dh = cache["inv_sqrt_dh"]
-    dx = d_hidden.reshape(-1, d_hidden.shape[-1])[rows]
+    layout = cache["layout"]
+    s = layout.seq
+    dx = d_hidden.reshape(-1, d_hidden.shape[-1])[layout.rows]
     for i in reversed(range(config.n_layers)):
         pre = f"encoder.layer{i}"
         lc = cache["layers"][i]
@@ -366,20 +453,8 @@ def backward_hidden(params: ParameterStore, config: ModelConfig, cache: dict,
         if lc["ao_keep"] is not None:
             dao = ops.dropout_backward(dao, lc["ao_keep"])
         dctxm = _dense_backward(params, dao, lc["ctxm"], f"{pre}.attn.wo", f"{pre}.attn.bo")
-        dctx = _to_heads(dctxm, rows, b, s, nh)
-        dprobs_d, dvh = ops.matmul_backward(dctx, lc["probs_d"], lc["vh"])
-        dprobs = dprobs_d
-        if lc["att_keep"] is not None:
-            dprobs = ops.dropout_backward(dprobs, lc["att_keep"])
-        dscores = ops.softmax_backward(dprobs, lc["probs"]) * inv_sqrt_dh
-        khT = lc["kh"].swapaxes(-1, -2)
-        dqh, dkhT = ops.matmul_backward(dscores, lc["qh"], khT)
-        dkh = dkhT.swapaxes(-1, -2)
-
-        # Merged and gathered before the projections: merging each one inside
-        # the loop fragmented the retained heap (+1.5 MB peak RSS on a desk
-        # pretrain).
-        dzs = [_from_heads(dzh, rows) for dzh in (dqh, dkh, dvh)]
+        dzs = _attention_backward(layout, lc["attn"], dctxm, config.n_heads,
+                                  cache["inv_sqrt_dh"])
         for dz, proj in zip(dzs, "qkv"):
             dx_in = dx_in + _dense_backward(params, dz, lc["x_in"],
                                             f"{pre}.attn.w{proj}", f"{pre}.attn.b{proj}")

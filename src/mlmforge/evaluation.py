@@ -172,7 +172,11 @@ class EvalReport:
         for v in (recall, f1):
             if not 0.0 <= v <= 100.0:
                 raise DataError(f"metric {v} outside [0, 100]")
-        self.rows.setdefault(model, {})[dataset] = {"recall": recall, "f1": f1}
+        cells = self.rows.setdefault(model, {})
+        if dataset in cells:
+            raise DataError(f"two results for model {model!r} on dataset {dataset!r}; "
+                            "give each evaluation its own --model-name")
+        cells[dataset] = {"recall": recall, "f1": f1}
 
     def model_names(self) -> list[str]:
         return list(self.rows)

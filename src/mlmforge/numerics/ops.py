@@ -232,12 +232,17 @@ def cross_entropy_backward(cache) -> np.ndarray:
 
 def dropout_keep(shape, p: float, rng: np.random.Generator, dtype) -> np.ndarray:
     """The dropout mask for an input of `shape`: 0 where an element is
-    dropped, 1/(1-p) where it is kept. Draws one uniform per element, in C
-    order, so a caller that keeps only some rows of the mask consumes the
-    rng stream exactly as a full-shape dropout would."""
+    dropped, 1/(1-p) where it is kept. Draws one float64 uniform per
+    element, in C order; the encoder draws only its real cells' uniforms,
+    skips the rest, and gets this mask on every real cell."""
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
-    draw = rng.random(shape)
+    return keep_from_uniforms(rng.random(shape), p, dtype)
+
+
+def keep_from_uniforms(draw: np.ndarray, p: float, dtype) -> np.ndarray:
+    """The dropout mask of float64 uniforms `draw`, which it overwrites: 0
+    where a uniform is below p, else 1/(1-p), in `dtype`."""
     keep = np.greater_equal(draw, p, out=draw).astype(dtype, copy=False)
     keep /= 1.0 - p
     return keep

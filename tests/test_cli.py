@@ -380,6 +380,18 @@ class TestErrors:
         assert code != 0
         assert capsys.readouterr().err.startswith("CONFIG/")
 
+    def test_two_results_for_one_model_and_dataset_rejected(self, tmp_path, capsys):
+        val = {"model": "m", "dataset": "Dreaddit", "split": "validation",
+               "aggregation": "weighted", "recall": 80.0, "f1": 80.0}
+        test = dict(val, split="test", recall=60.0, f1=60.0)
+        p1, p2 = tmp_path / "validation.json", tmp_path / "test.json"
+        p1.write_text(json.dumps(val)), p2.write_text(json.dumps(test))
+        code = run("report", str(p1), str(p2), "--run-dir", str(tmp_path / "rep"))
+        err = capsys.readouterr().err
+        assert code == 3 and len(err.strip().splitlines()) == 1
+        assert err.startswith("DATA/") and "'m'" in err and "'Dreaddit'" in err
+        assert not (tmp_path / "rep").exists()
+
 
 class TestRunConfig:
     def test_defaults_then_file_then_overrides(self, tmp_path):

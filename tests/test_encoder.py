@@ -13,7 +13,7 @@ from mlmforge.encoder import (
     ModelConfig,
     _dense,
     _dense_backward,
-    _maybe_dropout,
+    _Layout,
     _merge_heads,
     _split_heads,
     backward_hidden,
@@ -165,12 +165,21 @@ class TestEncodeBatch:
 
     def test_attention_rows_normalized_and_pads_excluded(self):
         store = tiny_store()
-        batch = padded([2, 10, 11, 3], 8)
+        batch = batch_of([2, 10, 11, 3], [2, 9, 3], [2, 12, 13, 3])
         _, cache = forward_hidden(store, TINY, batch, want_cache=True)
         for layer in cache["layers"]:
-            probs = layer["probs"]  # [b, heads, q, k]
-            npt.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
-            assert (probs[..., 4:] < 1e-9).all()
+            shapes = [group["probs"].shape for group in layer["attn"]]
+            assert shapes == [(1, TINY.n_heads, 3, 3), (2, TINY.n_heads, 4, 4)]
+            for group in layer["attn"]:
+                npt.assert_allclose(group["probs"].sum(axis=-1), 1.0, atol=1e-6)
+
+    @pytest.mark.parametrize("row", [[1, 0, 1, 0], [0, 0, 0, 0]], ids=["hole", "empty"])
+    def test_mask_row_must_be_a_non_empty_prefix(self, row):
+        store = tiny_store()
+        batch = batch_of([2, 10, 11, 3], [2, 9, 3])
+        batch.attention_mask[1] = row
+        with pytest.raises(ShapeError, match="attention_mask row 1 "):
+            forward_hidden(store, TINY, batch)
 
 
 class TestDense:
@@ -278,6 +287,36 @@ class TestClsHead:
 
 
 class TestDropout:
+    def test_dropout_needs_pcg64(self):
+        cfg = ModelConfig(n_layers=1, hidden=16, n_heads=2, ffn=32, vocab_size=20,
+                          max_positions=8, dropout=0.5)
+        store = init_params(cfg, seed=0)
+        rng = np.random.Generator(np.random.MT19937(0))
+        with pytest.raises(ConfigError, match="PCG64"):
+            forward_hidden(store, cfg, batch_of([2, 6, 3]), rng=rng)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+           extra=st.integers(0, 4), width=st.integers(1, 9), n_heads=st.integers(1, 3),
+           p=st.floats(0.0, 0.9), seed=st.integers(0, 2**32 - 1),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    def test_real_cell_masks_equal_padded_masks(self, lengths, extra, width, n_heads, p,
+                                                seed, dtype):
+        """The skip-drawn masks hold the padded draw's value at every real
+        cell, and leave the rng where the padded draw leaves it."""
+        b, s = len(lengths), max(lengths) + extra
+        layout = _Layout.of((np.arange(s) < np.array(lengths)[:, None]).astype(np.int64))
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        row = layout.row_keep(rng, p, dtype, width)
+        want = ops.dropout_keep((b * s, width), p, ref, dtype)[layout.rows]
+        assert row.tobytes() == want.tobytes()
+        keeps = layout.attention_keeps(rng, p, dtype, n_heads)
+        padded_keep = ops.dropout_keep((b, n_heads, s, s), p, ref, dtype)
+        for (l, seqs, _), keep in zip(layout.groups, keeps):
+            assert keep.shape == (len(seqs), n_heads, l, l)
+            assert keep.tobytes() == np.ascontiguousarray(padded_keep[seqs, :, :l, :l]).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_an_rng_switches_dropout_on(self):
         cfg = ModelConfig(n_layers=1, hidden=16, n_heads=2, ffn=32, vocab_size=20,
                           max_positions=8, dropout=0.5)
@@ -300,6 +339,20 @@ class TestDropout:
 
 
 # --- token-major layout vs the padded reference ---------------------------------
+
+
+def _maybe_dropout(x, p, rng, tokens=None):
+    """Dropout when given an rng and p > 0, else (x, None). With `tokens` =
+    (rows, n_cells), `x` holds rows `rows` of an [n_cells, width] padded
+    tensor: the mask is drawn at that padded shape and gathered, so the rng
+    stream and every real element's mask are those of a padded run."""
+    if rng is None or p == 0.0:
+        return x, None
+    if tokens is None:
+        return ops.dropout(x, p, rng)
+    rows, n_cells = tokens
+    keep = ops.dropout_keep((n_cells, x.shape[-1]), p, rng, x.dtype)[rows]
+    return x * keep, keep
 
 
 def reference_forward_hidden(params, config, batch, rng=None, want_cache=False):
@@ -450,8 +503,11 @@ def check_against_reference(lengths, seed=0):
 
 
 class TestTokenMajorLayout:
-    """forward_hidden/backward_hidden run every row-wise layer on the real
-    tokens only; attention stays padded. Held to the padded encoder above."""
+    """forward_hidden/backward_hidden run on the real tokens only: every
+    row-wise layer on the token rows, attention per length group with no
+    key mask, and every dropout mask drawn for the real cells alone. Held
+    to the padded encoder above, which draws its masks at the padded shape
+    from the same rng."""
 
     def test_mixed_lengths_match_padded_reference(self):
         check_against_reference([9, 3, 14, 1, 6])
