@@ -13,13 +13,22 @@ dense projections, gelu, layer norms, residual adds, dropout) run on
 l: their q, k and v rows are gathered into [g, heads, l, dh], the scores
 are [g, heads, l, l] with no key mask, and the context is scattered back
 to the token rows. Each attention_mask row must be a non-empty prefix of
-real tokens. Every dropout mask holds, on each real cell, the value that
+real tokens.
+
+The caller names the flat [batch * seq] positions whose last-layer states
+it reads (the labelled rows for MLM, row 0 for the classifier), and only
+those come back. The last layer computes keys and values for every real
+token and everything else (queries, scores, softmax, context, the output
+projection, both layer norms and the FFN) for the requested rows alone,
+on [g, heads, n, l] scores where n is the most rows any sequence of the
+group asks for.
+
+Every dropout mask holds, on each cell it covers, the value that
 `ops.dropout_keep` would draw at the padded shape, and the rng ends where
-that padded draw leaves it: the uniforms of real cells are drawn and the
-pad cells are skipped with `bit_generator.advance`, which needs a PCG64
+that padded draw leaves it: the uniforms of the needed rows are drawn and
+the rest are skipped with `bit_generator.advance`, which needs a PCG64
 generator (one step per float64 uniform); any other generator is a
-ConfigError when dropout is on. The hidden states come back as [batch,
-seq, hidden] with every pad row exactly 0.
+ConfigError when dropout is on.
 
 Forward functions optionally return a cache consumed by the matching
 backward functions, which accumulate into ParameterStore gradients.
@@ -104,6 +113,12 @@ class EncodedBatch:
             mask[i, : len(s)] = 1
         seg = np.zeros((n, width), dtype=np.int64)
         return cls(ids=ids, attention_mask=mask, segment_ids=seg)
+
+    def cls_rows(self) -> np.ndarray:
+        """The flat [batch * seq] position of each sequence's first ([CLS])
+        token."""
+        n, width = np.shape(self.ids)
+        return np.arange(n) * width
 
 
 @dataclass
@@ -213,37 +228,52 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, s, nh * dh)
 
 
-def _draw_real_cells(rng: np.random.Generator, s: int, inner: int, dests) -> None:
-    """Fill the real cells of a padded [batch, reps, s, inner] uniform draw
-    and skip the rest. dests[i], in batch order, is sequence i's float64
-    (reps, l, inner) block: each of its reps draws l * inner uniforms, then
-    the rng advances over the (s - l) * inner pad cells behind them. With
-    PCG64 one uniform is one step of the generator, so every real cell gets
-    the value and the rng ends in the state of the padded draw."""
-    for dest in dests:
-        skip = (s - dest.shape[1]) * inner
-        for block in dest:
-            rng.random(out=block)
-            rng.bit_generator.advance(skip)
+def _draw_rows(rng: np.random.Generator, s: int, inner: int, dests) -> None:
+    """Fill chosen rows of a padded [batch, reps, s, inner] uniform draw and
+    skip the rest. dests[i], in batch order, is (block, runs) for sequence
+    i: block is a float64 (reps, n, inner) array and runs lists the
+    (first row, count) runs, ascending, of the n rows of its s it needs.
+    Each rep draws its runs and advances the rng over the rows around them.
+    With PCG64 one uniform is one step of the generator, so every chosen
+    row gets its value and the rng ends in the state of the padded draw."""
+    for block, runs in dests:
+        for rep in block:
+            at = row = 0
+            for first, n in runs:
+                rng.bit_generator.advance((first - at) * inner)
+                rng.random(out=rep[row:row + n])
+                row, at = row + n, first + n
+            rng.bit_generator.advance((s - at) * inner)
 
 
-class _Layout(NamedTuple):
-    """Where the real tokens of a padded [batch, seq] batch sit.
+class _Rows(NamedTuple):
+    """A set of real token rows of a padded [batch, seq] batch: every real
+    token, or the rows the last layer computes its output for.
 
-    `rows` are their flat positions, row-major: token-major order. `groups`
-    holds, per distinct sequence length l, the batch indices of the
-    sequences of that length and their tokens' token-major rows,
-    sequence-major, so `z[tok].reshape(g, l, width)` is the group's
-    sequences."""
+    `flat` holds their flat [batch * seq] positions, ascending, which is
+    token-major order; `sel` their indices among every real token, or None
+    when they are every real token. Per sequence, `starts` and `counts`
+    place its rows in `flat`, and `runs` lists them as (first position,
+    count) runs. `groups` holds, per distinct sequence length l:
+    - `seqs`, the batch indices of the sequences of that length;
+    - `tok`, the token-major rows of all their tokens, sequence-major, so
+      `z[tok].reshape(g, l, width)` is the group's sequences;
+    - `grid`, the [g, n] indices in `flat` of the set's rows among them (n
+      the most any of them has, the gaps filled with 0); `slots`, the flat
+      cells of the grid that hold a row (None when all do); and `qrows`,
+      those rows. All three are None when the group has none of the set."""
 
     seq: int
-    rows: np.ndarray
-    lengths: list
+    flat: np.ndarray
+    sel: np.ndarray | None
     starts: list
-    groups: list  # [(l, seqs, tok)]
+    counts: list
+    runs: list
+    groups: list  # [(l, seqs, tok, grid, slots, qrows)]
 
     @classmethod
-    def of(cls, att: np.ndarray) -> "_Layout":
+    def of(cls, att: np.ndarray) -> "_Rows":
+        """Every real token of a batch with attention mask `att`."""
         s = att.shape[1]
         real = att != 0
         lengths = real.sum(axis=1)
@@ -255,64 +285,141 @@ class _Layout(NamedTuple):
         groups = []
         for l in np.unique(lengths).tolist():
             seqs = np.flatnonzero(lengths == l)
-            groups.append((l, seqs, (starts[seqs, None] + np.arange(l)).reshape(-1)))
-        return cls(s, np.flatnonzero(real), lengths.tolist(), starts.tolist(), groups)
+            tok = (starts[seqs, None] + np.arange(l)).reshape(-1)
+            groups.append((l, seqs, tok, tok.reshape(len(seqs), l), None, tok))
+        return cls(s, np.flatnonzero(real), None, starts.tolist(), lengths.tolist(),
+                   [[(0, l)] for l in lengths.tolist()], groups)
+
+    def ask(self, want) -> tuple["_Rows", np.ndarray]:
+        """The rows at the flat positions `want`, as a subset of this set of
+        every real token, and `order`: the subset's k-th row is
+        `want[order[k]]`. A position that is outside the batch, is not a
+        real token or is asked for twice is a ShapeError naming its batch
+        row and position."""
+        want = np.asarray(want)
+        if want.ndim != 1 or (want.size and want.dtype.kind not in "iu"):
+            raise ShapeError(f"rows must be a 1-d array of flat positions, got {want.shape}")
+        s, b = self.seq, len(self.counts)
+
+        def fail(k, why):
+            r = int(want[k])
+            raise ShapeError(f"requested row {r} (batch row {r // s}, position {r % s}) {why}")
+
+        outside = np.flatnonzero((want < 0) | (want >= b * s))
+        if outside.size:
+            fail(outside[0], f"is outside the {b} x {s} batch")
+        tm = np.minimum(np.searchsorted(self.flat, want), self.flat.size - 1)
+        pad = np.flatnonzero(self.flat[tm] != want)
+        if pad.size:
+            fail(pad[0], "is a pad position")
+        order = np.argsort(tm, kind="stable")
+        sel = tm[order]
+        twice = np.flatnonzero(sel[1:] == sel[:-1])
+        if twice.size:
+            fail(order[twice[0] + 1], "is asked for twice")
+        if sel.size == self.flat.size:
+            return self, order
+
+        flat = self.flat[sel]
+        seq_of = flat // s
+        counts = np.bincount(seq_of, minlength=b)
+        starts = np.cumsum(counts) - counts
+        runs = [[] for _ in range(b)]
+        heads = np.flatnonzero((np.diff(flat, prepend=-2) != 1)
+                               | (np.diff(seq_of, prepend=-1) != 0))
+        for first, n in zip(flat[heads].tolist(), np.diff(heads, append=flat.size).tolist()):
+            runs[first // s].append((first % s, n))
+        groups = []
+        for l, seqs, tok, *_ in self.groups:
+            n = int(counts[seqs].max())
+            grid = starts[seqs, None] + np.arange(n)
+            real = np.arange(n) < counts[seqs, None]
+            if n == 0:
+                groups.append((l, seqs, tok, None, None, None))
+            elif real.all():
+                groups.append((l, seqs, tok, grid, None, grid.reshape(-1)))
+            else:
+                groups.append((l, seqs, tok, np.where(real, grid, 0), np.flatnonzero(real),
+                               grid[real]))
+        return _Rows(s, flat, sel, starts.tolist(), counts.tolist(), runs, groups), order
 
     def row_keep(self, rng, p: float, dtype, width: int) -> np.ndarray:
-        """The dropout mask of the (n_real, width) token rows: the real rows
-        of `ops.dropout_keep((batch * seq, width), p, rng, dtype)`."""
-        buf = np.empty((len(self.rows), width))
-        _draw_real_cells(rng, self.seq, width,
-                         [buf[a:a + l][None] for a, l in zip(self.starts, self.lengths)])
+        """The dropout mask of the set's (n_rows, width) rows: their rows of
+        `ops.dropout_keep((batch * seq, width), p, rng, dtype)`."""
+        buf = np.empty((self.flat.size, width))
+        _draw_rows(rng, self.seq, width,
+                   [(buf[a:a + n][None], runs)
+                    for a, n, runs in zip(self.starts, self.counts, self.runs)])
         return ops.keep_from_uniforms(buf, p, dtype)
 
     def attention_keeps(self, rng, p: float, dtype, n_heads: int) -> list:
-        """Per group, the dropout mask of its [g, heads, l, l] probabilities:
-        the real cells of `ops.dropout_keep((batch, heads, seq, seq), ...)`.
-        Each (sequence, head) draws its l real query rows in full, (l, seq),
-        and keeps their first l columns."""
-        bufs, dests = [], [None] * len(self.lengths)
-        for l, seqs, _ in self.groups:
-            buf = np.empty((len(seqs), n_heads, l, self.seq))
+        """Per group, the dropout mask of its [g, heads, n, l] probabilities,
+        or None when it has none of the set's rows: the cells of
+        `ops.dropout_keep((batch, heads, seq, seq), ...)` in those query
+        rows and the first l key columns. Each (sequence, head) draws its
+        query rows in full, (n, seq). The grid's gaps mask nothing."""
+        s = self.seq
+        bufs, dests = [], [None] * len(self.counts)
+        for l, seqs, _, grid, slots, _ in self.groups:
+            alloc = np.empty if slots is None else np.zeros
+            buf = alloc((len(seqs), n_heads, 0 if grid is None else grid.shape[1], s))
             for j, i in enumerate(seqs):
-                dests[i] = buf[j]
-            bufs.append(buf[..., :l])
-        _draw_real_cells(rng, self.seq, self.seq, dests)
-        return [ops.keep_from_uniforms(buf, p, dtype) for buf in bufs]
+                dests[i] = (buf[j, :, :self.counts[i]], self.runs[i])
+            bufs.append(None if grid is None else buf[..., :l])
+        _draw_rows(rng, s, s, dests)
+        return [buf if buf is None else ops.keep_from_uniforms(buf, p, dtype) for buf in bufs]
 
 
-def _attention(layout: _Layout, q, k, v, n_heads: int, inv_sqrt_dh, keeps):
-    """Self-attention of each length group on its own [g, heads, l, l]
-    scores, with no key mask. q, k and v are token rows; returns the context
-    as token rows and, per group, the cache of `_attention_backward`."""
+def _attention(out: _Rows, q, k, v, n_heads: int, inv_sqrt_dh, keeps):
+    """Self-attention of each length group's query rows over its keys, on
+    [g, heads, n_q, l] scores with no key mask. q holds the query rows, k
+    and v every token row; returns the context as query rows and, per
+    group, the cache of `_attention_backward`."""
     ctx = np.empty_like(q)
     caches = []
-    for (l, _, tok), keep in zip(layout.groups, keeps):
-        qh, kh, vh = (_split_heads(z[tok].reshape(-1, l, z.shape[-1]), n_heads)
-                      for z in (q, k, v))
+    width = q.shape[-1]
+    for (l, _, tok, grid, slots, qrows), keep in zip(out.groups, keeps):
+        if grid is None:
+            caches.append(None)
+            continue
+        qh = _split_heads(q[grid], n_heads)
+        kh, vh = (_split_heads(z[tok].reshape(-1, l, width), n_heads) for z in (k, v))
         scores = np.matmul(qh, kh.swapaxes(-1, -2))
         scores *= inv_sqrt_dh
         probs = ops.softmax(scores)
         probs_d = probs if keep is None else probs * keep
-        ctx[tok] = _merge_heads(ops.matmul(probs_d, vh)).reshape(-1, ctx.shape[-1])
+        cg = _merge_heads(ops.matmul(probs_d, vh)).reshape(-1, width)
+        ctx[qrows] = cg if slots is None else cg[slots]
         caches.append({"qh": qh, "kh": kh, "vh": vh, "probs": probs, "probs_d": probs_d,
                        "keep": keep})
     return ctx, caches
 
 
-def _attention_backward(layout: _Layout, caches, dctx, n_heads: int, inv_sqrt_dh):
-    """d/dq, d/dk and d/dv as token rows, given d/dctx."""
-    dq, dk, dv = (np.empty_like(dctx) for _ in range(3))
-    for (l, _, tok), gc in zip(layout.groups, caches):
-        dctxh = _split_heads(dctx[tok].reshape(-1, l, dctx.shape[-1]), n_heads)
+def _attention_backward(out: _Rows, caches, dctx, n_tok: int, n_heads: int, inv_sqrt_dh):
+    """d/dq as query rows and d/dk, d/dv as the n_tok token rows, given
+    d/dctx."""
+    width = dctx.shape[-1]
+    dq = np.empty_like(dctx)
+    dk, dv = (np.empty((n_tok, width), dtype=dctx.dtype) for _ in range(2))
+    for (l, _, tok, grid, slots, qrows), gc in zip(out.groups, caches):
+        if grid is None:
+            dk[tok] = dv[tok] = 0
+            continue
+        dg = dctx[qrows]
+        if slots is not None:
+            dg = np.zeros((grid.size, width), dtype=dctx.dtype)
+            dg[slots] = dctx[qrows]
+        dctxh = _split_heads(dg.reshape(*grid.shape, width), n_heads)
         dprobs, dvh = ops.matmul_backward(dctxh, gc["probs_d"], gc["vh"])
         if gc["keep"] is not None:
             dprobs = ops.dropout_backward(dprobs, gc["keep"])
         dscores = ops.softmax_backward(dprobs, gc["probs"])
         dscores *= inv_sqrt_dh
         dqh, dkhT = ops.matmul_backward(dscores, gc["qh"], gc["kh"].swapaxes(-1, -2))
-        for dz, dzh in zip((dq, dk, dv), (dqh, dkhT.swapaxes(-1, -2), dvh)):
-            dz[tok] = _merge_heads(dzh).reshape(-1, dz.shape[-1])
+        dqg = _merge_heads(dqh).reshape(-1, width)
+        dq[qrows] = dqg if slots is None else dqg[slots]
+        for dz, dzh in ((dk, dkhT.swapaxes(-1, -2)), (dv, dvh)):
+            dz[tok] = _merge_heads(dzh).reshape(-1, width)
     return dq, dk, dv
 
 
@@ -333,32 +440,36 @@ def _dense_backward(params: ParameterStore, dout: np.ndarray, x: np.ndarray,
     return dx
 
 
-def _row_dropout(x, p, rng, layout: _Layout):
-    """Dropout of token rows when given an rng, else (x, None)."""
+def _row_dropout(x, p, rng, out: _Rows):
+    """Dropout of a layer's rows when given an rng, else (x, None)."""
     if rng is None:
         return x, None
-    keep = layout.row_keep(rng, p, x.dtype, x.shape[-1])
+    keep = out.row_keep(rng, p, x.dtype, x.shape[-1])
     return x * keep, keep
 
 
-def forward_hidden(params: ParameterStore, config: ModelConfig, batch: EncodedBatch,
+def forward_hidden(params: ParameterStore, config: ModelConfig, batch: EncodedBatch, rows,
                    rng: np.random.Generator | None = None, want_cache: bool = False):
-    """Run the full encoder stack, with dropout drawn from `rng` when one is
-    given and config.dropout > 0; that rng must be PCG64. Each attention_mask
-    row must be a non-empty prefix of real tokens. Returns (hidden_states,
-    cache or None); hidden_states is [batch, seq, hidden] with every pad row
-    exactly 0."""
+    """Run the encoder stack and return the last layer's hidden states at
+    the flat [batch * seq] positions `rows`, as (len(rows), hidden), with
+    the cache of `backward_hidden` when asked for. Every layer but the last
+    runs on all real tokens; the last runs its keys and values on them and
+    the rest on `rows` alone. Dropout is drawn from `rng` when one is given
+    and config.dropout > 0; that rng must be PCG64. Each attention_mask row
+    must be a non-empty prefix of real tokens, and `rows` must be distinct
+    real tokens."""
     ids = np.asarray(batch.ids)
     if ids.ndim != 2:
         raise ShapeError(f"batch ids must be 2-d, got {ids.shape}")
-    b, s = ids.shape
+    s = ids.shape[1]
     if s > config.max_positions:
         raise ShapeError(f"sequence length {s} exceeds max_positions {config.max_positions}")
     att = np.asarray(batch.attention_mask)
     seg = np.asarray(batch.segment_ids)
     if att.shape != ids.shape or seg.shape != ids.shape:
         raise ShapeError("ids, attention_mask and segment_ids must share a shape")
-    layout = _Layout.of(att)
+    every = _Rows.of(att)
+    last, order = every.ask(rows)
 
     tok_emb = params["encoder.tok_emb"].value
     dtype = tok_emb.dtype
@@ -370,10 +481,9 @@ def forward_hidden(params: ParameterStore, config: ModelConfig, batch: EncodedBa
                           f"bit_generator.advance; got {type(rng.bit_generator).__name__}")
     nh = config.n_heads
 
-    rows = layout.rows
-    tok_ids = ids.reshape(-1)[rows]
-    seg_ids = seg.reshape(-1)[rows]
-    positions = rows % s
+    tok_ids = ids.reshape(-1)[every.flat]
+    seg_ids = seg.reshape(-1)[every.flat]
+    positions = every.flat % s
 
     x = ops.embedding_lookup(tok_emb, tok_ids)
     x = x + params["encoder.pos_emb"].value[positions]
@@ -381,55 +491,62 @@ def forward_hidden(params: ParameterStore, config: ModelConfig, batch: EncodedBa
     x, emb_norm_cache = ops.layer_norm(
         x, params["encoder.emb_norm.gain"].value, params["encoder.emb_norm.bias"].value
     )
-    x, emb_keep = _row_dropout(x, p_drop, rng, layout)
+    x, emb_keep = _row_dropout(x, p_drop, rng, every)
     inv_sqrt_dh = dtype.type(1.0 / np.sqrt(config.hidden // nh))
 
     layer_caches = []
     for i in range(config.n_layers):
         pre = f"encoder.layer{i}"
+        out = last if i == config.n_layers - 1 else every
         x_in = x
-        q, k, v = (_dense(params, x_in, f"{pre}.attn.w{z}", f"{pre}.attn.b{z}") for z in "qkv")
-        att_keeps = (layout.attention_keeps(rng, p_drop, dtype, nh) if rng is not None
-                     else [None] * len(layout.groups))
-        ctxm, attn_caches = _attention(layout, q, k, v, nh, inv_sqrt_dh, att_keeps)
+        xq = x_in if out.sel is None else x_in[out.sel]
+        q = _dense(params, xq, f"{pre}.attn.wq", f"{pre}.attn.bq")
+        k, v = (_dense(params, x_in, f"{pre}.attn.w{z}", f"{pre}.attn.b{z}") for z in "kv")
+        att_keeps = (out.attention_keeps(rng, p_drop, dtype, nh) if rng is not None
+                     else [None] * len(out.groups))
+        ctxm, attn_caches = _attention(out, q, k, v, nh, inv_sqrt_dh, att_keeps)
         ao = _dense(params, ctxm, f"{pre}.attn.wo", f"{pre}.attn.bo")
-        ao, ao_keep = _row_dropout(ao, p_drop, rng, layout)
+        ao, ao_keep = _row_dropout(ao, p_drop, rng, out)
         n1, n1_cache = ops.layer_norm(
-            x_in + ao, params[f"{pre}.attn_norm.gain"].value, params[f"{pre}.attn_norm.bias"].value
+            xq + ao, params[f"{pre}.attn_norm.gain"].value, params[f"{pre}.attn_norm.bias"].value
         )
         a1 = _dense(params, n1, f"{pre}.ffn.w1", f"{pre}.ffn.b1")
-        hmid = ops.gelu(a1)
+        hmid, gelu_cache = ops.gelu(a1)
         ff = _dense(params, hmid, f"{pre}.ffn.w2", f"{pre}.ffn.b2")
-        ff, ff_keep = _row_dropout(ff, p_drop, rng, layout)
+        ff, ff_keep = _row_dropout(ff, p_drop, rng, out)
         x, n2_cache = ops.layer_norm(
             n1 + ff, params[f"{pre}.ffn_norm.gain"].value, params[f"{pre}.ffn_norm.bias"].value
         )
         if want_cache:
             layer_caches.append({
-                "x_in": x_in, "attn": attn_caches,
+                "rows": out, "x_in": x_in, "xq": xq, "attn": attn_caches,
                 "ctxm": ctxm, "ao_keep": ao_keep, "n1": n1, "n1_cache": n1_cache,
-                "a1": a1, "hmid": hmid, "ff_keep": ff_keep, "n2_cache": n2_cache,
+                "gelu_cache": gelu_cache, "hmid": hmid, "ff_keep": ff_keep,
+                "n2_cache": n2_cache,
             })
 
-    hidden = np.zeros((b * s, x.shape[-1]), dtype=dtype)
-    hidden[rows] = x
+    hidden = np.empty_like(x)
+    hidden[order] = x
     cache = None
     if want_cache:
         cache = {
-            "layout": layout, "tok_ids": tok_ids, "seg_ids": seg_ids, "positions": positions,
-            "emb_norm_cache": emb_norm_cache, "emb_keep": emb_keep,
+            "seq": s, "order": order, "tok_ids": tok_ids, "seg_ids": seg_ids,
+            "positions": positions, "emb_norm_cache": emb_norm_cache, "emb_keep": emb_keep,
             "inv_sqrt_dh": inv_sqrt_dh, "layers": layer_caches,
         }
-    return hidden.reshape(b, s, -1), cache
+    return hidden, cache
 
 
 def backward_hidden(params: ParameterStore, config: ModelConfig, cache: dict,
                     d_hidden: np.ndarray) -> None:
-    """Accumulate encoder gradients given d(loss)/d(hidden_states). Only the
-    real tokens' rows of `d_hidden` are read."""
-    layout = cache["layout"]
-    s = layout.seq
-    dx = d_hidden.reshape(-1, d_hidden.shape[-1])[layout.rows]
+    """Accumulate encoder gradients given d(loss)/d(the rows that
+    forward_hidden returned), a (len(rows), hidden) array."""
+    order = cache["order"]
+    if d_hidden.shape != (order.size, config.hidden):
+        raise ShapeError(f"backward_hidden: gradient {d_hidden.shape} does not match the "
+                         f"{order.size} rows forward_hidden returned")
+    s = cache["seq"]
+    dx = d_hidden[order]
     for i in reversed(range(config.n_layers)):
         pre = f"encoder.layer{i}"
         lc = cache["layers"][i]
@@ -442,21 +559,26 @@ def backward_hidden(params: ParameterStore, config: ModelConfig, cache: dict,
         if lc["ff_keep"] is not None:
             dff = ops.dropout_backward(dff, lc["ff_keep"])
         dhmid = _dense_backward(params, dff, lc["hmid"], f"{pre}.ffn.w2", f"{pre}.ffn.b2")
-        da1 = ops.gelu_backward(dhmid, lc["a1"])
+        da1 = ops.gelu_backward(dhmid, lc["gelu_cache"])
         dn1 = dn1 + _dense_backward(params, da1, lc["n1"], f"{pre}.ffn.w1", f"{pre}.ffn.b1")
 
         dres1, dg1, db1 = ops.layer_norm_backward(dn1, lc["n1_cache"])
         params[f"{pre}.attn_norm.gain"].grad += dg1
         params[f"{pre}.attn_norm.bias"].grad += db1
-        dx_in = dres1
         dao = dres1
         if lc["ao_keep"] is not None:
             dao = ops.dropout_backward(dao, lc["ao_keep"])
         dctxm = _dense_backward(params, dao, lc["ctxm"], f"{pre}.attn.wo", f"{pre}.attn.bo")
-        dzs = _attention_backward(layout, lc["attn"], dctxm, config.n_heads,
-                                  cache["inv_sqrt_dh"])
-        for dz, proj in zip(dzs, "qkv"):
-            dx_in = dx_in + _dense_backward(params, dz, lc["x_in"],
+        x_in, out = lc["x_in"], lc["rows"]
+        dq, dk, dv = _attention_backward(out, lc["attn"], dctxm, len(x_in), config.n_heads,
+                                         cache["inv_sqrt_dh"])
+        dx_in = dres1 + _dense_backward(params, dq, lc["xq"], f"{pre}.attn.wq",
+                                        f"{pre}.attn.bq")
+        if out.sel is not None:
+            dxq, dx_in = dx_in, np.zeros_like(x_in)
+            dx_in[out.sel] = dxq
+        for dz, proj in ((dk, "k"), (dv, "v")):
+            dx_in = dx_in + _dense_backward(params, dz, x_in,
                                             f"{pre}.attn.w{proj}", f"{pre}.attn.b{proj}")
         dx = dx_in
 
@@ -476,8 +598,15 @@ def backward_hidden(params: ParameterStore, config: ModelConfig, cache: dict,
 
 def encode_batch(params: ParameterStore, config: ModelConfig,
                  batch: EncodedBatch) -> EncoderOutput:
-    """Eval-mode (no dropout) hidden states and [CLS] vectors of `batch`."""
-    hidden, _ = forward_hidden(params, config, batch)
+    """Eval-mode (no dropout) hidden states of every real token, padded to
+    [batch, seq, hidden] with every pad row exactly 0, and the [CLS]
+    vectors of `batch`."""
+    att = np.asarray(batch.attention_mask)
+    real = np.flatnonzero(att.reshape(-1))
+    rows, _ = forward_hidden(params, config, batch, real)
+    hidden = np.zeros((att.size, rows.shape[-1]), dtype=rows.dtype)
+    hidden[real] = rows
+    hidden = hidden.reshape(*att.shape, -1)
     return EncoderOutput(hidden_states=hidden, cls_vector=hidden[:, 0, :])
 
 
@@ -486,17 +615,18 @@ def encode_batch(params: ParameterStore, config: ModelConfig,
 def mlm_head(params: ParameterStore, hidden: np.ndarray, want_cache: bool = False):
     """dense -> gelu -> layer norm -> tied-embedding projection + bias.
 
-    Accepts hidden states of any leading shape; training feeds only the
-    labelled rows, gathered to (n_masked, hidden).
+    Accepts hidden states of any leading shape; training feeds the
+    labelled rows' states, (n_masked, hidden).
     """
     t1 = _dense(params, hidden, "mlm.dense.w", "mlm.dense.b")
-    t2 = ops.gelu(t1)
+    t2, gelu_cache = ops.gelu(t1)
     t3, n_cache = ops.layer_norm(t2, params["mlm.norm.gain"].value, params["mlm.norm.bias"].value)
     # Tied projection, kept out of _dense: its weight is tok_emb.T and its
     # gradient goes to tok_emb.grad transposed.
     emb_t = params["encoder.tok_emb"].value.T
     logits = ops.add_bias(ops.matmul(t3, emb_t), params["mlm.out_bias"].value)
-    cache = {"hidden": hidden, "t1": t1, "t3": t3, "n_cache": n_cache} if want_cache else None
+    cache = ({"hidden": hidden, "gelu_cache": gelu_cache, "t3": t3, "n_cache": n_cache}
+             if want_cache else None)
     return logits, cache
 
 
@@ -510,7 +640,7 @@ def mlm_head_backward(params: ParameterStore, cache: dict, dlogits: np.ndarray) 
     dt2, dg, db = ops.layer_norm_backward(dt3, cache["n_cache"])
     params["mlm.norm.gain"].grad += dg
     params["mlm.norm.bias"].grad += db
-    dt1 = ops.gelu_backward(dt2, cache["t1"])
+    dt1 = ops.gelu_backward(dt2, cache["gelu_cache"])
     return _dense_backward(params, dt1, cache["hidden"], "mlm.dense.w", "mlm.dense.b")
 
 

@@ -152,8 +152,8 @@ def confusion_table(params, config, seqs, labels, n_classes: int,
     preds = np.empty(len(seqs), dtype=np.int64)
     for lo in range(0, len(seqs), batch_size):
         batch = EncodedBatch.from_sequences(seqs[lo : lo + batch_size])
-        hidden, _ = forward_hidden(params, config, batch)
-        logits, _ = cls_head(params, hidden[:, 0, :])
+        cls_vectors, _ = forward_hidden(params, config, batch, batch.cls_rows())
+        logits, _ = cls_head(params, cls_vectors)
         preds[lo : lo + batch_size] = np.argmax(logits, axis=1)
     return ConfusionTable.from_predictions(labels, preds, n_classes)
 

@@ -137,20 +137,23 @@ def _gelu_tanh(x: np.ndarray) -> np.ndarray:
     return np.tanh(t, out=t)
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """Gaussian error linear unit, tanh form with the 0.044715 cubic term."""
+def gelu(x: np.ndarray):
+    """Gaussian error linear unit, tanh form with the 0.044715 cubic term.
+
+    Returns (out, cache) where cache feeds gelu_backward.
+    """
     # 0.5 * x * (1 + t), t = _gelu_tanh(x)
-    out = _gelu_tanh(x)
-    out += 1.0
+    t = _gelu_tanh(x)
+    out = np.add(t, 1.0)
     out *= 0.5
     out *= x
-    return ensure_finite("gelu", out)
+    return ensure_finite("gelu", out), (x, t)
 
 
-def gelu_backward(dout: np.ndarray, x: np.ndarray) -> np.ndarray:
+def gelu_backward(dout: np.ndarray, cache) -> np.ndarray:
     # dout * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * dinner),
     # dinner = _GELU_C * (1 + 3 * _GELU_A * x * x)
-    t = _gelu_tanh(x)
+    x, t = cache
     dinner = np.multiply(x, 3.0 * _GELU_A)
     dinner *= x
     dinner += 1.0
@@ -160,11 +163,11 @@ def gelu_backward(dout: np.ndarray, x: np.ndarray) -> np.ndarray:
     rest *= 0.5
     rest *= x
     rest *= dinner
-    t += 1.0
-    t *= 0.5
-    t += rest
-    t *= dout
-    return t
+    out = np.add(t, 1.0)
+    out *= 0.5
+    out += rest
+    out *= dout
+    return out
 
 
 def tanh(x: np.ndarray) -> np.ndarray:

@@ -106,23 +106,22 @@ def write_log(log: list[dict], path) -> None:
 # --- loss plumbing ------------------------------------------------------------
 #
 # One path for both heads: the MLM head reads only the labelled positions
-# (~15 % of a batch; the rest carry no gradient), the classifier row 0.
+# (~15 % of a batch; the rest carry no gradient), the classifier row 0, and
+# the encoder's last layer runs only on the rows the head reads.
 
 
 def _head_loss(params, config, enc: EncodedBatch, rows, targets, head,
                head_backward=None, rng=None) -> float:
-    """Cross-entropy of `head` on the flat hidden `rows`, with dropout when
-    given an rng. Given `head_backward`, also scatters the head's input
-    gradient into a zero gradient and runs the encoder backward."""
+    """Cross-entropy of `head` on the last-layer states of the flat `rows`,
+    with dropout when given an rng. Given `head_backward`, also runs the
+    head and encoder backward."""
     backward = head_backward is not None
-    hidden, cache = forward_hidden(params, config, enc, rng=rng, want_cache=backward)
-    flat = hidden.reshape(-1, hidden.shape[-1])
-    logits, hcache = head(params, flat[rows], want_cache=backward)
+    hidden, cache = forward_hidden(params, config, enc, rows, rng=rng, want_cache=backward)
+    logits, hcache = head(params, hidden, want_cache=backward)
     loss, ce_cache = cross_entropy(logits, targets)
     if backward:
-        dflat = np.zeros_like(flat)
-        dflat[rows] = head_backward(params, hcache, cross_entropy_backward(ce_cache))
-        backward_hidden(params, config, cache, dflat.reshape(hidden.shape))
+        backward_hidden(params, config, cache,
+                        head_backward(params, hcache, cross_entropy_backward(ce_cache)))
     return loss
 
 
@@ -131,11 +130,6 @@ def _labelled_rows(labels: np.ndarray):
     flat = labels.reshape(-1)
     pos = np.flatnonzero(flat != IGNORE_ID)
     return pos, flat[pos]
-
-
-def _cls_rows(batch: EncodedBatch) -> np.ndarray:
-    """Flat index of each sequence's first ([CLS]) position."""
-    return np.arange(batch.ids.shape[0]) * batch.ids.shape[1]
 
 
 def mlm_loss(params, config, batch) -> float:
@@ -166,13 +160,13 @@ def mlm_eval_loss(params, config, batches) -> float:
 
 def cls_loss(params, config, batch: EncodedBatch, targets) -> float:
     """Forward-only classification loss (eval mode)."""
-    return _head_loss(params, config, batch, _cls_rows(batch), targets, cls_head)
+    return _head_loss(params, config, batch, batch.cls_rows(), targets, cls_head)
 
 
 def cls_loss_and_backward(params, config, batch: EncodedBatch, targets, rng=None) -> float:
     """Classification loss, accumulating gradients; dropout runs when given
     an rng."""
-    return _head_loss(params, config, batch, _cls_rows(batch), targets, cls_head,
+    return _head_loss(params, config, batch, batch.cls_rows(), targets, cls_head,
                       cls_head_backward, rng)
 
 

@@ -197,10 +197,11 @@ def test_criterion_4_memorization():
         correct = total = 0
         for batch in build_epoch_batches(ids, "static", 0, seed, 16,
                                          config.max_positions, len(vocab)):
-            hidden, _ = forward_hidden(params, config, batch.encoded())
-            logits, _ = mlm_head(params, hidden)
             sel = batch.labels != IGNORE_ID
-            pred = np.argmax(logits[sel], axis=-1)
+            hidden, _ = forward_hidden(params, config, batch.encoded(),
+                                       np.flatnonzero(sel.reshape(-1)))
+            logits, _ = mlm_head(params, hidden)
+            pred = np.argmax(logits, axis=-1)
             correct += int((pred == batch.labels[sel]).sum())
             total += int(sel.sum())
         acc = correct / total

@@ -13,7 +13,7 @@ from mlmforge.encoder import (
     ModelConfig,
     _dense,
     _dense_backward,
-    _Layout,
+    _Rows,
     _merge_heads,
     _split_heads,
     backward_hidden,
@@ -44,6 +44,11 @@ def tiny_store(n_classes=None, seed=0):
 
 def batch_of(*seqs):
     return EncodedBatch.from_sequences([list(s) for s in seqs])
+
+
+def real_rows(batch):
+    """The flat [batch * seq] positions of every real token."""
+    return np.flatnonzero(np.asarray(batch.attention_mask).reshape(-1))
 
 
 def padded(seq, width):
@@ -166,7 +171,7 @@ class TestEncodeBatch:
     def test_attention_rows_normalized_and_pads_excluded(self):
         store = tiny_store()
         batch = batch_of([2, 10, 11, 3], [2, 9, 3], [2, 12, 13, 3])
-        _, cache = forward_hidden(store, TINY, batch, want_cache=True)
+        _, cache = forward_hidden(store, TINY, batch, real_rows(batch), want_cache=True)
         for layer in cache["layers"]:
             shapes = [group["probs"].shape for group in layer["attn"]]
             assert shapes == [(1, TINY.n_heads, 3, 3), (2, TINY.n_heads, 4, 4)]
@@ -179,7 +184,41 @@ class TestEncodeBatch:
         batch = batch_of([2, 10, 11, 3], [2, 9, 3])
         batch.attention_mask[1] = row
         with pytest.raises(ShapeError, match="attention_mask row 1 "):
-            forward_hidden(store, TINY, batch)
+            forward_hidden(store, TINY, batch, batch.cls_rows())
+
+
+class TestRequestedRows:
+    """forward_hidden returns the last layer's states at the flat positions
+    asked for, in the order asked; a position that is not one real token is
+    a ShapeError naming its batch row and position."""
+
+    def test_rows_come_back_in_the_order_asked(self):
+        store = tiny_store()
+        batch = batch_of([2, 10, 11, 12, 3], [2, 9, 3])
+        every = encode_batch(store, TINY, batch).hidden_states.reshape(-1, TINY.hidden)
+        rows = np.array([5, 0, 3, 7, 4])
+        got, _ = forward_hidden(store, TINY, batch, rows)
+        npt.assert_allclose(got, every[rows], rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("rows, message", [
+        ([0, 9], r"requested row 9 \(batch row 1, position 4\) is a pad position"),
+        ([0, 10], r"requested row 10 \(batch row 2, position 0\) is outside the 2 x 5 batch"),
+        ([-1], r"requested row -1 \(batch row -1, position 4\) is outside"),
+        ([5, 1, 5], r"requested row 5 \(batch row 1, position 0\) is asked for twice"),
+    ], ids=["pad", "past-the-end", "negative", "repeated"])
+    def test_a_bad_row_is_named(self, rows, message):
+        store = tiny_store()
+        batch = batch_of([2, 10, 11, 12, 3], [2, 9, 3])
+        with pytest.raises(ShapeError, match=message):
+            forward_hidden(store, TINY, batch, np.array(rows))
+
+    def test_backward_takes_one_gradient_row_per_requested_row(self):
+        store = tiny_store()
+        batch = batch_of([2, 10, 11, 12, 3], [2, 9, 3])
+        hidden, cache = forward_hidden(store, TINY, batch, batch.cls_rows(), want_cache=True)
+        assert hidden.shape == (2, TINY.hidden)
+        with pytest.raises(ShapeError, match="2 rows"):
+            backward_hidden(store, TINY, cache, np.zeros((8, TINY.hidden), hidden.dtype))
 
 
 class TestDense:
@@ -293,28 +332,39 @@ class TestDropout:
         store = init_params(cfg, seed=0)
         rng = np.random.Generator(np.random.MT19937(0))
         with pytest.raises(ConfigError, match="PCG64"):
-            forward_hidden(store, cfg, batch_of([2, 6, 3]), rng=rng)
+            forward_hidden(store, cfg, batch_of([2, 6, 3]), [0], rng=rng)
 
     @settings(max_examples=60, deadline=None)
     @given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=6),
            extra=st.integers(0, 4), width=st.integers(1, 9), n_heads=st.integers(1, 3),
            p=st.floats(0.0, 0.9), seed=st.integers(0, 2**32 - 1),
-           dtype=st.sampled_from([np.float32, np.float64]))
+           dtype=st.sampled_from([np.float32, np.float64]), data=st.data())
     def test_real_cell_masks_equal_padded_masks(self, lengths, extra, width, n_heads, p,
-                                                seed, dtype):
-        """The skip-drawn masks hold the padded draw's value at every real
-        cell, and leave the rng where the padded draw leaves it."""
+                                                seed, dtype, data):
+        """The skip-drawn masks hold the padded draw's value at every cell
+        of their rows: every real token for the inner layers, the requested
+        rows for the last. The rng ends where the padded draws leave it."""
         b, s = len(lengths), max(lengths) + extra
-        layout = _Layout.of((np.arange(s) < np.array(lengths)[:, None]).astype(np.int64))
+        every = _Rows.of((np.arange(s) < np.array(lengths)[:, None]).astype(np.int64))
+        want = data.draw(st.lists(st.sampled_from(every.flat.tolist()), unique=True))
+        asked, _ = every.ask(np.array(want, dtype=np.int64))
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        row = layout.row_keep(rng, p, dtype, width)
-        want = ops.dropout_keep((b * s, width), p, ref, dtype)[layout.rows]
-        assert row.tobytes() == want.tobytes()
-        keeps = layout.attention_keeps(rng, p, dtype, n_heads)
-        padded_keep = ops.dropout_keep((b, n_heads, s, s), p, ref, dtype)
-        for (l, seqs, _), keep in zip(layout.groups, keeps):
-            assert keep.shape == (len(seqs), n_heads, l, l)
-            assert keep.tobytes() == np.ascontiguousarray(padded_keep[seqs, :, :l, :l]).tobytes()
+        for rows in (every, asked):
+            flat = rows.flat
+            keeps = rows.attention_keeps(rng, p, dtype, n_heads)
+            padded_keep = ops.dropout_keep((b, n_heads, s, s), p, ref, dtype)
+            for (l, seqs, _, grid, _, _), keep in zip(rows.groups, keeps):
+                if grid is None:
+                    assert keep is None and not np.isin(flat // s, seqs).any()
+                    continue
+                assert keep.shape == (len(seqs), n_heads, grid.shape[1], l)
+                for j, i in enumerate(seqs):
+                    pos = flat[flat // s == i] % s
+                    want_keep = np.ascontiguousarray(padded_keep[i][:, pos, :l])
+                    assert keep[j, :, :pos.size].tobytes() == want_keep.tobytes()
+            row = rows.row_keep(rng, p, dtype, width)
+            want_row = ops.dropout_keep((b * s, width), p, ref, dtype)[flat]
+            assert row.tobytes() == want_row.tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_an_rng_switches_dropout_on(self):
@@ -322,11 +372,12 @@ class TestDropout:
                           max_positions=8, dropout=0.5)
         store = init_params(cfg, seed=0)
         batch = batch_of([2, 6, 3])
-        plain, _ = forward_hidden(store, cfg, batch)
-        dropped, _ = forward_hidden(store, cfg, batch, rng=np.random.default_rng(0))
+        rows = real_rows(batch)
+        plain, _ = forward_hidden(store, cfg, batch, rows)
+        dropped, _ = forward_hidden(store, cfg, batch, rows, rng=np.random.default_rng(0))
         assert (dropped != plain).any()
         no_drop = ModelConfig(**{**cfg.as_dict(), "dropout": 0.0})
-        same, _ = forward_hidden(store, no_drop, batch, rng=np.random.default_rng(0))
+        same, _ = forward_hidden(store, no_drop, batch, rows, rng=np.random.default_rng(0))
         assert same.tobytes() == plain.tobytes()
 
     def test_eval_mode_ignores_dropout_config(self):
@@ -395,7 +446,7 @@ def reference_forward_hidden(params, config, batch, rng=None, want_cache=False):
             x_in + ao, params[f"{pre}.attn_norm.gain"].value, params[f"{pre}.attn_norm.bias"].value
         )
         a1 = _dense(params, n1, f"{pre}.ffn.w1", f"{pre}.ffn.b1")
-        hmid = ops.gelu(a1)
+        hmid, gelu_cache = ops.gelu(a1)
         ff = _dense(params, hmid, f"{pre}.ffn.w2", f"{pre}.ffn.b2")
         ff, ff_keep = _maybe_dropout(ff, p_drop, rng)
         x, n2_cache = ops.layer_norm(
@@ -405,7 +456,7 @@ def reference_forward_hidden(params, config, batch, rng=None, want_cache=False):
             "x_in": x_in, "qh": qh, "kh": kh, "vh": vh,
             "probs": probs, "probs_d": probs_d, "att_keep": att_keep,
             "ctxm": ctxm, "ao_keep": ao_keep, "n1": n1, "n1_cache": n1_cache,
-            "a1": a1, "hmid": hmid, "ff_keep": ff_keep, "n2_cache": n2_cache,
+            "gelu_cache": gelu_cache, "hmid": hmid, "ff_keep": ff_keep, "n2_cache": n2_cache,
         })
     cache = {"ids": ids, "seg": seg, "seq_len": s, "emb_norm_cache": emb_norm_cache,
              "emb_keep": emb_keep, "inv_sqrt_dh": inv_sqrt_dh, "layers": layer_caches}
@@ -425,7 +476,7 @@ def reference_backward_hidden(params, config, cache, d_hidden):
         if lc["ff_keep"] is not None:
             dff = ops.dropout_backward(dff, lc["ff_keep"])
         dhmid = _dense_backward(params, dff, lc["hmid"], f"{pre}.ffn.w2", f"{pre}.ffn.b2")
-        da1 = ops.gelu_backward(dhmid, lc["a1"])
+        da1 = ops.gelu_backward(dhmid, lc["gelu_cache"])
         dn1 = dres2 + _dense_backward(params, da1, lc["n1"], f"{pre}.ffn.w1", f"{pre}.ffn.b1")
         dres1, dg1, db1 = ops.layer_norm_backward(dn1, lc["n1_cache"])
         params[f"{pre}.attn_norm.gain"].grad += dg1
@@ -457,6 +508,24 @@ def reference_backward_hidden(params, config, cache, d_hidden):
     seg.grad += ops.embedding_lookup_backward(demb, cache["seg"], seg.value.shape[0])
 
 
+def reference_forward_rows(params, config, batch, rows, rng=None, want_cache=False):
+    """The padded encoder behind forward_hidden's signature: it runs every
+    position and gathers the flat `rows`."""
+    hidden, cache = reference_forward_hidden(params, config, batch, rng=rng,
+                                             want_cache=want_cache)
+    return (hidden.reshape(-1, hidden.shape[-1])[rows],
+            None if cache is None else (cache, rows, hidden.shape))
+
+
+def reference_backward_rows(params, config, cache, d_rows):
+    """The padded backward, given the rows' gradient scattered into a zero
+    [batch, seq, hidden] one."""
+    cache, rows, shape = cache
+    d_hidden = np.zeros((shape[0] * shape[1], shape[2]), dtype=d_rows.dtype)
+    d_hidden[rows] = d_rows
+    reference_backward_hidden(params, config, cache, d_hidden.reshape(shape))
+
+
 DROP = ModelConfig(n_layers=2, hidden=16, n_heads=2, ffn=32, vocab_size=40,
                    max_positions=16, dropout=0.1)
 
@@ -468,20 +537,44 @@ def masked_batch(lengths, seed=0):
                        DROP.vocab_size, DROP.max_positions)
 
 
-def check_against_reference(lengths, seed=0):
-    """Token-major vs padded encoder in float64 with dropout, same rng."""
-    batch = masked_batch(lengths, seed)
-    enc = batch.encoded()
+def drop_store(seed):
     params = init_params(DROP, seed).astype(np.float64)
     init_classifier(params, DROP, 3, seed=seed + 1)
-    real = enc.attention_mask.astype(bool)
+    return params
 
-    hidden, _ = forward_hidden(params, DROP, enc, rng=np.random.default_rng(seed))
-    ref, _ = reference_forward_hidden(params, DROP, enc, rng=np.random.default_rng(seed))
-    assert hidden.shape == ref.shape
-    npt.assert_allclose(hidden[real], ref[real], rtol=1e-12, atol=0)
-    assert (hidden[~real] == 0).all()
 
+def check_rows_against_reference(lengths, rows, seed=0):
+    """forward_hidden/backward_hidden at the flat `rows` vs the padded
+    encoder in float64 with dropout, same rng: the rows' states, the rng
+    state afterwards and every gradient."""
+    enc = masked_batch(lengths, seed).encoded()
+    params = drop_store(seed)
+    rows = np.asarray(rows, dtype=np.int64)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    hidden, cache = forward_hidden(params, DROP, enc, rows, rng=rng, want_cache=True)
+    ref, ref_cache = reference_forward_rows(params, DROP, enc, rows, rng=ref_rng,
+                                            want_cache=True)
+    assert hidden.shape == ref.shape == (rows.size, DROP.hidden)
+    npt.assert_allclose(hidden, ref, rtol=1e-12, atol=0)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    d_rows = np.random.default_rng(seed + 1).standard_normal(hidden.shape)
+    new, old = params.clone(), params.clone()
+    backward_hidden(new, DROP, cache, d_rows)
+    reference_backward_rows(old, DROP, ref_cache, d_rows)
+    for name in new.names():
+        npt.assert_allclose(new[name].grad, old[name].grad, rtol=1e-9, atol=1e-15,
+                            err_msg=name)
+
+
+def check_against_reference(lengths, seed=0):
+    """Every real row, then the two losses, whose heads read the labelled
+    rows and row 0, against the padded encoder."""
+    batch = masked_batch(lengths, seed)
+    enc = batch.encoded()
+    check_rows_against_reference(lengths, real_rows(enc), seed)
+
+    params = drop_store(seed)
     targets = np.arange(len(lengths)) % 3
     runs = {
         "mlm": lambda store: training.mlm_loss_and_backward(
@@ -492,8 +585,8 @@ def check_against_reference(lengths, seed=0):
     for head, run in runs.items():
         new, old = params.clone(), params.clone()
         loss = run(new)
-        with mock.patch.multiple(training, forward_hidden=reference_forward_hidden,
-                                 backward_hidden=reference_backward_hidden):
+        with mock.patch.multiple(training, forward_hidden=reference_forward_rows,
+                                 backward_hidden=reference_backward_rows):
             want = run(old)
         assert loss == pytest.approx(want, rel=1e-12), head
         for name in new.names():
@@ -505,9 +598,11 @@ def check_against_reference(lengths, seed=0):
 class TestTokenMajorLayout:
     """forward_hidden/backward_hidden run on the real tokens only: every
     row-wise layer on the token rows, attention per length group with no
-    key mask, and every dropout mask drawn for the real cells alone. Held
-    to the padded encoder above, which draws its masks at the padded shape
-    from the same rng."""
+    key mask, and every dropout mask drawn for the real cells alone. The
+    last layer runs its keys and values on every real token and the rest on
+    the requested rows. Held to the padded encoder above, which runs every
+    position, draws its masks at the padded shape from the same rng, and
+    gathers the requested rows."""
 
     def test_mixed_lengths_match_padded_reference(self):
         check_against_reference([9, 3, 14, 1, 6])
@@ -524,17 +619,27 @@ class TestTokenMajorLayout:
     def test_random_lengths_match_padded_reference(self, lengths, seed):
         check_against_reference(lengths, seed)
 
-    def test_pad_rows_are_zero_and_ignored_by_backward(self):
+    # Lengths 9, 3, 14, 1 and 6: the batch is 14 wide.
+    @pytest.mark.parametrize("rows", [
+        [2, 3, 31, 28, 8],    # sequences 0 and 2 only: the lengths 1, 3 and 6 ask for none
+        list(range(28, 42)),  # the whole of sequence 2
+        [59],                 # one row in the whole batch
+        [0, 14, 28, 42, 56],  # one row per sequence, as the classifier asks
+        [],
+    ], ids=["groups-without-rows", "whole-sequence", "one-row", "one-per-sequence", "none"])
+    def test_requested_rows_match_padded_reference(self, rows):
+        check_rows_against_reference([9, 3, 14, 1, 6], rows)
+
+    @settings(max_examples=25, deadline=None)
+    @given(lengths=st.lists(st.integers(1, DROP.max_positions), min_size=1, max_size=6),
+           seed=st.integers(0, 2**16), data=st.data())
+    def test_random_rows_match_padded_reference(self, lengths, seed, data):
+        real = real_rows(masked_batch(lengths, seed).encoded())
+        rows = data.draw(st.lists(st.sampled_from(real.tolist()), unique=True))
+        check_rows_against_reference(lengths, rows, seed)
+
+    def test_encode_batch_pad_rows_are_zero(self):
         store = tiny_store()
-        batch = padded([2, 10, 11, 3], 8)
-        hidden, cache = forward_hidden(store, TINY, batch, want_cache=True)
+        hidden = encode_batch(store, TINY, padded([2, 10, 11, 3], 8)).hidden_states
         assert (hidden[0, 4:] == 0).all()
-        d = np.random.default_rng(0).standard_normal(hidden.shape).astype(hidden.dtype)
-        a, b = store.clone(), store.clone()
-        for s in (a, b):
-            s.zero_grads()
-        backward_hidden(a, TINY, cache, d)
-        d[0, 4:] = 1e3
-        backward_hidden(b, TINY, cache, d)
-        for name in a.names():
-            assert a[name].grad.tobytes() == b[name].grad.tobytes(), name
+        assert (hidden[0, :4] != 0).any(axis=-1).all()

@@ -5,12 +5,21 @@ import numpy.testing as npt
 import pytest
 
 from mlmforge.benchmarks import Example, LabeledDataset
-from mlmforge.encoder import ModelConfig, init_classifier, init_params
+from mlmforge.encoder import (
+    EncodedBatch,
+    ModelConfig,
+    cls_logits,
+    encode_batch,
+    init_classifier,
+    init_params,
+)
 from mlmforge.errors import ConfigError, DataError
 from mlmforge.evaluation import (
     ConfusionTable,
     EvalReport,
     compute_metrics,
+    confusion_table,
+    encode_split,
     evaluate_model,
     render_report,
     results_record,
@@ -158,6 +167,27 @@ class TestEvaluateModel:
         broken = LabeledDataset(ds.name, examples, ds.label_map, {"validation": [0, 1, 2, 3]})
         with pytest.raises(DataError, match="'c' not in label map"):
             evaluate_model(params, config, broken, "validation", vocab)
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 32])
+    def test_predictions_equal_argmax_of_every_row_path(self, eval_setup, batch_size):
+        """confusion_table runs the last layer on [CLS] alone; its
+        predictions are those of the classifier on encode_batch, which runs
+        it on every real token."""
+        ds, vocab, config, params = eval_setup
+        params = params.astype(np.float64)
+        rng = np.random.default_rng(0)
+        for name, p in params.items():
+            if p.value.ndim == 2:
+                p.value[...] = rng.normal(0.0, 0.5, p.value.shape)
+        seqs, labels = encode_split(ds, "validation", vocab, config.max_positions)
+        seqs = seqs + [s[:2] for s in seqs] + seqs[::-1]
+        labels = np.concatenate([labels, labels, labels[::-1]])
+        out = encode_batch(params, config, EncodedBatch.from_sequences(seqs))
+        preds = np.argmax(cls_logits(params, out, 2), axis=1)
+        assert len(set(preds.tolist())) == 2
+        want = ConfusionTable.from_predictions(labels, preds, 2)
+        got = confusion_table(params, config, seqs, labels, 2, batch_size)
+        assert (got.counts == want.counts).all()
 
     @pytest.mark.parametrize("batch_size", [0, -3])
     def test_batch_size_below_one_is_config_error(self, eval_setup, batch_size):

@@ -1,7 +1,10 @@
 """The five public loss functions share one head-loss path, cross_entropy
 takes only the gathered rows, and build_batch pads through
 EncodedBatch.from_sequences. Each is held byte for byte to the separate
-bodies it replaced, kept below as `reference_*`."""
+bodies it replaced, kept below as `reference_*`. Those call the encoder
+with the rows the head reads, as the shared path does, so they pin the
+loss plumbing; tests/test_encoder.py holds the encoder itself to a padded
+float64 reference."""
 
 import numpy as np
 import pytest
@@ -70,23 +73,21 @@ def reference_labelled_rows(labels):
 
 
 def reference_mlm_loss(params, config, batch) -> float:
-    hidden, _ = forward_hidden(params, config, batch.encoded())
     pos, targets = reference_labelled_rows(batch.labels)
-    logits, _ = mlm_head(params, hidden.reshape(-1, hidden.shape[-1])[pos])
+    hidden, _ = forward_hidden(params, config, batch.encoded(), pos)
+    logits, _ = mlm_head(params, hidden)
     loss, _ = reference_cross_entropy(logits, targets, IGNORE_ID)
     return loss
 
 
 def reference_mlm_loss_and_backward(params, config, batch, rng=None) -> float:
-    hidden, cache = forward_hidden(params, config, batch.encoded(), rng=rng, want_cache=True)
-    flat = hidden.reshape(-1, hidden.shape[-1])
     pos, targets = reference_labelled_rows(batch.labels)
-    logits, hcache = mlm_head(params, flat[pos], want_cache=True)
+    hidden, cache = forward_hidden(params, config, batch.encoded(), pos, rng=rng,
+                                   want_cache=True)
+    logits, hcache = mlm_head(params, hidden, want_cache=True)
     loss, ce_cache = reference_cross_entropy(logits, targets, IGNORE_ID)
     dlogits = reference_cross_entropy_backward(ce_cache)
-    dflat = np.zeros_like(flat)
-    dflat[pos] = mlm_head_backward(params, hcache, dlogits)
-    backward_hidden(params, config, cache, dflat.reshape(hidden.shape))
+    backward_hidden(params, config, cache, mlm_head_backward(params, hcache, dlogits))
     return loss
 
 
@@ -94,9 +95,9 @@ def reference_mlm_eval_loss(params, config, batches) -> float:
     total = 0.0
     n = 0
     for batch in batches:
-        hidden, _ = forward_hidden(params, config, batch.encoded())
         pos, targets = reference_labelled_rows(batch.labels)
-        logits, _ = mlm_head(params, hidden.reshape(-1, hidden.shape[-1])[pos])
+        hidden, _ = forward_hidden(params, config, batch.encoded(), pos)
+        logits, _ = mlm_head(params, hidden)
         loss, _ = reference_cross_entropy(logits, targets, IGNORE_ID)
         total += loss * pos.size
         n += pos.size
@@ -105,23 +106,25 @@ def reference_mlm_eval_loss(params, config, batches) -> float:
     return total / n
 
 
+def reference_cls_rows(batch):
+    n, width = batch.ids.shape
+    return np.arange(n) * width
+
+
 def reference_cls_loss(params, config, batch, targets) -> float:
-    hidden, _ = forward_hidden(params, config, batch)
-    logits, _ = cls_head(params, hidden[:, 0, :])
+    cls_vec, _ = forward_hidden(params, config, batch, reference_cls_rows(batch))
+    logits, _ = cls_head(params, cls_vec)
     loss, _ = reference_cross_entropy(logits, targets)
     return loss
 
 
 def reference_cls_loss_and_backward(params, config, batch, targets, rng=None) -> float:
-    hidden, cache = forward_hidden(params, config, batch, rng=rng, want_cache=True)
-    cls_vec = hidden[:, 0, :]
+    cls_vec, cache = forward_hidden(params, config, batch, reference_cls_rows(batch), rng=rng,
+                                    want_cache=True)
     logits, hcache = cls_head(params, cls_vec, want_cache=True)
     loss, ce_cache = reference_cross_entropy(logits, targets)
     dlogits = reference_cross_entropy_backward(ce_cache)
-    dcls = cls_head_backward(params, hcache, dlogits)
-    dhidden = np.zeros_like(hidden)
-    dhidden[:, 0, :] = dcls
-    backward_hidden(params, config, cache, dhidden)
+    backward_hidden(params, config, cache, cls_head_backward(params, hcache, dlogits))
     return loss
 
 
@@ -244,6 +247,30 @@ class TestSharedLossPath:
         got = training.mlm_eval_loss(params, CONFIG, iter(stream))
         want = reference_mlm_eval_loss(params, CONFIG, stream)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+class TestLabelOnAPad:
+    """A label on a pad cell is a ShapeError naming its batch row and
+    position, not a loss on the pad row's zero state."""
+
+    def batch(self):
+        ids = np.array([[2, 7, 8, 9, 3], [2, 6, 3, PAD_ID, PAD_ID]])
+        att = (ids != PAD_ID).astype(np.int64)
+        labels = np.full(ids.shape, IGNORE_ID)
+        labels[0, 2] = 8
+        labels[1, 4] = 11
+        return masking.MaskedBatch(ids, att, np.zeros_like(ids), labels)
+
+    @pytest.mark.parametrize("loss", ["mlm_loss", "mlm_loss_and_backward"])
+    def test_names_the_cell(self, loss):
+        params = store(np.float64)
+        with pytest.raises(ShapeError, match=r"batch row 1, position 4\) is a pad position"):
+            getattr(training, loss)(params, CONFIG, self.batch())
+        assert all((p.grad == 0).all() for _, p in params.items())
+
+    def test_eval_loss_names_the_cell(self):
+        with pytest.raises(ShapeError, match=r"batch row 1, position 4\)"):
+            training.mlm_eval_loss(store(np.float64), CONFIG, [self.batch()])
 
 
 class TestBuildBatchPadding:

@@ -42,15 +42,22 @@ class TestLayerNorm:
 
 class TestActivations:
     def test_odd_function_fixed_points(self):
-        assert ops.gelu(np.array([0.0]))[0] == 0.0
+        assert ops.gelu(np.array([0.0]))[0][0] == 0.0
         assert ops.tanh(np.array([0.0]))[0] == 0.0
 
     def test_gelu_matches_central_difference(self):
         x = np.linspace(-4, 4, 101)
         h = 1e-6
-        numeric = (ops.gelu(x + h) - ops.gelu(x - h)) / (2 * h)
-        analytic = ops.gelu_backward(np.ones_like(x), x)
+        numeric = (ops.gelu(x + h)[0] - ops.gelu(x - h)[0]) / (2 * h)
+        analytic = ops.gelu_backward(np.ones_like(x), ops.gelu(x)[1])
         npt.assert_allclose(analytic, numeric, atol=1e-8)
+
+    def test_gelu_backward_leaves_the_forward_cache(self):
+        x = np.linspace(-3, 3, 13)
+        _, cache = ops.gelu(x)
+        before = [a.copy() for a in cache]
+        ops.gelu_backward(np.ones_like(x), cache)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(cache, before))
 
 
 class TestCrossEntropy:
@@ -163,7 +170,8 @@ class TestOpGradients:
     def test_gelu_tanh(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(6, 5))
-        self.check(ops.gelu, lambda w, x: (ops.gelu_backward(w, x),), [x])
+        self.check(lambda x: ops.gelu(x)[0],
+                   lambda w, x: (ops.gelu_backward(w, ops.gelu(x)[1]),), [x])
         self.check(ops.tanh, lambda w, x: (ops.tanh_backward(w, ops.tanh(x)),), [x])
 
     def test_embedding_lookup(self):
@@ -259,9 +267,10 @@ def _grad(rng, dtype, shape):
 
 
 INPLACE_CASES = {
-    "gelu": (ops.gelu, textbook_gelu,
+    "gelu": (lambda x: ops.gelu(x)[0], textbook_gelu,
              lambda r, dt: (r.normal(0.0, 2.5, size=(3, 5, 16)).astype(dt),)),
-    "gelu_backward": (ops.gelu_backward, textbook_gelu_backward,
+    "gelu_backward": (lambda dout, x: ops.gelu_backward(dout, ops.gelu(x)[1]),
+                      textbook_gelu_backward,
                       lambda r, dt: (_grad(r, dt, (3, 5, 16)),
                                      r.normal(0.0, 2.5, size=(3, 5, 16)).astype(dt))),
     "softmax": (ops.softmax, textbook_softmax, lambda r, dt: (_scores(r, dt),)),

@@ -14,6 +14,7 @@ from mlmforge.corpus import CorpusStats, SentenceCorpus
 from mlmforge.encoder import (
     ModelConfig,
     backward_hidden,
+    encode_batch,
     forward_hidden,
     init_params,
     mlm_head,
@@ -146,12 +147,15 @@ class TestPretrain:
 
 
 def dense_mlm_loss_and_backward(params, config, batch):
-    """Reference: project every position, pads included, and take the loss
-    on the labelled rows, the rest getting a zero logit gradient."""
-    hidden, cache = forward_hidden(params, config, batch.encoded(), want_cache=True)
+    """Reference: run the last layer and project every real position, and
+    take the loss on the labelled rows, the rest getting a zero logit
+    gradient."""
+    real = np.flatnonzero(batch.attention_mask.reshape(-1))
+    hidden, cache = forward_hidden(params, config, batch.encoded(), real, want_cache=True)
     logits, hcache = mlm_head(params, hidden, want_cache=True)
-    labelled = batch.labels != IGNORE_ID
-    loss, ce_cache = cross_entropy(logits[labelled], batch.labels[labelled])
+    labels = batch.labels.reshape(-1)[real]
+    labelled = labels != IGNORE_ID
+    loss, ce_cache = cross_entropy(logits[labelled], labels[labelled])
     dlogits = np.zeros_like(logits)
     dlogits[labelled] = cross_entropy_backward(ce_cache)
     dhidden = mlm_head_backward(params, hcache, dlogits)
@@ -194,7 +198,7 @@ class TestSparseMLM:
         assert len(stream) == 2
         losses, counts = [], []
         for batch in stream:
-            hidden, _ = forward_hidden(params, MICRO, batch.encoded())
+            hidden = encode_batch(params, MICRO, batch.encoded()).hidden_states
             logits, _ = mlm_head(params, hidden)
             labelled = batch.labels != IGNORE_ID
             losses.append(cross_entropy(logits[labelled], batch.labels[labelled])[0])

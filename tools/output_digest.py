@@ -91,8 +91,9 @@ def library_runs(root: Path):
         batch = masking.build_batch(train_ids, range(16), "static", 0, SEED, len(vocab),
                                     config.max_positions)
         hidden, _ = encoder.forward_hidden(params, config, batch.encoded(),
+                                           np.flatnonzero(batch.attention_mask.reshape(-1)),
                                            rng=np.random.default_rng(SEED))
-        yield _sha(hidden[batch.attention_mask > 0].tobytes()), f"lib/step/{tag}/hidden"
+        yield _sha(hidden.tobytes()), f"lib/step/{tag}/hidden"
         loss = training.mlm_loss_and_backward(params, config, batch,
                                               rng=np.random.default_rng(SEED))
         yield _sha(repr(loss).encode()), f"lib/step/{tag}/loss"
