@@ -424,10 +424,16 @@ def _attention_backward(out: _Rows, caches, dctx, n_tok: int, n_heads: int, inv_
 
 
 def _dense(params: ParameterStore, x: np.ndarray, w: str, b: str) -> np.ndarray:
-    """x @ params[w] + params[b]. The encoder passes 2-D token rows; other
-    callers' leading shapes are kept, because one 2-D GEMM over flattened
-    rows can give other float bits than the batched product."""
-    return ops.add_bias(ops.matmul(x, params[w].value), params[b].value)
+    """x @ params[w] + params[b], the bias added in place on the fresh
+    product. The encoder passes 2-D token rows; other callers' leading
+    shapes are kept, because one 2-D GEMM over flattened rows can give
+    other float bits than the batched product."""
+    out = ops.matmul(x, params[w].value)
+    bias = params[b].value
+    if bias.shape != (out.shape[-1],):
+        raise ShapeError(f"add_bias: bias {bias.shape} does not fit input {out.shape}")
+    out += bias
+    return ops.ensure_finite("add_bias", out)
 
 
 def _dense_backward(params: ParameterStore, dout: np.ndarray, x: np.ndarray,
@@ -588,8 +594,12 @@ def backward_hidden(params: ParameterStore, config: ModelConfig, cache: dict,
     params["encoder.emb_norm.gain"].grad += dg
     params["encoder.emb_norm.bias"].grad += db
 
-    tok = params["encoder.tok_emb"]
-    tok.grad += ops.embedding_lookup_backward(demb, cache["tok_ids"], tok.value.shape[0])
+    # tok_emb's gradient goes to the touched rows alone. The dense add would
+    # also add +0 to every other row, which changes no bit: no writer leaves
+    # a -0.0 in a gradient (each adds onto the +0 it was zeroed to).
+    touched, inv = np.unique(cache["tok_ids"], return_inverse=True)
+    params["encoder.tok_emb"].grad[touched] += ops.embedding_lookup_backward(
+        demb, inv, touched.size)
     params["encoder.pos_emb"].grad[:s] += ops.embedding_lookup_backward(
         demb, cache["positions"], s)
     seg = params["encoder.seg_emb"]

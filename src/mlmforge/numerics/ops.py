@@ -10,7 +10,9 @@ The elementwise ops reuse their own fresh temporaries through `out=` and
 in-place ufuncs instead of allocating one array per subexpression. Each
 keeps the operation order of the plain expression in its comment, so the
 float bits are the same; only commutative swaps and exact products with
-0.5 are reordered.
+0.5 are reordered. The embedding backward scatters into the flat table
+in the order of the row-wise scatter, and the dropout mask is thresholded
+straight into its dtype, with the same bits as the plainer forms.
 
 Compute dtype follows the inputs: float32 for training, float64 for
 gradient-check mode.
@@ -190,8 +192,15 @@ def embedding_lookup(table: np.ndarray, ids) -> np.ndarray:
 
 
 def embedding_lookup_backward(dout: np.ndarray, ids, n_rows: int) -> np.ndarray:
-    dtable = np.zeros((n_rows, dout.shape[-1]), dtype=dout.dtype)
-    np.add.at(dtable, np.asarray(ids).reshape(-1), dout.reshape(-1, dout.shape[-1]))
+    """The (n_rows, h) gradient of the table: each id's row sums its dout
+    rows in input order. One flat `np.add.at` over the cells
+    `id * h + column` gives every cell its terms in the order of the 2-D
+    row-wise `np.add.at`, so the bits are the same, at a fraction of the
+    cost."""
+    h = dout.shape[-1]
+    dtable = np.zeros((n_rows, h), dtype=dout.dtype)
+    cells = np.multiply(np.asarray(ids).reshape(-1, 1), h, dtype=np.intp) + np.arange(h)
+    np.add.at(dtable.reshape(-1), cells.reshape(-1), dout.reshape(-1))
     return dtable
 
 
@@ -244,11 +253,11 @@ def dropout_keep(shape, p: float, rng: np.random.Generator, dtype) -> np.ndarray
 
 
 def keep_from_uniforms(draw: np.ndarray, p: float, dtype) -> np.ndarray:
-    """The dropout mask of float64 uniforms `draw`, which it overwrites: 0
-    where a uniform is below p, else 1/(1-p), in `dtype`."""
-    keep = np.greater_equal(draw, p, out=draw).astype(dtype, copy=False)
-    keep /= 1.0 - p
-    return keep
+    """The dropout mask of float64 uniforms `draw`: 0 where a uniform is
+    below p, else 1/(1-p) rounded once to `dtype`, in one pass."""
+    dtype = np.dtype(dtype).type
+    return np.multiply(np.greater_equal(draw, p).view(np.uint8), dtype(1) / dtype(1 - p),
+                       dtype=dtype)
 
 
 def dropout(x: np.ndarray, p: float, rng: np.random.Generator):

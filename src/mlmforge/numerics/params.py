@@ -1,4 +1,9 @@
-"""Named parameter tensors with gradient buffers and Adam optimizer state."""
+"""Named parameter tensors with gradient buffers and Adam optimizer state.
+
+Adam updates each tensor in blocks of rows that fit in L2, or only the
+rows a caller names as the ones that can move; either way every element
+gets the operations of one whole-tensor update, so the bits are the same.
+"""
 
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
@@ -94,28 +99,26 @@ def resolve_groups(store: ParameterStore, lr_by_group: dict[str, float]) -> dict
     return resolved
 
 
-def adam_step(store: ParameterStore, lr_by_group: dict[str, float]) -> None:
-    """One bias-corrected Adam update per parameter, using its group's rate.
+# Elements per Adam block: a block's value, grad, moments and scratch stay
+# in L2, where a whole 8192 x 128 tok_emb's do not.
+_ADAM_BLOCK = 1 << 16
 
-    theta -= lr * m_hat / (sqrt(v_hat) + eps), with beta1, beta2 and eps
-    the module's ADAM_* constants. Grads are zeroed afterwards and
-    step_count advances by exactly one.
-    """
-    rates = resolve_groups(store, lr_by_group)
-    store.step_count += 1
-    t = store.step_count
-    bc1 = 1.0 - ADAM_BETA1**t
-    bc2 = 1.0 - ADAM_BETA2**t
-    inv_bc2 = 1.0 / bc2
-    for name, p in store.entries.items():
-        g = p.grad
-        m, v = p.adam_m, p.adam_v
-        # one scratch array per tensor: first (1 - beta1) * g, then the update
+
+def _adam_update(p: Param, lr_over_bc1: float, inv_bc2: float) -> None:
+    """The Adam update of p's value and moments from p.grad, which it uses as
+    scratch, in blocks of leading-axis rows of at most _ADAM_BLOCK elements.
+    Every element sees the same operations in the same order whatever the
+    blocking, so the bits do not depend on it."""
+    n = p.value.shape[0]
+    step = max(1, _ADAM_BLOCK * n // max(p.value.size, 1))
+    for lo in range(0, n, step):
+        g, m, v, value = (a[lo:lo + step] for a in (p.grad, p.adam_m, p.adam_v, p.value))
+        # one scratch array per block: first (1 - beta1) * g, then the update
         upd = np.multiply(g, 1.0 - ADAM_BETA1)
         m *= ADAM_BETA1
         m += upd
         v *= ADAM_BETA2
-        # grad buffer doubles as g*g scratch; it is zeroed below anyway
+        # grad block doubles as g*g scratch; the caller zeroes it
         g *= g
         g *= 1.0 - ADAM_BETA2
         v += g
@@ -123,6 +126,43 @@ def adam_step(store: ParameterStore, lr_by_group: dict[str, float]) -> None:
         np.sqrt(upd, out=upd)
         upd += ADAM_EPS
         np.divide(m, upd, out=upd)
-        upd *= rates[name] / bc1
-        p.value -= upd
-        p.grad[...] = 0
+        upd *= lr_over_bc1
+        value -= upd
+
+
+def adam_step(store: ParameterStore, lr_by_group: dict[str, float],
+              rows: dict[str, np.ndarray] | None = None) -> None:
+    """One bias-corrected Adam update per parameter, using its group's rate.
+
+    theta -= lr * m_hat / (sqrt(v_hat) + eps), with beta1, beta2 and eps
+    the module's ADAM_* constants. Grads are zeroed afterwards and
+    step_count advances by exactly one.
+
+    `rows` maps a parameter to the sorted leading-axis rows that may hold a
+    nonzero grad or moment; its other rows must hold +0 in all three, where
+    the update is exactly +0, so they are skipped. The named rows are
+    gathered, updated by the same operations and scattered back.
+    """
+    rates = resolve_groups(store, lr_by_group)
+    rows = rows or {}
+    for name, r in rows.items():
+        n = store[name].value.shape[0]
+        if (r.ndim != 1 or r.dtype.kind not in "iu"
+                or (r.size and (r[0] < 0 or r[-1] >= n or (np.diff(r) <= 0).any()))):
+            raise ConfigError(f"adam_step rows of '{name}' must be sorted, distinct "
+                              f"integers in [0, {n})")
+    store.step_count += 1
+    t = store.step_count
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
+    inv_bc2 = 1.0 / bc2
+    for name, p in store.entries.items():
+        r = rows.get(name)
+        if r is None:
+            _adam_update(p, rates[name] / bc1, inv_bc2)
+            p.grad[...] = 0
+        else:
+            part = Param(p.value[r], p.grad[r], p.adam_m[r], p.adam_v[r])
+            _adam_update(part, rates[name] / bc1, inv_bc2)
+            p.value[r], p.adam_m[r], p.adam_v[r] = part.value, part.adam_m, part.adam_v
+            p.grad[r] = 0

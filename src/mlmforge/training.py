@@ -278,6 +278,7 @@ def finetune(
     if not val_seqs:
         raise DataError(f"dataset {dataset.name!r} has no examples in split 'validation'")
     groups = _finetune_groups(params, cfg)
+    live_rows = None
     if cfg.epochs > 0:
         # Fresh optimizer for the downstream task: pretraining moments and the
         # step counter (which drives bias correction) do not carry over.
@@ -285,6 +286,9 @@ def finetune(
         for _, p in params.items():
             p.adam_m[...] = 0
             p.adam_v[...] = 0
+        # From here on only the train split's tokens give tok_emb a gradient
+        # (the loss reads no MLM head), so Adam skips its other rows.
+        live_rows = {"encoder.tok_emb": np.unique(np.concatenate(train_seqs))}
 
     log: list[dict] = []
     best_params = params.clone()
@@ -317,7 +321,7 @@ def finetune(
                                              rng=_dropout_rng(cfg, step))
             except NonFiniteError as exc:
                 raise NonFiniteError(f"aborting at epoch {epoch}: {exc}") from exc
-            adam_step(params, groups)
+            adam_step(params, groups, live_rows)
             step += 1
             log.append({"epoch": epoch, "split": "train", "metric": "cls_loss",
                         "value": loss})

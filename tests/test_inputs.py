@@ -73,6 +73,27 @@ def test_no_module_reads_the_environment():
     assert offenders == []
 
 
+def optional_params(tree):
+    """Defaulted parameters of every function whose name has no leading
+    underscore, nested ones and methods included."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name[0] != "_":
+            yield from node.args.defaults
+            yield from (d for d in node.args.kw_defaults if d is not None)
+
+
+def test_settable_value_count_is_pinned():
+    """Settable values = optional public parameters + CLI config keys +
+    environment reads. An option lives in `cli.CONFIG_DEFAULTS` or is a
+    parameter that a caller outside tests sets; one that is added or
+    dropped updates this count (and the ROADMAP) on purpose."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.rglob("*.py"))]
+    count = (sum(1 for tree in trees for _ in optional_params(tree)),
+             len(cli.CONFIG_DEFAULTS),
+             sum(1 for tree in trees for _ in env_reads(tree)))
+    assert count == (41, 24, 0)
+
+
 # --- byte-mutation fuzzing of every loader --------------------------------------
 
 TINY = ModelConfig(n_layers=1, hidden=8, n_heads=2, ffn=16, vocab_size=12,

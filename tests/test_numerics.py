@@ -3,6 +3,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlmforge.errors import (
     ConfigError,
@@ -311,6 +313,84 @@ class TestInPlaceOpsMatchTextbook:
             assert a.tobytes() == b.tobytes(), f"{name} modified an input"
 
 
+def reference_embedding_lookup_backward(dout, ids, n_rows):
+    """The row-wise 2-D `np.add.at` that ops.embedding_lookup_backward must
+    match byte for byte."""
+    dtable = np.zeros((n_rows, dout.shape[-1]), dtype=dout.dtype)
+    np.add.at(dtable, np.asarray(ids).reshape(-1), dout.reshape(-1, dout.shape[-1]))
+    return dtable
+
+
+# Cancelling pairs, signed zeros and subnormals, where a change of summation
+# order or a dropped `+ 0` would show in the bits.
+GRAD_CELLS = st.one_of(st.sampled_from([0.0, -0.0, 1e-40, -1e-40, 5e-324, 1.0, -1.0, 1e-8]),
+                       st.floats(-1e3, 1e3, allow_subnormal=True))
+
+
+class TestEmbeddingBackwardBits:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]),
+           lead=st.sampled_from([(7,), (3, 5), (1,), (0,)]), h=st.integers(1, 9),
+           n_rows=st.integers(1, 6))
+    def test_equals_2d_add_at(self, data, dtype, lead, h, n_rows):
+        size = int(np.prod(lead))
+        ids = np.array(data.draw(st.lists(st.integers(0, n_rows - 1), min_size=size,
+                                          max_size=size)), dtype=np.int64).reshape(lead)
+        cells = data.draw(st.lists(GRAD_CELLS, min_size=size * h, max_size=size * h))
+        dout = np.array(cells, dtype=dtype).reshape(*lead, h)
+        got = ops.embedding_lookup_backward(dout, ids, n_rows)
+        want = reference_embedding_lookup_backward(dout, ids, n_rows)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_touched_rows_equal_dense_add(self, dtype):
+        """`backward_hidden` adds tok_emb's gradient on the rows its ids touch
+        only. That equals the dense `grad += table` because the dense add
+        puts `+ 0` on every other row, which keeps every bit unless the entry
+        is -0.0; and no gradient entry is -0.0, since each is zeroed to +0
+        and then only added to (here by the MLM head's `+=`, whose -0.0
+        terms leave +0). The last assert shows the one case it relies on."""
+        rng = np.random.default_rng(21)
+        n_rows, h = 12, 5
+        grad = np.zeros((n_rows, h), dtype=dtype)
+        head = rng.normal(size=(h, n_rows)).astype(dtype)
+        head[:, ::3] = -0.0
+        grad += head.T  # the MLM head's strided add, as in mlm_head_backward
+        ids = rng.integers(0, 7, size=(4, 6))
+        dout = rng.normal(size=(4, 6, h)).astype(dtype)
+        dout[0, :2] = -0.0
+
+        dense = grad.copy()
+        dense += ops.embedding_lookup_backward(dout, ids, n_rows)
+        touched, inv = np.unique(ids, return_inverse=True)
+        sparse = grad.copy()
+        sparse[touched] += ops.embedding_lookup_backward(dout, inv, touched.size)
+        assert sparse.tobytes() == dense.tobytes()
+        assert not np.signbit(grad[grad == 0]).any()
+        # the dense add would turn a -0.0 entry into +0.0; the touched rows would not
+        assert not np.signbit(dtype(-0.0) + dtype(0.0))
+
+
+def reference_keep(draw, p, dtype):
+    """The two-pass dropout mask that ops.keep_from_uniforms must match."""
+    keep = np.greater_equal(draw, p).astype(dtype)
+    keep /= 1.0 - p
+    return keep
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.3, 0.5])
+def test_keep_mask_equals_two_pass_mask(dtype, p):
+    draw = np.random.default_rng(4).random((33, 7))
+    draw[0, :3] = [p, np.nextafter(p, 0.0), 0.0]
+    before = draw.copy()
+    keep = ops.keep_from_uniforms(draw, p, dtype)
+    assert draw.tobytes() == before.tobytes()
+    assert keep.dtype == dtype
+    assert keep.tobytes() == reference_keep(draw, p, dtype).tobytes()
+
+
 class TestAdam:
     def scalar_store(self, *names, value=0.0, dtype=np.float32):
         store = ParameterStore()
@@ -384,6 +464,9 @@ class TestAdam:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_textbook_update_bitwise(self, dtype):
+        """Both paths of adam_step against the textbook update: whole
+        tensors (one block, and several with a ragged last one) and a row
+        set whose other rows hold +0 grad and moments, also at rate 0."""
         def textbook_step(store, groups):
             rates = resolve_groups(store, groups)
             store.step_count += 1
@@ -402,19 +485,45 @@ class TestAdam:
         # small values and large rates, so the update's own bits reach the values
         store.add("enc.w", rng.normal(0.0, 1e-3, size=(4, 6)).astype(dtype))
         store.add("head.b", rng.normal(0.0, 1e-3, size=5).astype(dtype))
+        # 1100 x 128 runs in blocks of 512, 512 and 76 rows
+        store.add("enc.blocks", rng.normal(0.0, 1e-3, size=(1100, 128)).astype(dtype))
+        store.add("enc.rows", rng.normal(0.0, 1e-3, size=(40, 3)).astype(dtype))
+        store.add("frozen.rows", rng.normal(0.0, 1e-3, size=(9, 4)).astype(dtype))
+        rows = {"enc.rows": np.array([0, 5, 6, 17, 39]), "frozen.rows": np.array([2, 8])}
         twin = store.clone()
-        groups = {"enc.*": 0.3, "head.*": 0.7}
+        frozen = store["frozen.rows"].value.tobytes()
+        groups = {"enc.*": 0.3, "head.*": 0.7, "frozen.*": 0.0}
         for _ in range(5):
             for name, p in store.items():
-                p.grad[...] = rng.normal(size=p.value.shape).astype(dtype)
+                r = rows.get(name, slice(None))
+                p.grad[r] = rng.normal(size=p.value[r].shape).astype(dtype)
                 twin[name].grad[...] = p.grad
-            adam_step(store, groups)
+            adam_step(store, groups, rows)
             textbook_step(twin, groups)
         for name, p in store.items():
             q = twin[name]
             for a, b in ((p.value, q.value), (p.adam_m, q.adam_m), (p.adam_v, q.adam_v),
                          (p.grad, q.grad)):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert (store["enc.rows"].adam_v[1:5] == 0).all()
+        assert (store["frozen.rows"].adam_v[2] != 0).all()
+        assert store["frozen.rows"].value.tobytes() == frozen
+
+    @pytest.mark.parametrize("rows", [[3, 1], [1, 1], [-1, 2], [0, 4], [0.0, 1.0], [[0, 1]]],
+                             ids=["unsorted", "repeated", "negative", "past end", "float",
+                                  "2-d"])
+    def test_bad_row_set_rejected_before_any_update(self, rows):
+        store = ParameterStore()
+        store.add("w", np.ones((4, 2), dtype=np.float32))
+        store["w"].grad[...] = 1.0
+        with pytest.raises(ConfigError, match="sorted, distinct integers in \\[0, 4\\)"):
+            adam_step(store, {"*": 1e-3}, {"w": np.array(rows)})
+        assert store.step_count == 0
+        assert (store["w"].value == 1.0).all() and (store["w"].grad == 1.0).all()
+
+    def test_row_set_of_unknown_parameter_rejected(self):
+        with pytest.raises(ConfigError, match="unknown parameter"):
+            adam_step(self.scalar_store("w"), {"*": 1e-3}, {"v": np.array([0])})
 
 
 class TestParameterStore:

@@ -306,6 +306,55 @@ class TestFinetune:
         with pytest.raises(DataError, match="'c' not in label map"):
             finetune(broken, params, config, micro_cfg(epochs=1), vocab)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_adam_row_set_equals_full_update_bitwise(self, monkeypatch, dtype):
+        """finetune hands Adam the train split's tok_emb rows. From a store
+        whose moments are nonzero everywhere, as after pretraining, that
+        gives the same bytes as Adam over every row, which holds only if
+        the row set covers every train token and is taken after the moment
+        reset. Each train example has a word of its own, so every batch
+        touches rows the others do not."""
+        rng = np.random.default_rng(7)
+        words = sorted({"".join(rng.choice(list("abcdefghijklmnop"), size=5)) for _ in range(40)})
+        examples = [Example(f"{['sunny', 'gloomy'][i % 2]} {w} day.", ["bright", "dark"][i % 2])
+                    for i, w in enumerate(words)]
+        ds = LabeledDataset("varied", examples, {"bright": 0, "dark": 1},
+                            {"train": list(range(24)), "validation": list(range(24, 36))})
+        vocab = train_vocab(SentenceCorpus([ex.text for ex in examples], CorpusStats()),
+                            target_size=400, min_freq=1)
+        config = ModelConfig(n_layers=1, hidden=16, n_heads=2, ffn=32, vocab_size=len(vocab),
+                             max_positions=16, dropout=0.1)
+        cfg = micro_cfg(epochs=2, batch_size=8, lr_encoder=1e-2, lr_head=1e-2)
+
+        def pretrained():
+            params = init_params(config, seed=3, dtype=dtype)
+            rng = np.random.default_rng(3)
+            for _, p in params.items():
+                p.adam_m[...] = rng.normal(size=p.value.shape)
+                p.adam_v[...] = rng.random(size=p.value.shape)
+            params.step_count = 9
+            return params
+
+        full_adam = training.adam_step
+        seen = []
+
+        def recording_adam(store, groups, rows=None):
+            seen.append(rows)
+            full_adam(store, groups, rows)
+
+        monkeypatch.setattr(training, "adam_step", recording_adam)
+        with_rows = finetune(ds, pretrained(), config, cfg, vocab)
+        live = seen[0]["encoder.tok_emb"]
+        assert 0 < live.size < config.vocab_size and all(r is seen[0] for r in seen)
+        monkeypatch.setattr(training, "adam_step",
+                            lambda store, groups, rows=None: full_adam(store, groups))
+        every_row = finetune(ds, pretrained(), config, cfg, vocab)
+        for a, b in ((with_rows.final_params, every_row.final_params),
+                     (with_rows.params, every_row.params)):
+            assert a.step_count == b.step_count
+            assert store_bytes(a) == store_bytes(b)
+        assert with_rows.log == every_row.log
+
     def test_head_class_count_mismatch(self, toy_setup):
         ds, vocab, config = toy_setup
         from mlmforge.encoder import init_classifier
