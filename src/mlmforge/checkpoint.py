@@ -16,7 +16,8 @@ checkpoint intact. A load opens the file once and checks the manifest
 length and the whole tensor table against the file size, and every
 tensor's shape, Adam moments included, against the manifest's
 model_config, before reading each tensor straight into its parameter
-buffer.
+buffer. A tensor that holds a NaN or an infinity is rejected: training
+aborts before it could save one, so such a file is damaged.
 """
 
 import json
@@ -174,8 +175,9 @@ def _check_shapes(p: Path, config: ModelConfig, shapes: dict[str, tuple]) -> Non
 
 def load_checkpoint(path, expected_vocab_hash: str | None = None):
     """Returns (ParameterStore, manifest dict). Validates magic, version,
-    offset table, blob length, the optional vocab-hash pin, and every
-    tensor's shape against the manifest's model_config."""
+    offset table, blob length, the optional vocab-hash pin, every tensor's
+    shape against the manifest's model_config, and that every value is
+    finite."""
     p = require_file(path, "checkpoint", CheckpointError)
     with open(p, "rb") as fh:
         manifest = _read_manifest(fh, p)
@@ -235,5 +237,7 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None):
                 raise CheckpointError(f"{p}: blob truncated inside tensor '{name}'")
             if not np.little_endian:
                 arr.byteswap(inplace=True)
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"{p}: tensor '{name}' holds a NaN or infinity")
     store.step_count = step
     return store, manifest

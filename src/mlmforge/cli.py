@@ -6,7 +6,10 @@ results/) guarded by a lock file, and is reproducible bit-for-bit from the
 echoed config. Errors exit nonzero with a single-line, machine-parsable
 message prefixed by its category (CONFIG/, DATA/, CKPT/, NUMERIC/,
 INTERNAL/). Commands run with numpy's floating-point warnings silenced:
-a non-finite value is reported once, by the op's own check.
+a non-finite value is reported once, by the op check that catches it (in
+evaluation, validation, or the replay of a training step whose loss or
+gradients were not finite) or, for a backward op, by the step's gradient
+check.
 """
 
 import argparse

@@ -23,12 +23,13 @@ projection, both layer norms and the FFN) for the requested rows alone,
 on [g, heads, n, l] scores where n is the most rows any sequence of the
 group asks for.
 
-Every dropout mask holds, on each cell it covers, the value that
-`ops.dropout_keep` would draw at the padded shape, and the rng ends where
-that padded draw leaves it: the uniforms of the needed rows are drawn and
-the rest are skipped with `bit_generator.advance`, which needs a PCG64
-generator (one step per float64 uniform); any other generator is a
-ConfigError when dropout is on.
+Dropout masks cover exactly the cells a layer computes, in token-major
+order. The embedding mask is one (n_real, hidden) draw; each layer then
+draws its masks with one `ops.dropout_keep` over, in this order, each
+length group's [g, heads, n, l] probabilities (ascending l), the attention
+output's rows and the FFN output's rows, and splits the result into
+views. So the masks are a pure function of the rng state, the batch and
+the requested rows, with any bit generator.
 
 Forward functions optionally return a cache consumed by the matching
 backward functions, which accumulate into ParameterStore gradients.
@@ -228,33 +229,14 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, s, nh * dh)
 
 
-def _draw_rows(rng: np.random.Generator, s: int, inner: int, dests) -> None:
-    """Fill chosen rows of a padded [batch, reps, s, inner] uniform draw and
-    skip the rest. dests[i], in batch order, is (block, runs) for sequence
-    i: block is a float64 (reps, n, inner) array and runs lists the
-    (first row, count) runs, ascending, of the n rows of its s it needs.
-    Each rep draws its runs and advances the rng over the rows around them.
-    With PCG64 one uniform is one step of the generator, so every chosen
-    row gets its value and the rng ends in the state of the padded draw."""
-    for block, runs in dests:
-        for rep in block:
-            at = row = 0
-            for first, n in runs:
-                rng.bit_generator.advance((first - at) * inner)
-                rng.random(out=rep[row:row + n])
-                row, at = row + n, first + n
-            rng.bit_generator.advance((s - at) * inner)
-
-
 class _Rows(NamedTuple):
     """A set of real token rows of a padded [batch, seq] batch: every real
     token, or the rows the last layer computes its output for.
 
     `flat` holds their flat [batch * seq] positions, ascending, which is
     token-major order; `sel` their indices among every real token, or None
-    when they are every real token. Per sequence, `starts` and `counts`
-    place its rows in `flat`, and `runs` lists them as (first position,
-    count) runs. `groups` holds, per distinct sequence length l:
+    when they are every real token. `groups` holds, per distinct sequence
+    length l, ascending:
     - `seqs`, the batch indices of the sequences of that length;
     - `tok`, the token-major rows of all their tokens, sequence-major, so
       `z[tok].reshape(g, l, width)` is the group's sequences;
@@ -264,17 +246,15 @@ class _Rows(NamedTuple):
       those rows. All three are None when the group has none of the set."""
 
     seq: int
+    batch: int
     flat: np.ndarray
     sel: np.ndarray | None
-    starts: list
-    counts: list
-    runs: list
     groups: list  # [(l, seqs, tok, grid, slots, qrows)]
 
     @classmethod
     def of(cls, att: np.ndarray) -> "_Rows":
         """Every real token of a batch with attention mask `att`."""
-        s = att.shape[1]
+        b, s = att.shape
         real = att != 0
         lengths = real.sum(axis=1)
         bad = (lengths == 0) | (real != (np.arange(s) < lengths[:, None])).any(axis=1)
@@ -287,8 +267,7 @@ class _Rows(NamedTuple):
             seqs = np.flatnonzero(lengths == l)
             tok = (starts[seqs, None] + np.arange(l)).reshape(-1)
             groups.append((l, seqs, tok, tok.reshape(len(seqs), l), None, tok))
-        return cls(s, np.flatnonzero(real), None, starts.tolist(), lengths.tolist(),
-                   [[(0, l)] for l in lengths.tolist()], groups)
+        return cls(s, b, np.flatnonzero(real), None, groups)
 
     def ask(self, want) -> tuple["_Rows", np.ndarray]:
         """The rows at the flat positions `want`, as a subset of this set of
@@ -299,7 +278,7 @@ class _Rows(NamedTuple):
         want = np.asarray(want)
         if want.ndim != 1 or (want.size and want.dtype.kind not in "iu"):
             raise ShapeError(f"rows must be a 1-d array of flat positions, got {want.shape}")
-        s, b = self.seq, len(self.counts)
+        s, b = self.seq, self.batch
 
         def fail(k, why):
             r = int(want[k])
@@ -321,14 +300,8 @@ class _Rows(NamedTuple):
             return self, order
 
         flat = self.flat[sel]
-        seq_of = flat // s
-        counts = np.bincount(seq_of, minlength=b)
+        counts = np.bincount(flat // s, minlength=b)
         starts = np.cumsum(counts) - counts
-        runs = [[] for _ in range(b)]
-        heads = np.flatnonzero((np.diff(flat, prepend=-2) != 1)
-                               | (np.diff(seq_of, prepend=-1) != 0))
-        for first, n in zip(flat[heads].tolist(), np.diff(heads, append=flat.size).tolist()):
-            runs[first // s].append((first % s, n))
         groups = []
         for l, seqs, tok, *_ in self.groups:
             n = int(counts[seqs].max())
@@ -341,33 +314,24 @@ class _Rows(NamedTuple):
             else:
                 groups.append((l, seqs, tok, np.where(real, grid, 0), np.flatnonzero(real),
                                grid[real]))
-        return _Rows(s, flat, sel, starts.tolist(), counts.tolist(), runs, groups), order
+        return _Rows(s, b, flat, sel, groups), order
 
-    def row_keep(self, rng, p: float, dtype, width: int) -> np.ndarray:
-        """The dropout mask of the set's (n_rows, width) rows: their rows of
-        `ops.dropout_keep((batch * seq, width), p, rng, dtype)`."""
-        buf = np.empty((self.flat.size, width))
-        _draw_rows(rng, self.seq, width,
-                   [(buf[a:a + n][None], runs)
-                    for a, n, runs in zip(self.starts, self.counts, self.runs)])
-        return ops.keep_from_uniforms(buf, p, dtype)
-
-    def attention_keeps(self, rng, p: float, dtype, n_heads: int) -> list:
-        """Per group, the dropout mask of its [g, heads, n, l] probabilities,
-        or None when it has none of the set's rows: the cells of
-        `ops.dropout_keep((batch, heads, seq, seq), ...)` in those query
-        rows and the first l key columns. Each (sequence, head) draws its
-        query rows in full, (n, seq). The grid's gaps mask nothing."""
-        s = self.seq
-        bufs, dests = [], [None] * len(self.counts)
-        for l, seqs, _, grid, slots, _ in self.groups:
-            alloc = np.empty if slots is None else np.zeros
-            buf = alloc((len(seqs), n_heads, 0 if grid is None else grid.shape[1], s))
-            for j, i in enumerate(seqs):
-                dests[i] = (buf[j, :, :self.counts[i]], self.runs[i])
-            bufs.append(None if grid is None else buf[..., :l])
-        _draw_rows(rng, s, s, dests)
-        return [buf if buf is None else ops.keep_from_uniforms(buf, p, dtype) for buf in bufs]
+    def layer_keeps(self, rng, p: float, dtype, n_heads: int, width: int):
+        """One layer's dropout masks, as views of one `ops.dropout_keep`
+        over, in order: per group with rows, its [g, heads, n, l]
+        probabilities (the grid's gaps included); then the attention
+        output's and the FFN output's (n_rows, width) rows. Returns the
+        per-group masks (None for a group without rows) and the two row
+        masks."""
+        shapes = [(len(seqs), n_heads, grid.shape[1], l)
+                  for l, seqs, _, grid, *_ in self.groups if grid is not None]
+        shapes += [(self.flat.size, width)] * 2
+        sizes = [math.prod(shape) for shape in shapes]
+        keep = ops.dropout_keep(sum(sizes), p, rng, dtype)
+        masks = iter([part.reshape(shape) for part, shape
+                      in zip(np.split(keep, np.cumsum(sizes)[:-1]), shapes)])
+        att = [None if grid is None else next(masks) for _, _, _, grid, *_ in self.groups]
+        return att, next(masks), next(masks)
 
 
 def _attention(out: _Rows, q, k, v, n_heads: int, inv_sqrt_dh, keeps):
@@ -446,14 +410,6 @@ def _dense_backward(params: ParameterStore, dout: np.ndarray, x: np.ndarray,
     return dx
 
 
-def _row_dropout(x, p, rng, out: _Rows):
-    """Dropout of a layer's rows when given an rng, else (x, None)."""
-    if rng is None:
-        return x, None
-    keep = out.row_keep(rng, p, x.dtype, x.shape[-1])
-    return x * keep, keep
-
-
 def forward_hidden(params: ParameterStore, config: ModelConfig, batch: EncodedBatch, rows,
                    rng: np.random.Generator | None = None, want_cache: bool = False):
     """Run the encoder stack and return the last layer's hidden states at
@@ -461,9 +417,8 @@ def forward_hidden(params: ParameterStore, config: ModelConfig, batch: EncodedBa
     the cache of `backward_hidden` when asked for. Every layer but the last
     runs on all real tokens; the last runs its keys and values on them and
     the rest on `rows` alone. Dropout is drawn from `rng` when one is given
-    and config.dropout > 0; that rng must be PCG64. Each attention_mask row
-    must be a non-empty prefix of real tokens, and `rows` must be distinct
-    real tokens."""
+    and config.dropout > 0. Each attention_mask row must be a non-empty
+    prefix of real tokens, and `rows` must be distinct real tokens."""
     ids = np.asarray(batch.ids)
     if ids.ndim != 2:
         raise ShapeError(f"batch ids must be 2-d, got {ids.shape}")
@@ -482,9 +437,6 @@ def forward_hidden(params: ParameterStore, config: ModelConfig, batch: EncodedBa
     p_drop = config.dropout
     if p_drop == 0.0:
         rng = None
-    if rng is not None and not isinstance(rng.bit_generator, np.random.PCG64):
-        raise ConfigError("dropout needs a PCG64 generator, which skips pad cells with "
-                          f"bit_generator.advance; got {type(rng.bit_generator).__name__}")
     nh = config.n_heads
 
     tok_ids = ids.reshape(-1)[every.flat]
@@ -497,7 +449,10 @@ def forward_hidden(params: ParameterStore, config: ModelConfig, batch: EncodedBa
     x, emb_norm_cache = ops.layer_norm(
         x, params["encoder.emb_norm.gain"].value, params["encoder.emb_norm.bias"].value
     )
-    x, emb_keep = _row_dropout(x, p_drop, rng, every)
+    emb_keep = None
+    if rng is not None:
+        emb_keep = ops.dropout_keep(x.shape, p_drop, rng, dtype)
+        x *= emb_keep
     inv_sqrt_dh = dtype.type(1.0 / np.sqrt(config.hidden // nh))
 
     layer_caches = []
@@ -508,18 +463,21 @@ def forward_hidden(params: ParameterStore, config: ModelConfig, batch: EncodedBa
         xq = x_in if out.sel is None else x_in[out.sel]
         q = _dense(params, xq, f"{pre}.attn.wq", f"{pre}.attn.bq")
         k, v = (_dense(params, x_in, f"{pre}.attn.w{z}", f"{pre}.attn.b{z}") for z in "kv")
-        att_keeps = (out.attention_keeps(rng, p_drop, dtype, nh) if rng is not None
-                     else [None] * len(out.groups))
+        att_keeps, ao_keep, ff_keep = (
+            out.layer_keeps(rng, p_drop, dtype, nh, config.hidden) if rng is not None
+            else ([None] * len(out.groups), None, None))
         ctxm, attn_caches = _attention(out, q, k, v, nh, inv_sqrt_dh, att_keeps)
         ao = _dense(params, ctxm, f"{pre}.attn.wo", f"{pre}.attn.bo")
-        ao, ao_keep = _row_dropout(ao, p_drop, rng, out)
+        if ao_keep is not None:
+            ao *= ao_keep
         n1, n1_cache = ops.layer_norm(
             xq + ao, params[f"{pre}.attn_norm.gain"].value, params[f"{pre}.attn_norm.bias"].value
         )
         a1 = _dense(params, n1, f"{pre}.ffn.w1", f"{pre}.ffn.b1")
         hmid, gelu_cache = ops.gelu(a1)
         ff = _dense(params, hmid, f"{pre}.ffn.w2", f"{pre}.ffn.b2")
-        ff, ff_keep = _row_dropout(ff, p_drop, rng, out)
+        if ff_keep is not None:
+            ff *= ff_keep
         x, n2_cache = ops.layer_norm(
             n1 + ff, params[f"{pre}.ffn_norm.gain"].value, params[f"{pre}.ffn_norm.bias"].value
         )
@@ -631,8 +589,7 @@ def mlm_head(params: ParameterStore, hidden: np.ndarray, want_cache: bool = Fals
     t1 = _dense(params, hidden, "mlm.dense.w", "mlm.dense.b")
     t2, gelu_cache = ops.gelu(t1)
     t3, n_cache = ops.layer_norm(t2, params["mlm.norm.gain"].value, params["mlm.norm.bias"].value)
-    # Tied projection, kept out of _dense: its weight is tok_emb.T and its
-    # gradient goes to tok_emb.grad transposed.
+    # Tied projection, kept out of _dense: its weight is tok_emb.T.
     emb_t = params["encoder.tok_emb"].value.T
     logits = ops.add_bias(ops.matmul(t3, emb_t), params["mlm.out_bias"].value)
     cache = ({"hidden": hidden, "gelu_cache": gelu_cache, "t3": t3, "n_cache": n_cache}
@@ -644,9 +601,14 @@ def mlm_head_backward(params: ParameterStore, cache: dict, dlogits: np.ndarray) 
     """Returns d(loss)/d(hidden); tied embedding grads flow into tok_emb."""
     dlogits, d_out_bias = ops.add_bias_backward(dlogits)
     params["mlm.out_bias"].grad += d_out_bias
-    emb_t = params["encoder.tok_emb"].value.T
-    dt3, demb_t = ops.matmul_backward(dlogits, cache["t3"], emb_t)
-    params["encoder.tok_emb"].grad += demb_t.T
+    # logits.T = tok_emb @ t3.T, so this backward gives tok_emb's gradient
+    # as the contiguous dlogits.T @ t3, and d/dt3 transposed. d/dt3 goes
+    # back to C order: the layer-norm backward sums a transposed array in
+    # another order, with other float bits.
+    demb, dt3_t = ops.matmul_backward(dlogits.T, params["encoder.tok_emb"].value,
+                                      cache["t3"].T)
+    params["encoder.tok_emb"].grad += demb
+    dt3 = np.ascontiguousarray(dt3_t.T)
     dt2, dg, db = ops.layer_norm_backward(dt3, cache["n_cache"])
     params["mlm.norm.gain"].grad += dg
     params["mlm.norm.bias"].grad += db

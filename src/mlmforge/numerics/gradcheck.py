@@ -3,15 +3,18 @@
 Central differences (f(x+h) - f(x-h)) / 2h on a sampled subset of
 coordinates per tensor, compared against the gradients the backward pass
 produced. Runs in 64-bit only; 32-bit stores give meaningless differences
-at usable step sizes.
+at usable step sizes. The probes run with the ops' output checks off, and
+a probe loss that is not finite is a NonFiniteError naming the coordinate.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from ..errors import ConfigError, DeterminismError
+from ..errors import ConfigError, DeterminismError, NonFiniteError
+from . import ops
 from .params import ParameterStore
 
 # Relative error denominator floor: below this gradient magnitude the
@@ -92,11 +95,15 @@ def grad_check(
         worst = 0.0
         for i in idx:
             orig = flat[i]
-            flat[i] = orig + h
-            lp = float(probe(store))
-            flat[i] = orig - h
-            lm = float(probe(store))
-            flat[i] = orig
+            with ops.unchecked():
+                flat[i] = orig + h
+                lp = float(probe(store))
+                flat[i] = orig - h
+                lm = float(probe(store))
+                flat[i] = orig
+            if not (math.isfinite(lp) and math.isfinite(lm)):
+                at = [int(c) for c in np.unravel_index(i, p.value.shape)]
+                raise NonFiniteError(f"grad_check: probe loss at {name}{at} is not finite")
             fd = (lp - lm) / (2.0 * h)
             a = a_flat[i]
             rel = abs(a - fd) / max(abs(a), abs(fd), scale_floor)

@@ -4,7 +4,9 @@ Every op is pure to its callers: it never modifies an input and writes
 only into arrays it allocated itself. Every backward takes the upstream
 gradient (plus whatever the forward cached) and returns gradients for
 each input, so a scalar loss can be differentiated end to end without an
-autodiff graph. Outputs are checked for NaN/Inf on every forward.
+autodiff graph. Every forward checks its output for NaN/Inf, except
+inside `unchecked()`, where a training step runs its ops and then checks
+the loss and the gradients once (see `training`).
 
 The elementwise ops reuse their own fresh temporaries through `out=` and
 in-place ufuncs instead of allocating one array per subexpression. Each
@@ -18,6 +20,9 @@ Compute dtype follows the inputs: float32 for training, float64 for
 gradient-check mode.
 """
 
+from contextlib import contextmanager
+from contextvars import ContextVar
+
 import numpy as np
 
 from ..errors import ConfigError, DataError, NonFiniteError, ShapeError
@@ -29,10 +34,25 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
 
 
+# Whether ensure_finite checks. A context variable, like numpy's errstate:
+# `unchecked()` switches it off for one block in one thread or task only.
+_checking = ContextVar("mlmforge_ops_checking", default=True)
+
+
 def ensure_finite(op: str, arr) -> np.ndarray:
-    if not np.isfinite(arr).all():
+    if _checking.get() and not np.isfinite(arr).all():
         raise NonFiniteError(f"{op}: produced non-finite values")
     return arr
+
+
+@contextmanager
+def unchecked():
+    """Within the block, ensure_finite passes every output through unchecked."""
+    token = _checking.set(False)
+    try:
+        yield
+    finally:
+        _checking.reset(token)
 
 
 # --- matmul ---------------------------------------------------------------
@@ -245,8 +265,7 @@ def cross_entropy_backward(cache) -> np.ndarray:
 def dropout_keep(shape, p: float, rng: np.random.Generator, dtype) -> np.ndarray:
     """The dropout mask for an input of `shape`: 0 where an element is
     dropped, 1/(1-p) where it is kept. Draws one float64 uniform per
-    element, in C order; the encoder draws only its real cells' uniforms,
-    skips the rest, and gets this mask on every real cell."""
+    element, in C order."""
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
     return keep_from_uniforms(rng.random(shape), p, dtype)

@@ -5,6 +5,11 @@ per epoch, batch index = remainder), and the optimizer step counter lives
 in the ParameterStore, so a run interrupted by save/load resumes bitwise
 identically to an uninterrupted one. Continued (domain-adaptive)
 pretraining is the same loop started from a loaded checkpoint.
+
+A training step runs its ops with their output checks off and then checks
+the loss and every gradient once. A non-finite value replays the step
+with the checks on, under the same dropout masks, so the op that made it
+raises; see `_checked_step`. Validation and evaluation stay checked.
 """
 
 import json
@@ -30,7 +35,7 @@ from .encoder import (
 )
 from .errors import ConfigError, DataError, NonFiniteError
 from .masking import MASKING_MODES, MASK_RATIO, build_batch, build_epoch_batches
-from .numerics import ParameterStore, adam_step
+from .numerics import ParameterStore, adam_step, ops
 from .numerics.ops import IGNORE_ID, cross_entropy, cross_entropy_backward
 # `encode` is unused here, but perfbench/tracing.py looks it up in this module.
 from .tokenizer import TokenSequence, Vocab, encode
@@ -175,6 +180,27 @@ def _dropout_rng(cfg: TrainConfig, step: int) -> np.random.Generator:
     return np.random.default_rng((cfg.seed, _DROPOUT_SEED_OFFSET, step))
 
 
+def _checked_step(params: ParameterStore, where: str, loss_and_backward) -> float:
+    """`loss_and_backward()` with the ops' output checks (and numpy's
+    floating-point warnings) off, then one check of the loss and every
+    gradient. On a NaN or infinity the grads are zeroed and the step, which
+    must draw the same dropout masks again, is replayed with the checks on,
+    so the op that made the value raises; if none does, a backward op made
+    it, and the first non-finite gradient is named."""
+    with ops.unchecked(), np.errstate(all="ignore"):
+        loss = loss_and_backward()
+    if math.isfinite(loss) and all(np.isfinite(p.grad).all() for _, p in params.items()):
+        return loss
+    params.zero_grads()
+    try:
+        loss_and_backward()
+    except NonFiniteError as exc:
+        raise NonFiniteError(f"aborting at {where}: {exc}") from exc
+    bad = next(name for name, p in params.items() if not np.isfinite(p.grad).all())
+    raise NonFiniteError(f"aborting at {where}: the gradient of {bad!r} holds non-finite "
+                         "values")
+
+
 def pretrain(
     corpus_ids: Sequence[TokenSequence],
     params: ParameterStore,
@@ -219,10 +245,8 @@ def pretrain(
             corpus_ids, indices, cfg.masking_mode, epoch, cfg.seed,
             config.vocab_size, max_len, cfg.mask_ratio,
         )
-        try:
-            loss = mlm_loss_and_backward(params, config, batch, rng=_dropout_rng(cfg, step))
-        except NonFiniteError as exc:
-            raise NonFiniteError(f"aborting at step {step}: {exc}") from exc
+        loss = _checked_step(params, f"step {step}", lambda: mlm_loss_and_backward(
+            params, config, batch, rng=_dropout_rng(cfg, step)))
         adam_step(params, {"*": cfg.lr_encoder})
         log.append({"step": params.step_count, "split": "train",
                     "metric": "mlm_loss", "value": loss})
@@ -316,11 +340,8 @@ def finetune(
             hi = min(lo + cfg.batch_size, n)
             batch = EncodedBatch.from_sequences(train_seqs[lo:hi])
             targets = train_labels[lo:hi]
-            try:
-                loss = cls_loss_and_backward(params, config, batch, targets,
-                                             rng=_dropout_rng(cfg, step))
-            except NonFiniteError as exc:
-                raise NonFiniteError(f"aborting at epoch {epoch}: {exc}") from exc
+            loss = _checked_step(params, f"epoch {epoch}", lambda: cls_loss_and_backward(
+                params, config, batch, targets, rng=_dropout_rng(cfg, step)))
             adam_step(params, groups, live_rows)
             step += 1
             log.append({"epoch": epoch, "split": "train", "metric": "cls_loss",

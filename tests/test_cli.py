@@ -186,6 +186,24 @@ class TestErrors:
         assert err.startswith("CKPT/") and "'encoder.tok_emb' has shape" in err
         assert not (tmp_path / "run").exists()
 
+    def test_non_finite_tensor_is_one_ckpt_line(self, pipeline, tmp_path, capsys):
+        root, corpus, vocab = pipeline
+        data = bytearray((root / "pt" / "ckpt" / "last.ckpt").read_bytes())
+        (mlen,) = struct.unpack("<Q", data[12:20])
+        manifest = json.loads(data[20:20 + mlen])
+        rec = next(t for t in manifest["tensors"] if t["name"] == "mlm.out_bias")
+        at = 20 + mlen + rec["offset"] + 4 * 3
+        data[at:at + 4] = struct.pack("<f", float("nan"))
+        broken = tmp_path / "nan.ckpt"
+        broken.write_bytes(bytes(data))
+        code = run("continue-pretrain", "--from", str(broken), "--corpus", str(corpus),
+                   "--vocab", str(vocab), "--run-dir", str(tmp_path / "run"), *FAST_TRAIN,
+                   "--set", "train.max_steps=9")
+        err = capsys.readouterr().err
+        assert code == 4 and len(err.strip().splitlines()) == 1
+        assert err.startswith("CKPT/")
+        assert err.strip().endswith("tensor 'mlm.out_bias' holds a NaN or infinity")
+
     @pytest.mark.parametrize("command, override", [
         ("pretrain", "train.batch_size=0"),
         ("pretrain", "train.mask_ratio=0"),

@@ -326,46 +326,50 @@ class TestClsHead:
 
 
 class TestDropout:
-    def test_dropout_needs_pcg64(self):
-        cfg = ModelConfig(n_layers=1, hidden=16, n_heads=2, ffn=32, vocab_size=20,
-                          max_positions=8, dropout=0.5)
-        store = init_params(cfg, seed=0)
-        rng = np.random.Generator(np.random.MT19937(0))
-        with pytest.raises(ConfigError, match="PCG64"):
-            forward_hidden(store, cfg, batch_of([2, 6, 3]), [0], rng=rng)
+    """Each layer draws its masks with one `ops.dropout_keep` over exactly
+    the cells it computes: per length group its [g, heads, n, l]
+    probabilities, then the attention and FFN outputs' rows."""
 
     @settings(max_examples=60, deadline=None)
     @given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=6),
            extra=st.integers(0, 4), width=st.integers(1, 9), n_heads=st.integers(1, 3),
            p=st.floats(0.0, 0.9), seed=st.integers(0, 2**32 - 1),
            dtype=st.sampled_from([np.float32, np.float64]), data=st.data())
-    def test_real_cell_masks_equal_padded_masks(self, lengths, extra, width, n_heads, p,
-                                                seed, dtype, data):
-        """The skip-drawn masks hold the padded draw's value at every cell
-        of their rows: every real token for the inner layers, the requested
-        rows for the last. The rng ends where the padded draws leave it."""
-        b, s = len(lengths), max(lengths) + extra
+    def test_layer_masks_are_one_draw_of_the_computed_cells(self, lengths, extra, width,
+                                                            n_heads, p, seed, dtype, data):
+        """Reruns give byte-equal masks and rng states; each mask has the
+        shape of the cells the layer computes, for every real token (inner
+        layers) or the requested rows (last layer); together they are one
+        draw of those cells, with a keep fraction within binomial bounds."""
+        s = max(lengths) + extra
         every = _Rows.of((np.arange(s) < np.array(lengths)[:, None]).astype(np.int64))
         want = data.draw(st.lists(st.sampled_from(every.flat.tolist()), unique=True))
         asked, _ = every.ask(np.array(want, dtype=np.int64))
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         for rows in (every, asked):
-            flat = rows.flat
-            keeps = rows.attention_keeps(rng, p, dtype, n_heads)
-            padded_keep = ops.dropout_keep((b, n_heads, s, s), p, ref, dtype)
-            for (l, seqs, _, grid, _, _), keep in zip(rows.groups, keeps):
-                if grid is None:
-                    assert keep is None and not np.isin(flat // s, seqs).any()
-                    continue
-                assert keep.shape == (len(seqs), n_heads, grid.shape[1], l)
-                for j, i in enumerate(seqs):
-                    pos = flat[flat // s == i] % s
-                    want_keep = np.ascontiguousarray(padded_keep[i][:, pos, :l])
-                    assert keep[j, :, :pos.size].tobytes() == want_keep.tobytes()
-            row = rows.row_keep(rng, p, dtype, width)
-            want_row = ops.dropout_keep((b * s, width), p, ref, dtype)[flat]
-            assert row.tobytes() == want_row.tobytes()
-        assert rng.bit_generator.state == ref.bit_generator.state
+            runs = []
+            for _ in range(2):
+                rng = np.random.default_rng(seed)
+                att, ao, ff = rows.layer_keeps(rng, p, dtype, n_heads, width)
+                runs.append(([k for k in att if k is not None] + [ao, ff],
+                             rng.bit_generator.state))
+            (masks, state), (again, again_state) = runs
+            assert [m.tobytes() for m in masks] == [m.tobytes() for m in again]
+            assert state == again_state
+
+            want_shapes = [(len(seqs), n_heads, grid.shape[1], l)
+                           for l, seqs, _, grid, *_ in rows.groups if grid is not None]
+            assert [m.shape for m in masks] == want_shapes + [(rows.flat.size, width)] * 2
+            assert [k is None for k in att] == [grid is None
+                                                for _, _, _, grid, *_ in rows.groups]
+            assert all(m.dtype == dtype for m in masks)
+
+            ref = np.random.default_rng(seed)
+            cells = sum(m.size for m in masks)
+            one_draw = ops.dropout_keep(cells, p, ref, dtype)
+            assert np.concatenate([m.reshape(-1) for m in masks]).tobytes() == one_draw.tobytes()
+            assert state == ref.bit_generator.state
+            kept = int(np.count_nonzero(one_draw))
+            assert abs(kept - cells * (1 - p)) <= 6 * np.sqrt(cells * p * (1 - p)) + 1
 
     def test_an_rng_switches_dropout_on(self):
         cfg = ModelConfig(n_layers=1, hidden=16, n_heads=2, ffn=32, vocab_size=20,
@@ -543,20 +547,55 @@ def drop_store(seed):
     return params
 
 
+KEPT = 1.0 - 2.0 ** -53  # the largest float64 uniform, kept at any p < 1
+
+
+class ReplayRng:
+    """Stands in for the padded reference's rng: `random(shape)` returns,
+    at the padded shape and in the reference's draw order, uniforms that
+    give the masks forward_hidden cached, 0.0 where a cell was dropped and
+    KEPT where it was kept. Cells the encoder does not compute (pads, the
+    last layer's other rows) get 0.5; no compared output reads them."""
+
+    def __init__(self, config, att, cache):
+        b, s = att.shape
+
+        def rows(flat, keep):
+            draw = np.full((b * s, keep.shape[-1]), 0.5)
+            draw[flat] = np.where(keep != 0, KEPT, 0.0)
+            return draw.reshape(b, s, -1)
+
+        self.draws = [rows(np.flatnonzero(np.asarray(att).reshape(-1)), cache["emb_keep"])]
+        for lc in cache["layers"]:
+            out = lc["rows"]
+            probs = np.full((b, config.n_heads, s, s), 0.5)
+            for (l, seqs, *_), gc in zip(out.groups, lc["attn"]):
+                for j, i in enumerate(seqs if gc is not None else []):
+                    pos = out.flat[out.flat // s == i] % s
+                    probs[i][:, pos, :l] = np.where(gc["keep"][j, :, :pos.size] != 0, KEPT, 0.0)
+            self.draws += [probs, rows(out.flat, lc["ao_keep"]), rows(out.flat, lc["ff_keep"])]
+
+    def random(self, shape):
+        draw = self.draws.pop(0)
+        assert draw.shape == tuple(shape)
+        return draw
+
+
 def check_rows_against_reference(lengths, rows, seed=0):
     """forward_hidden/backward_hidden at the flat `rows` vs the padded
-    encoder in float64 with dropout, same rng: the rows' states, the rng
-    state afterwards and every gradient."""
+    encoder in float64 with dropout, under the same masks: the rows' states
+    and every gradient."""
     enc = masked_batch(lengths, seed).encoded()
     params = drop_store(seed)
     rows = np.asarray(rows, dtype=np.int64)
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    hidden, cache = forward_hidden(params, DROP, enc, rows, rng=rng, want_cache=True)
-    ref, ref_cache = reference_forward_rows(params, DROP, enc, rows, rng=ref_rng,
+    hidden, cache = forward_hidden(params, DROP, enc, rows, rng=np.random.default_rng(seed),
+                                   want_cache=True)
+    replay = ReplayRng(DROP, enc.attention_mask, cache)
+    ref, ref_cache = reference_forward_rows(params, DROP, enc, rows, rng=replay,
                                             want_cache=True)
+    assert replay.draws == []
     assert hidden.shape == ref.shape == (rows.size, DROP.hidden)
     npt.assert_allclose(hidden, ref, rtol=1e-12, atol=0)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     d_rows = np.random.default_rng(seed + 1).standard_normal(hidden.shape)
     new, old = params.clone(), params.clone()
@@ -569,7 +608,8 @@ def check_rows_against_reference(lengths, rows, seed=0):
 
 def check_against_reference(lengths, seed=0):
     """Every real row, then the two losses, whose heads read the labelled
-    rows and row 0, against the padded encoder."""
+    rows and row 0, against the padded encoder under the masks the
+    encoder drew."""
     batch = masked_batch(lengths, seed)
     enc = batch.encoded()
     check_rows_against_reference(lengths, real_rows(enc), seed)
@@ -577,17 +617,26 @@ def check_against_reference(lengths, seed=0):
     params = drop_store(seed)
     targets = np.arange(len(lengths)) % 3
     runs = {
-        "mlm": lambda store: training.mlm_loss_and_backward(
-            store, DROP, batch, rng=np.random.default_rng(seed)),
-        "cls": lambda store: training.cls_loss_and_backward(
-            store, DROP, enc, targets, rng=np.random.default_rng(seed)),
+        "mlm": lambda store, rng: training.mlm_loss_and_backward(store, DROP, batch, rng=rng),
+        "cls": lambda store, rng: training.cls_loss_and_backward(store, DROP, enc, targets,
+                                                                 rng=rng),
     }
     for head, run in runs.items():
         new, old = params.clone(), params.clone()
-        loss = run(new)
+        caches = []
+
+        def recording_forward(*args, **kwargs):
+            hidden, cache = forward_hidden(*args, **kwargs)
+            caches.append(cache)
+            return hidden, cache
+
+        with mock.patch.object(training, "forward_hidden", recording_forward):
+            loss = run(new, np.random.default_rng(seed))
+        replay = ReplayRng(DROP, enc.attention_mask, caches[0])
         with mock.patch.multiple(training, forward_hidden=reference_forward_rows,
                                  backward_hidden=reference_backward_rows):
-            want = run(old)
+            want = run(old, replay)
+        assert replay.draws == [], head
         assert loss == pytest.approx(want, rel=1e-12), head
         for name in new.names():
             npt.assert_allclose(new[name].grad, old[name].grad, rtol=1e-9, atol=1e-15,
@@ -598,11 +647,11 @@ def check_against_reference(lengths, seed=0):
 class TestTokenMajorLayout:
     """forward_hidden/backward_hidden run on the real tokens only: every
     row-wise layer on the token rows, attention per length group with no
-    key mask, and every dropout mask drawn for the real cells alone. The
-    last layer runs its keys and values on every real token and the rest on
-    the requested rows. Held to the padded encoder above, which runs every
-    position, draws its masks at the padded shape from the same rng, and
-    gathers the requested rows."""
+    key mask, and every dropout mask drawn for the computed cells alone.
+    The last layer runs its keys and values on every real token and the
+    rest on the requested rows. Held to the padded encoder above, which
+    runs every position, draws the encoder's masks at the padded shape
+    from a ReplayRng, and gathers the requested rows."""
 
     def test_mixed_lengths_match_padded_reference(self):
         check_against_reference([9, 3, 14, 1, 6])

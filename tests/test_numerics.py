@@ -99,6 +99,15 @@ class TestShapeAndFiniteErrors:
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="matmul"):
             ops.matmul(big, big)
 
+    def test_unchecked_block_skips_the_check_and_restores_it(self):
+        big = np.full((2, 2), 1e300)
+        with np.errstate(over="ignore"):
+            with pytest.raises(KeyError), ops.unchecked():
+                assert np.isinf(ops.matmul(big, big)).all()
+                raise KeyError
+            with pytest.raises(NonFiniteError, match="matmul"):
+                ops.matmul(big, big)
+
     def test_embedding_ids_out_of_range(self):
         with pytest.raises(ShapeError, match="embedding_lookup"):
             ops.embedding_lookup(np.ones((4, 8)), np.array([[0, 4]]))
@@ -606,3 +615,23 @@ class TestGradCheck:
         report = grad_check(f, store)
         assert not report.passed
         assert "FAIL" in report.summary()
+
+    def test_probes_run_unchecked_and_a_non_finite_probe_names_its_coordinate(self):
+        store = ParameterStore()
+        store.add("w", np.array([[0.5, 2.0]]))
+        checked_in_probe = []
+
+        def loss(s):
+            checked_in_probe.append(ops._checking.get())
+            w = s["w"].value
+            return float(np.log(w[0, 0] - 0.5 + 1e-6) + w[0, 1])
+
+        def f(s):
+            w = s["w"].value
+            s["w"].grad += [[1.0 / (w[0, 0] - 0.5 + 1e-6), 1.0]]
+            return loss(s)
+
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NonFiniteError, match=r"probe loss at w\[0, 0\] is not finite"):
+            grad_check(f, store, loss_fn=loss, coords_per_tensor=2, seed=1)
+        assert checked_in_probe[:2] == [True, True] and not any(checked_in_probe[2:])

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from mlmforge import training
+from mlmforge import evaluation, training
 from mlmforge.benchmarks import Example, LabeledDataset
 from mlmforge.checkpoint import MAGIC, load_checkpoint, read_manifest, save_checkpoint
 from mlmforge.corpus import CorpusStats, SentenceCorpus
@@ -16,12 +16,13 @@ from mlmforge.encoder import (
     backward_hidden,
     encode_batch,
     forward_hidden,
+    init_classifier,
     init_params,
     mlm_head,
     mlm_head_backward,
 )
 from mlmforge.errors import CheckpointError, ConfigError, DataError, NonFiniteError
-from mlmforge.numerics import _heap, adam_step
+from mlmforge.numerics import _heap, adam_step, ops
 from mlmforge.masking import build_batch, build_epoch_batches
 from mlmforge.numerics.ops import IGNORE_ID, cross_entropy, cross_entropy_backward
 from mlmforge.tokenizer import PAD_ID, train_vocab
@@ -127,6 +128,41 @@ class TestPretrain:
         with pytest.raises(NonFiniteError, match="step 0"):
             pretrain(MICRO_CORPUS, params, MICRO, micro_cfg())
 
+    def test_non_finite_gradient_from_a_backward_op_names_the_tensor(self, monkeypatch):
+        """No op checks a backward's output; the step's gradient check
+        does, and Adam does not run."""
+        params = pretrain(MICRO_CORPUS, init_params(MICRO, 0), MICRO,
+                          micro_cfg(max_steps=2)).params
+        before = store_bytes(params)
+        monkeypatch.setattr(ops, "gelu_backward",
+                            lambda dout, cache: np.full_like(dout, np.nan))
+        with pytest.raises(NonFiniteError,
+                           match=r"^aborting at step 2: the gradient of 'encoder.tok_emb' "):
+            pretrain(MICRO_CORPUS, params, MICRO, micro_cfg(max_steps=4))
+        assert params.step_count == 2
+        assert store_bytes(params) == before
+
+    def test_a_step_checks_only_its_loss_and_gradients(self, monkeypatch):
+        """A training step runs its ops unchecked and then checks each
+        gradient once; evaluation still checks every op."""
+        params = init_params(MICRO, 0)
+        grads = {id(p.grad) for _, p in params.items()}
+        checked = []
+        isfinite = np.isfinite
+
+        def recording_isfinite(x, *args, **kwargs):
+            checked.append(id(x))
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", recording_isfinite)
+        pretrain(MICRO_CORPUS, params, MICRO, micro_cfg(max_steps=2))
+        assert len(checked) == 2 * len(grads) and set(checked) == grads
+
+        init_classifier(params, MICRO, 2, seed=0)
+        params["cls.out.b"].value[0] = np.nan
+        with pytest.raises(NonFiniteError, match="add_bias"):
+            evaluation.confusion_table(params, MICRO, MICRO_CORPUS, np.zeros(4, np.int64), 2)
+
     def test_already_at_max_steps_rejected(self):
         params = init_params(MICRO, 0)
         params.step_count = 4
@@ -214,6 +250,24 @@ class TestSparseMLM:
         r2 = pretrain(MICRO_CORPUS, init_params(config, 0), config, cfg)
         assert r1.params.step_count == r2.params.step_count == 6
         assert store_bytes(r1.params) == store_bytes(r2.params)
+
+    def test_mt19937_dropout_trains_deterministically(self, batch):
+        """The masks are a pure function of the rng state, whatever the bit
+        generator."""
+        config = ModelConfig(**{**MICRO.as_dict(), "dropout": 0.1})
+
+        def train(bit_generator):
+            params = init_params(config, 0)
+            losses = []
+            for step in range(3):
+                rng = np.random.Generator(bit_generator(step))
+                losses.append(mlm_loss_and_backward(params, config, batch, rng=rng))
+                adam_step(params, {"*": 1e-2})
+            return losses, store_bytes(params)
+
+        run = train(np.random.MT19937)
+        assert run == train(np.random.MT19937)
+        assert run[0] != train(np.random.PCG64)[0]
 
 
 def separable_dataset(n_train=40, n_val=20):
@@ -355,9 +409,24 @@ class TestFinetune:
             assert store_bytes(a) == store_bytes(b)
         assert with_rows.log == every_row.log
 
+    def test_non_finite_head_bias_aborts_with_epoch_and_op(self, toy_setup, monkeypatch):
+        """A +inf that appears in cls.out.b after the epoch-0 validation is
+        caught by the step's check, and its replay names the op."""
+        ds, vocab, config = toy_setup
+        validate = evaluation.confusion_table
+
+        def poisoning_validate(params, *args, **kwargs):
+            table = validate(params, *args, **kwargs)
+            params["cls.out.b"].value[0] = np.inf
+            return table
+
+        monkeypatch.setattr(evaluation, "confusion_table", poisoning_validate)
+        with pytest.raises(NonFiniteError,
+                           match="^aborting at epoch 1: add_bias: produced non-finite values"):
+            finetune(ds, init_params(config, seed=0), config, micro_cfg(epochs=1), vocab)
+
     def test_head_class_count_mismatch(self, toy_setup):
         ds, vocab, config = toy_setup
-        from mlmforge.encoder import init_classifier
         params = init_params(config, seed=0)
         init_classifier(params, config, 5, seed=1)
         with pytest.raises(ConfigError):
