@@ -6,30 +6,28 @@ residual + layer norm. The MLM projection is weight-tied to the token
 embedding matrix. The classifier head is dense -> tanh -> dense on the
 position-0 hidden state of the last layer.
 
-The stack runs token-major: the real tokens of a padded batch are gathered
-once, and every layer runs on them alone. Row-wise layers (embeddings, the
-dense projections, gelu, layer norms, residual adds, dropout) run on
-(n_real, width) rows. Attention runs per group of sequences of one length
-l: their q, k and v rows are gathered into [g, heads, l, dh], the scores
-are [g, heads, l, l] with no key mask, and the context is scattered back
-to the token rows. Each attention_mask row must be a non-empty prefix of
-real tokens.
+The stack runs token-major on the real tokens of a padded batch, whose
+attention_mask rows must each be a non-empty prefix of real tokens.
+Row-wise layers (embeddings, the dense projections, gelu, layer norms,
+residual adds, dropout) run on (n_real, width) rows. Attention runs on one
+packed index set per batch (`_Rows`), like FlashAttention's cu_seqlens:
+the sequences, ordered by length, form groups of one length l; q, k and v
+are gathered once per layer, each group's [g, heads, n, l] scores run on
+slices of them with no key mask, and the context is scattered back once.
 
-The caller names the flat [batch * seq] positions whose last-layer states
-it reads (the labelled rows for MLM, row 0 for the classifier), and only
-those come back. The last layer computes keys and values for every real
-token and everything else (queries, scores, softmax, context, the output
-projection, both layer norms and the FFN) for the requested rows alone,
-on [g, heads, n, l] scores where n is the most rows any sequence of the
-group asks for.
+The caller names the ascending flat [batch * seq] positions whose
+last-layer states it reads (the labelled rows for MLM, row 0 for the
+classifier), and only those come back. Every layer but the last runs on
+every real token (n = l). The last computes keys and values for every real
+token and everything else for the requested rows alone, n being the most
+rows any sequence of the group asks for.
 
 Dropout masks cover exactly the cells a layer computes, in token-major
-order. The embedding mask is one (n_real, hidden) draw; each layer then
-draws its masks with one `ops.dropout_keep` over, in this order, each
-length group's [g, heads, n, l] probabilities (ascending l), the attention
-output's rows and the FFN output's rows, and splits the result into
-views. So the masks are a pure function of the rng state, the batch and
-the requested rows, with any bit generator.
+order: one (n_real, hidden) embedding draw, then per layer one
+`ops.dropout_keep` over each group's [g, heads, n, l] probabilities
+(ascending l), the attention output's rows and the FFN output's rows,
+split into views. So the masks are a pure function of the rng state, the
+batch and the requested rows, with any bit generator.
 
 Forward functions optionally return a cache consumed by the matching
 backward functions, which accumulate into ParameterStore gradients.
@@ -205,10 +203,13 @@ def init_classifier(store: ParameterStore, config: ModelConfig, n_classes: int,
     _add_initialized(store, head, seed, store["encoder.tok_emb"].value.dtype)
 
 
-def classifier_n_classes(store: ParameterStore) -> int:
+def check_classifier(store: ParameterStore, n_classes: int, source: str) -> None:
+    """A ConfigError unless the store has a head of the n_classes of `source`."""
     if "cls.out.b" not in store:
         raise ConfigError("no classifier head in parameter store")
-    return int(store["cls.out.b"].value.shape[0])
+    have = store["cls.out.b"].value.shape[0]
+    if have != n_classes:
+        raise ConfigError(f"classifier head has {have} classes but {source} has {n_classes}")
 
 
 def count_params(config: ModelConfig, n_classes: int | None = None) -> int:
@@ -229,27 +230,35 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, s, nh * dh)
 
 
-class _Rows(NamedTuple):
-    """A set of real token rows of a padded [batch, seq] batch: every real
-    token, or the rows the last layer computes its output for.
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges starts[i] + arange(counts[i]), concatenated."""
+    return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
 
-    `flat` holds their flat [batch * seq] positions, ascending, which is
-    token-major order; `sel` their indices among every real token, or None
-    when they are every real token. `groups` holds, per distinct sequence
-    length l, ascending:
-    - `seqs`, the batch indices of the sequences of that length;
-    - `tok`, the token-major rows of all their tokens, sequence-major, so
-      `z[tok].reshape(g, l, width)` is the group's sequences;
-    - `grid`, the [g, n] indices in `flat` of the set's rows among them (n
-      the most any of them has, the gaps filled with 0); `slots`, the flat
-      cells of the grid that hold a row (None when all do); and `qrows`,
-      those rows. All three are None when the group has none of the set."""
+
+class _Rows(NamedTuple):
+    """A set of real token rows of a padded [batch, seq] batch (every real
+    token, or the rows the last layer computes) as one group-major index set.
+
+    `flat` holds their flat [batch * seq] positions, ascending (token-major
+    order); `sel` their indices among every real token, or None when they
+    are all of them. `by_len` orders the batch by length (a stable sort),
+    and `groups` holds three arrays (g, n, l), one entry per length l,
+    ascending: g sequences, the next g of `by_len`, with at most n rows
+    each in the set. `tok` lists every real token's row in that order, so
+    a group's tokens are the next g * l of `tok`. `cells` lists each
+    sequence's n query cells, as indices in `flat`: the `gaps`, past a
+    sequence's last row, hold 0, and `slots` are the other cells
+    (slice(None) when there are no gaps). `_blocks` walks the groups."""
 
     seq: int
-    batch: int
     flat: np.ndarray
     sel: np.ndarray | None
-    groups: list  # [(l, seqs, tok, grid, slots, qrows)]
+    by_len: np.ndarray
+    groups: tuple  # (g, n, l)
+    tok: np.ndarray
+    cells: np.ndarray
+    gaps: np.ndarray
+    slots: np.ndarray | slice
 
     @classmethod
     def of(cls, att: np.ndarray) -> "_Rows":
@@ -261,24 +270,22 @@ class _Rows(NamedTuple):
         if bad.any():
             raise ShapeError(f"attention_mask row {int(np.flatnonzero(bad)[0])} is not a "
                              "non-empty prefix of real tokens")
-        starts = np.cumsum(lengths) - lengths
-        groups = []
-        for l in np.unique(lengths).tolist():
-            seqs = np.flatnonzero(lengths == l)
-            tok = (starts[seqs, None] + np.arange(l)).reshape(-1)
-            groups.append((l, seqs, tok, tok.reshape(len(seqs), l), None, tok))
-        return cls(s, b, np.flatnonzero(real), None, groups)
+        by_len = np.argsort(lengths, kind="stable")
+        g = np.bincount(lengths)
+        ls = np.flatnonzero(g)
+        tok = _ranges((np.cumsum(lengths) - lengths)[by_len], lengths[by_len])
+        return cls(s, np.flatnonzero(real), None, by_len, (g[ls], ls, ls), tok, tok,
+                   np.empty(0, dtype=np.intp), slice(None))
 
-    def ask(self, want) -> tuple["_Rows", np.ndarray]:
-        """The rows at the flat positions `want`, as a subset of this set of
-        every real token, and `order`: the subset's k-th row is
-        `want[order[k]]`. A position that is outside the batch, is not a
-        real token or is asked for twice is a ShapeError naming its batch
-        row and position."""
+    def ask(self, want) -> "_Rows":
+        """The rows at the ascending flat positions `want`, as a subset of
+        this set of every real token. A position that is outside the batch,
+        is not above the one before it or is not a real token is a
+        ShapeError naming its batch row and position."""
         want = np.asarray(want)
         if want.ndim != 1 or (want.size and want.dtype.kind not in "iu"):
             raise ShapeError(f"rows must be a 1-d array of flat positions, got {want.shape}")
-        s, b = self.seq, self.batch
+        s, b = self.seq, self.by_len.size
 
         def fail(k, why):
             r = int(want[k])
@@ -287,103 +294,98 @@ class _Rows(NamedTuple):
         outside = np.flatnonzero((want < 0) | (want >= b * s))
         if outside.size:
             fail(outside[0], f"is outside the {b} x {s} batch")
-        tm = np.minimum(np.searchsorted(self.flat, want), self.flat.size - 1)
-        pad = np.flatnonzero(self.flat[tm] != want)
+        down = np.flatnonzero(want[1:] <= want[:-1])
+        if down.size:
+            fail(down[0] + 1, f"is not above the row before it, {int(want[down[0]])}")
+        sel = np.minimum(np.searchsorted(self.flat, want), self.flat.size - 1)
+        pad = np.flatnonzero(self.flat[sel] != want)
         if pad.size:
             fail(pad[0], "is a pad position")
-        order = np.argsort(tm, kind="stable")
-        sel = tm[order]
-        twice = np.flatnonzero(sel[1:] == sel[:-1])
-        if twice.size:
-            fail(order[twice[0] + 1], "is asked for twice")
         if sel.size == self.flat.size:
-            return self, order
+            return self
 
         flat = self.flat[sel]
         counts = np.bincount(flat // s, minlength=b)
-        starts = np.cumsum(counts) - counts
-        groups = []
-        for l, seqs, tok, *_ in self.groups:
-            n = int(counts[seqs].max())
-            grid = starts[seqs, None] + np.arange(n)
-            real = np.arange(n) < counts[seqs, None]
-            if n == 0:
-                groups.append((l, seqs, tok, None, None, None))
-            elif real.all():
-                groups.append((l, seqs, tok, grid, None, grid.reshape(-1)))
-            else:
-                groups.append((l, seqs, tok, np.where(real, grid, 0), np.flatnonzero(real),
-                               grid[real]))
-        return _Rows(s, b, flat, sel, groups), order
+        first, counts = (np.cumsum(counts) - counts)[self.by_len], counts[self.by_len]
+        g, _, l = self.groups
+        n = np.maximum.reduceat(counts, np.cumsum(g) - g)
+        n_seq = np.repeat(n, g)
+        cells = _ranges(first, n_seq)
+        gap = cells >= np.repeat(first + counts, n_seq)
+        cells[gap] = 0
+        gaps = np.flatnonzero(gap)
+        return _Rows(s, flat, sel, self.by_len, (g, n, l), self.tok, cells, gaps,
+                     np.flatnonzero(~gap) if gaps.size else slice(None))
 
     def layer_keeps(self, rng, p: float, dtype, n_heads: int, width: int):
         """One layer's dropout masks, as views of one `ops.dropout_keep`
-        over, in order: per group with rows, its [g, heads, n, l]
-        probabilities (the grid's gaps included); then the attention
-        output's and the FFN output's (n_rows, width) rows. Returns the
-        per-group masks (None for a group without rows) and the two row
-        masks."""
-        shapes = [(len(seqs), n_heads, grid.shape[1], l)
-                  for l, seqs, _, grid, *_ in self.groups if grid is not None]
+        over, in order: each group's [g, heads, n, l] probabilities (gaps
+        included), then the attention output's and the FFN output's
+        (n_rows, width) rows. Returns the group masks and the two row masks."""
+        shapes = [(len(seqs), n_heads, n, l) for seqs, n, l, *_ in _blocks(self)]
         shapes += [(self.flat.size, width)] * 2
         sizes = [math.prod(shape) for shape in shapes]
         keep = ops.dropout_keep(sum(sizes), p, rng, dtype)
-        masks = iter([part.reshape(shape) for part, shape
-                      in zip(np.split(keep, np.cumsum(sizes)[:-1]), shapes)])
-        att = [None if grid is None else next(masks) for _, _, _, grid, *_ in self.groups]
-        return att, next(masks), next(masks)
+        masks = [part.reshape(shape) for part, shape
+                 in zip(np.split(keep, np.cumsum(sizes)[:-1]), shapes)]
+        return masks[:-2], masks[-2], masks[-1]
 
 
-def _attention(out: _Rows, q, k, v, n_heads: int, inv_sqrt_dh, keeps):
-    """Self-attention of each length group's query rows over its keys, on
-    [g, heads, n_q, l] scores with no key mask. q holds the query rows, k
-    and v every token row; returns the context as query rows and, per
-    group, the cache of `_attention_backward`."""
-    ctx = np.empty_like(q)
-    caches = []
+def _blocks(rows: _Rows):
+    """Per group, ascending l: (seqs, n, l, cells, tok), the batch indices
+    of its g sequences, n, l and the slices of `rows.cells` and `rows.tok`
+    that hold its [g, n] query cells and [g, l] tokens."""
+    i = c = t = 0
+    for g, n, l in zip(*(a.tolist() for a in rows.groups)):
+        yield rows.by_len[i:i + g], n, l, slice(c, c + g * n), slice(t, t + g * l)
+        i, c, t = i + g, c + g * n, t + g * l
+
+
+def _attention(rows: _Rows, q, k, v, n_heads: int, inv_sqrt_dh, keeps):
+    """Self-attention of each group's query cells over its tokens, on
+    [g, heads, n, l] scores with no key mask. q holds the query rows, k and
+    v every token row; returns the context as query rows and, per group,
+    the cache of `_attention_backward`."""
     width = q.shape[-1]
-    for (l, _, tok, grid, slots, qrows), keep in zip(out.groups, keeps):
-        if grid is None:
-            caches.append(None)
-            continue
-        qh = _split_heads(q[grid], n_heads)
-        kh, vh = (_split_heads(z[tok].reshape(-1, l, width), n_heads) for z in (k, v))
-        scores = np.matmul(qh, kh.swapaxes(-1, -2))
+    qc, kt, vt = q[rows.cells], k[rows.tok], v[rows.tok]
+    cc = np.empty_like(qc)
+    caches = []
+    for (seqs, n, l, cells, tok), keep in zip(_blocks(rows), keeps):
+        qh = _split_heads(qc[cells].reshape(len(seqs), n, width), n_heads)
+        kh, vh = (_split_heads(z[tok].reshape(len(seqs), l, width), n_heads) for z in (kt, vt))
+        scores = ops.matmul(qh, kh.swapaxes(-1, -2))
         scores *= inv_sqrt_dh
         probs = ops.softmax(scores)
         probs_d = probs if keep is None else probs * keep
-        cg = _merge_heads(ops.matmul(probs_d, vh)).reshape(-1, width)
-        ctx[qrows] = cg if slots is None else cg[slots]
+        cc[cells] = _merge_heads(ops.matmul(probs_d, vh)).reshape(-1, width)
         caches.append({"qh": qh, "kh": kh, "vh": vh, "probs": probs, "probs_d": probs_d,
                        "keep": keep})
+    ctx = np.empty_like(q)
+    ctx[rows.cells[rows.slots]] = cc[rows.slots]
     return ctx, caches
 
 
-def _attention_backward(out: _Rows, caches, dctx, n_tok: int, n_heads: int, inv_sqrt_dh):
-    """d/dq as query rows and d/dk, d/dv as the n_tok token rows, given
-    d/dctx."""
+def _attention_backward(rows: _Rows, caches, dctx, n_heads: int, inv_sqrt_dh):
+    """d/dq as query rows and d/dk, d/dv as token rows, given d/dctx."""
     width = dctx.shape[-1]
-    dq = np.empty_like(dctx)
-    dk, dv = (np.empty((n_tok, width), dtype=dctx.dtype) for _ in range(2))
-    for (l, _, tok, grid, slots, qrows), gc in zip(out.groups, caches):
-        if grid is None:
-            dk[tok] = dv[tok] = 0
-            continue
-        dg = dctx[qrows]
-        if slots is not None:
-            dg = np.zeros((grid.size, width), dtype=dctx.dtype)
-            dg[slots] = dctx[qrows]
-        dctxh = _split_heads(dg.reshape(*grid.shape, width), n_heads)
+    dcc = dctx[rows.cells]
+    dcc[rows.gaps] = 0
+    dqc = np.empty_like(dcc)
+    dkt, dvt = (np.empty((rows.tok.size, width), dtype=dctx.dtype) for _ in range(2))
+    for (seqs, n, _, cells, tok), gc in zip(_blocks(rows), caches):
+        dctxh = _split_heads(dcc[cells].reshape(len(seqs), n, width), n_heads)
         dprobs, dvh = ops.matmul_backward(dctxh, gc["probs_d"], gc["vh"])
         if gc["keep"] is not None:
             dprobs = ops.dropout_backward(dprobs, gc["keep"])
         dscores = ops.softmax_backward(dprobs, gc["probs"])
         dscores *= inv_sqrt_dh
         dqh, dkhT = ops.matmul_backward(dscores, gc["qh"], gc["kh"].swapaxes(-1, -2))
-        dqg = _merge_heads(dqh).reshape(-1, width)
-        dq[qrows] = dqg if slots is None else dqg[slots]
-        for dz, dzh in ((dk, dkhT.swapaxes(-1, -2)), (dv, dvh)):
-            dz[tok] = _merge_heads(dzh).reshape(-1, width)
+        dqc[cells] = _merge_heads(dqh).reshape(-1, width)
+        dkt[tok] = _merge_heads(dkhT.swapaxes(-1, -2)).reshape(-1, width)
+        dvt[tok] = _merge_heads(dvh).reshape(-1, width)
+    dq, dk, dv = np.empty_like(dctx), np.empty_like(dkt), np.empty_like(dvt)
+    dq[rows.cells[rows.slots]] = dqc[rows.slots]
+    dk[rows.tok], dv[rows.tok] = dkt, dvt
     return dq, dk, dv
 
 
@@ -418,7 +420,7 @@ def forward_hidden(params: ParameterStore, config: ModelConfig, batch: EncodedBa
     runs on all real tokens; the last runs its keys and values on them and
     the rest on `rows` alone. Dropout is drawn from `rng` when one is given
     and config.dropout > 0. Each attention_mask row must be a non-empty
-    prefix of real tokens, and `rows` must be distinct real tokens."""
+    prefix of real tokens, and `rows` must be real tokens, ascending."""
     ids = np.asarray(batch.ids)
     if ids.ndim != 2:
         raise ShapeError(f"batch ids must be 2-d, got {ids.shape}")
@@ -430,7 +432,7 @@ def forward_hidden(params: ParameterStore, config: ModelConfig, batch: EncodedBa
     if att.shape != ids.shape or seg.shape != ids.shape:
         raise ShapeError("ids, attention_mask and segment_ids must share a shape")
     every = _Rows.of(att)
-    last, order = every.ask(rows)
+    last = every.ask(rows)
 
     tok_emb = params["encoder.tok_emb"].value
     dtype = tok_emb.dtype
@@ -465,7 +467,7 @@ def forward_hidden(params: ParameterStore, config: ModelConfig, batch: EncodedBa
         k, v = (_dense(params, x_in, f"{pre}.attn.w{z}", f"{pre}.attn.b{z}") for z in "kv")
         att_keeps, ao_keep, ff_keep = (
             out.layer_keeps(rng, p_drop, dtype, nh, config.hidden) if rng is not None
-            else ([None] * len(out.groups), None, None))
+            else ([None] * len(out.groups[0]), None, None))
         ctxm, attn_caches = _attention(out, q, k, v, nh, inv_sqrt_dh, att_keeps)
         ao = _dense(params, ctxm, f"{pre}.attn.wo", f"{pre}.attn.bo")
         if ao_keep is not None:
@@ -489,28 +491,26 @@ def forward_hidden(params: ParameterStore, config: ModelConfig, batch: EncodedBa
                 "n2_cache": n2_cache,
             })
 
-    hidden = np.empty_like(x)
-    hidden[order] = x
     cache = None
     if want_cache:
         cache = {
-            "seq": s, "order": order, "tok_ids": tok_ids, "seg_ids": seg_ids,
+            "seq": s, "tok_ids": tok_ids, "seg_ids": seg_ids,
             "positions": positions, "emb_norm_cache": emb_norm_cache, "emb_keep": emb_keep,
             "inv_sqrt_dh": inv_sqrt_dh, "layers": layer_caches,
         }
-    return hidden, cache
+    return x, cache
 
 
 def backward_hidden(params: ParameterStore, config: ModelConfig, cache: dict,
                     d_hidden: np.ndarray) -> None:
     """Accumulate encoder gradients given d(loss)/d(the rows that
     forward_hidden returned), a (len(rows), hidden) array."""
-    order = cache["order"]
-    if d_hidden.shape != (order.size, config.hidden):
+    n_rows = cache["layers"][-1]["rows"].flat.size
+    if d_hidden.shape != (n_rows, config.hidden):
         raise ShapeError(f"backward_hidden: gradient {d_hidden.shape} does not match the "
-                         f"{order.size} rows forward_hidden returned")
+                         f"{n_rows} rows forward_hidden returned")
     s = cache["seq"]
-    dx = d_hidden[order]
+    dx = d_hidden
     for i in reversed(range(config.n_layers)):
         pre = f"encoder.layer{i}"
         lc = cache["layers"][i]
@@ -518,13 +518,12 @@ def backward_hidden(params: ParameterStore, config: ModelConfig, cache: dict,
         dres2, dg2, db2 = ops.layer_norm_backward(dx, lc["n2_cache"])
         params[f"{pre}.ffn_norm.gain"].grad += dg2
         params[f"{pre}.ffn_norm.bias"].grad += db2
-        dn1 = dres2
         dff = dres2
         if lc["ff_keep"] is not None:
             dff = ops.dropout_backward(dff, lc["ff_keep"])
         dhmid = _dense_backward(params, dff, lc["hmid"], f"{pre}.ffn.w2", f"{pre}.ffn.b2")
         da1 = ops.gelu_backward(dhmid, lc["gelu_cache"])
-        dn1 = dn1 + _dense_backward(params, da1, lc["n1"], f"{pre}.ffn.w1", f"{pre}.ffn.b1")
+        dn1 = dres2 + _dense_backward(params, da1, lc["n1"], f"{pre}.ffn.w1", f"{pre}.ffn.b1")
 
         dres1, dg1, db1 = ops.layer_norm_backward(dn1, lc["n1_cache"])
         params[f"{pre}.attn_norm.gain"].grad += dg1
@@ -534,7 +533,7 @@ def backward_hidden(params: ParameterStore, config: ModelConfig, cache: dict,
             dao = ops.dropout_backward(dao, lc["ao_keep"])
         dctxm = _dense_backward(params, dao, lc["ctxm"], f"{pre}.attn.wo", f"{pre}.attn.bo")
         x_in, out = lc["x_in"], lc["rows"]
-        dq, dk, dv = _attention_backward(out, lc["attn"], dctxm, len(x_in), config.n_heads,
+        dq, dk, dv = _attention_backward(out, lc["attn"], dctxm, config.n_heads,
                                          cache["inv_sqrt_dh"])
         dx_in = dres1 + _dense_backward(params, dq, lc["xq"], f"{pre}.attn.wq",
                                         f"{pre}.attn.bq")
@@ -638,8 +637,6 @@ def cls_head_backward(params: ParameterStore, cache: dict, dlogits: np.ndarray) 
 
 
 def cls_logits(params: ParameterStore, output: EncoderOutput, n_classes: int) -> np.ndarray:
-    have = classifier_n_classes(params)
-    if have != n_classes:
-        raise ConfigError(f"classifier head has {have} classes, caller expects {n_classes}")
+    check_classifier(params, n_classes, "the caller")
     logits, _ = cls_head(params, output.cls_vector)
     return logits

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import EncodedBatch, classifier_n_classes, cls_head, forward_hidden
+from .encoder import EncodedBatch, check_classifier, cls_head, forward_hidden
 from .errors import ConfigError, DataError
 from .tokenizer import Vocab, encode
 
@@ -137,11 +137,7 @@ def evaluate_model(params, config, dataset, split: str, vocab: Vocab,
     if not dataset.splits.get(split):
         raise DataError(f"dataset {dataset.name!r} has no examples in split {split!r}")
     n_classes = dataset.n_classes()
-    have = classifier_n_classes(params)
-    if have != n_classes:
-        raise ConfigError(
-            f"classifier head has {have} classes but dataset {dataset.name!r} has {n_classes}"
-        )
+    check_classifier(params, n_classes, f"dataset {dataset.name!r}")
     seqs, labels = encode_split(dataset, split, vocab, config.max_positions)
     return confusion_table(params, config, seqs, labels, n_classes, batch_size)
 

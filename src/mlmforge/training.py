@@ -26,6 +26,7 @@ from .encoder import (
     EncodedBatch,
     ModelConfig,
     backward_hidden,
+    check_classifier,
     cls_head,
     cls_head_backward,
     forward_hidden,
@@ -288,12 +289,7 @@ def finetune(
     n_classes = dataset.n_classes()
     if "cls.out.b" not in params:
         init_classifier(params, config, n_classes, cfg.seed)
-    else:
-        have = int(params["cls.out.b"].value.shape[0])
-        if have != n_classes:
-            raise ConfigError(
-                f"classifier head has {have} classes but dataset {dataset.name!r} has {n_classes}"
-            )
+    check_classifier(params, n_classes, f"dataset {dataset.name!r}")
     max_len = config.max_positions
     train_seqs, train_labels = evaluation.encode_split(dataset, "train", vocab, max_len)
     if not train_seqs:

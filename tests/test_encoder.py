@@ -13,11 +13,12 @@ from mlmforge.encoder import (
     ModelConfig,
     _dense,
     _dense_backward,
-    _Rows,
+    _blocks,
     _merge_heads,
+    _Rows,
     _split_heads,
     backward_hidden,
-    classifier_n_classes,
+    check_classifier,
     cls_logits,
     count_params,
     encode_batch,
@@ -188,29 +189,66 @@ class TestEncodeBatch:
 
 
 class TestRequestedRows:
-    """forward_hidden returns the last layer's states at the flat positions
-    asked for, in the order asked; a position that is not one real token is
-    a ShapeError naming its batch row and position."""
+    """forward_hidden returns the last layer's states at the ascending flat
+    positions asked for; a position that is not a real token above the one
+    before it is a ShapeError naming its batch row and position."""
 
-    def test_rows_come_back_in_the_order_asked(self):
+    def test_ascending_rows_are_encode_batch_rows_and_unsorted_rows_raise(self):
         store = tiny_store()
         batch = batch_of([2, 10, 11, 12, 3], [2, 9, 3])
         every = encode_batch(store, TINY, batch).hidden_states.reshape(-1, TINY.hidden)
-        rows = np.array([5, 0, 3, 7, 4])
+        rows = np.array([0, 3, 4, 5, 7])
         got, _ = forward_hidden(store, TINY, batch, rows)
         npt.assert_allclose(got, every[rows], rtol=1e-5, atol=1e-6)
+        with pytest.raises(ShapeError, match=r"requested row 0 .* not above the row before it"):
+            forward_hidden(store, TINY, batch, np.array([5, 0, 3, 7, 4]))
 
     @pytest.mark.parametrize("rows, message", [
         ([0, 9], r"requested row 9 \(batch row 1, position 4\) is a pad position"),
         ([0, 10], r"requested row 10 \(batch row 2, position 0\) is outside the 2 x 5 batch"),
         ([-1], r"requested row -1 \(batch row -1, position 4\) is outside"),
-        ([5, 1, 5], r"requested row 5 \(batch row 1, position 0\) is asked for twice"),
-    ], ids=["pad", "past-the-end", "negative", "repeated"])
+        ([1, 5, 5], r"requested row 5 \(batch row 1, position 0\) is not above the row "
+                    r"before it, 5"),
+        ([5, 1], r"requested row 1 \(batch row 0, position 1\) is not above the row "
+                 r"before it, 5"),
+    ], ids=["pad", "past-the-end", "negative", "repeated", "descending"])
     def test_a_bad_row_is_named(self, rows, message):
         store = tiny_store()
         batch = batch_of([2, 10, 11, 12, 3], [2, 9, 3])
         with pytest.raises(ShapeError, match=message):
             forward_hidden(store, TINY, batch, np.array(rows))
+
+    @settings(max_examples=80, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=8),
+           extra=st.integers(0, 3), data=st.data())
+    def test_rows_are_one_group_major_index_set(self, lengths, extra, data):
+        """Each requested row is exactly one non-gap cell of its own
+        sequence's block, in position order; gap cells hold 0 and follow a
+        sequence's last row, a group without rows has n == 0, and `tok`
+        lists every real token once, each block's sequence by sequence."""
+        s = max(lengths) + extra
+        every = _Rows.of((np.arange(s) < np.array(lengths)[:, None]).astype(np.int64))
+        want = sorted(data.draw(st.lists(st.sampled_from(every.flat.tolist()), unique=True)))
+        rows = every.ask(np.array(want, dtype=np.int64))
+        assert rows.flat.tolist() == want
+        assert sorted(rows.tok.tolist()) == list(range(every.flat.size))
+        gap = np.zeros(rows.cells.size, dtype=bool)
+        gap[rows.gaps] = True
+        assert (rows.cells[gap] == 0).all()
+        assert np.flatnonzero(~gap).tolist() == np.arange(rows.cells.size)[rows.slots].tolist()
+        found = []
+        for seqs, n, l, cells, tok in _blocks(rows):
+            assert (np.array(lengths)[seqs] == l).all()
+            positions = every.flat[rows.tok[tok]].reshape(len(seqs), l)
+            assert (positions == seqs[:, None] * s + np.arange(l)).all()
+            asks = [[r for r in want if r // s == i] for i in seqs]
+            assert n == max(map(len, asks))
+            for mine, cell, hole in zip(asks, rows.cells[cells].reshape(len(seqs), n),
+                                        gap[cells].reshape(len(seqs), n)):
+                assert hole.tolist() == [False] * len(mine) + [True] * (n - len(mine))
+                assert rows.flat[cell[~hole]].tolist() == mine
+                found += cell[~hole].tolist()
+        assert sorted(found) == list(range(len(want)))
 
     def test_backward_takes_one_gradient_row_per_requested_row(self):
         store = tiny_store()
@@ -293,13 +331,14 @@ class TestClsHead:
     def test_n_classes_mismatch(self):
         store = tiny_store(n_classes=3)
         out = encode_batch(store, TINY, batch_of([2, 7, 3]))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="classifier head has 3 classes but the caller "
+                                              "has 5"):
             cls_logits(store, out, 5)
 
     def test_missing_head(self):
         store = tiny_store()
-        with pytest.raises(ConfigError):
-            classifier_n_classes(store)
+        with pytest.raises(ConfigError, match="no classifier head"):
+            check_classifier(store, 3, "the caller")
 
     def test_depends_only_on_position_zero(self):
         store = tiny_store(n_classes=3)
@@ -344,23 +383,19 @@ class TestDropout:
         s = max(lengths) + extra
         every = _Rows.of((np.arange(s) < np.array(lengths)[:, None]).astype(np.int64))
         want = data.draw(st.lists(st.sampled_from(every.flat.tolist()), unique=True))
-        asked, _ = every.ask(np.array(want, dtype=np.int64))
+        asked = every.ask(np.array(sorted(want), dtype=np.int64))
         for rows in (every, asked):
             runs = []
             for _ in range(2):
                 rng = np.random.default_rng(seed)
                 att, ao, ff = rows.layer_keeps(rng, p, dtype, n_heads, width)
-                runs.append(([k for k in att if k is not None] + [ao, ff],
-                             rng.bit_generator.state))
+                runs.append(([*att, ao, ff], rng.bit_generator.state))
             (masks, state), (again, again_state) = runs
             assert [m.tobytes() for m in masks] == [m.tobytes() for m in again]
             assert state == again_state
 
-            want_shapes = [(len(seqs), n_heads, grid.shape[1], l)
-                           for l, seqs, _, grid, *_ in rows.groups if grid is not None]
+            want_shapes = [(len(seqs), n_heads, n, l) for seqs, n, l, *_ in _blocks(rows)]
             assert [m.shape for m in masks] == want_shapes + [(rows.flat.size, width)] * 2
-            assert [k is None for k in att] == [grid is None
-                                                for _, _, _, grid, *_ in rows.groups]
             assert all(m.dtype == dtype for m in masks)
 
             ref = np.random.default_rng(seed)
@@ -569,8 +604,8 @@ class ReplayRng:
         for lc in cache["layers"]:
             out = lc["rows"]
             probs = np.full((b, config.n_heads, s, s), 0.5)
-            for (l, seqs, *_), gc in zip(out.groups, lc["attn"]):
-                for j, i in enumerate(seqs if gc is not None else []):
+            for (seqs, _, l, *_), gc in zip(_blocks(out), lc["attn"]):
+                for j, i in enumerate(seqs):
                     pos = out.flat[out.flat // s == i] % s
                     probs[i][:, pos, :l] = np.where(gc["keep"][j, :, :pos.size] != 0, KEPT, 0.0)
             self.draws += [probs, rows(out.flat, lc["ao_keep"]), rows(out.flat, lc["ff_keep"])]
@@ -670,7 +705,7 @@ class TestTokenMajorLayout:
 
     # Lengths 9, 3, 14, 1 and 6: the batch is 14 wide.
     @pytest.mark.parametrize("rows", [
-        [2, 3, 31, 28, 8],    # sequences 0 and 2 only: the lengths 1, 3 and 6 ask for none
+        [2, 3, 8, 28, 31],    # sequences 0 and 2 only: the lengths 1, 3 and 6 ask for none
         list(range(28, 42)),  # the whole of sequence 2
         [59],                 # one row in the whole batch
         [0, 14, 28, 42, 56],  # one row per sequence, as the classifier asks
@@ -685,7 +720,7 @@ class TestTokenMajorLayout:
     def test_random_rows_match_padded_reference(self, lengths, seed, data):
         real = real_rows(masked_batch(lengths, seed).encoded())
         rows = data.draw(st.lists(st.sampled_from(real.tolist()), unique=True))
-        check_rows_against_reference(lengths, rows, seed)
+        check_rows_against_reference(lengths, sorted(rows), seed)
 
     def test_encode_batch_pad_rows_are_zero(self):
         store = tiny_store()

@@ -189,6 +189,14 @@ class TestEvaluateModel:
         got = confusion_table(params, config, seqs, labels, 2, batch_size)
         assert (got.counts == want.counts).all()
 
+    def test_head_class_count_mismatch(self, eval_setup):
+        ds, vocab, config, _ = eval_setup
+        params = init_params(config, seed=0)
+        init_classifier(params, config, 3, seed=1)
+        with pytest.raises(ConfigError, match="classifier head has 3 classes but dataset "
+                                              "'evaltoy' has 2"):
+            evaluate_model(params, config, ds, "validation", vocab)
+
     @pytest.mark.parametrize("batch_size", [0, -3])
     def test_batch_size_below_one_is_config_error(self, eval_setup, batch_size):
         ds, vocab, config, params = eval_setup

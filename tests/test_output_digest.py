@@ -1,5 +1,4 @@
 import re
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,19 +9,6 @@ import mlmforge
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
 SRC = Path(mlmforge.__file__).resolve().parents[1]
-
-# Appended to a copy of encoder.py whose own `forward_hidden` was renamed:
-# the older signature, with no `rows`, returning padded [batch, seq, hidden].
-OLD_FORWARD_HIDDEN = '''
-
-def forward_hidden(params, config, batch, rng=None, want_cache=False):
-    att = np.asarray(batch.attention_mask)
-    real = np.flatnonzero(att.reshape(-1))
-    rows, cache = _rows_forward(params, config, batch, real, rng=rng, want_cache=want_cache)
-    hidden = np.zeros((att.size, rows.shape[-1]), dtype=rows.dtype)
-    hidden[real] = rows
-    return hidden.reshape(*att.shape, -1), cache
-'''
 
 
 def digest(src: Path, out: Path) -> list[str]:
@@ -49,15 +35,3 @@ def test_digests_every_output_once(lines):
                  "cli/rep/report.md"):
         assert want in names, want
 
-
-def test_digests_a_tree_with_the_older_forward_hidden(lines, tmp_path):
-    """A tree whose `forward_hidden` takes no `rows` and returns padded
-    states computes the same outputs, so it must digest to the same lines."""
-    old = tmp_path / "src"
-    shutil.copytree(SRC, old, ignore=shutil.ignore_patterns("__pycache__"))
-    for path in old.rglob("*.py"):
-        text = path.read_text(encoding="utf-8").replace("forward_hidden", "_rows_forward")
-        if path.name == "encoder.py":
-            text += OLD_FORWARD_HIDDEN
-        path.write_text(text, encoding="utf-8")
-    assert digest(old, tmp_path / "old.txt") == lines

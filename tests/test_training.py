@@ -429,7 +429,7 @@ class TestFinetune:
         ds, vocab, config = toy_setup
         params = init_params(config, seed=0)
         init_classifier(params, config, 5, seed=1)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="classifier head has 5 classes but dataset"):
             finetune(ds, params, config, micro_cfg(epochs=1), vocab)
 
 

@@ -27,7 +27,6 @@ on one tree to check that reruns are bitwise equal.
 
 import contextlib
 import hashlib
-import inspect
 import io
 import json
 import logging
@@ -62,22 +61,6 @@ def _words(rng, n):
     return sorted(words)
 
 
-def _real_hidden(encoder, params, config, batch, rng):
-    """The last-layer states of every real token, row-major, from either
-    `forward_hidden` signature: with `rows`, which returns those rows, or
-    the older one without, which returns [batch, seq, hidden]. So one copy
-    of this tool digests trees on both sides of that change."""
-    import numpy as np
-
-    att = np.asarray(batch.attention_mask)
-    if "rows" in inspect.signature(encoder.forward_hidden).parameters:
-        hidden, _ = encoder.forward_hidden(params, config, batch,
-                                           np.flatnonzero(att.reshape(-1)), rng=rng)
-        return hidden
-    hidden, _ = encoder.forward_hidden(params, config, batch, rng=rng)
-    return hidden[att > 0]
-
-
 def library_runs(root: Path):
     import numpy as np
     from mlmforge import benchmarks, encoder, masking, tokenizer, training
@@ -107,8 +90,10 @@ def library_runs(root: Path):
         params = encoder.init_params(config, SEED, dtype=dtype)
         batch = masking.build_batch(train_ids, range(16), "static", 0, SEED, len(vocab),
                                     config.max_positions)
-        hidden = _real_hidden(encoder, params, config, batch.encoded(),
-                              np.random.default_rng(SEED))
+        enc = batch.encoded()
+        hidden, _ = encoder.forward_hidden(params, config, enc,
+                                           np.flatnonzero(enc.attention_mask.reshape(-1)),
+                                           rng=np.random.default_rng(SEED))
         yield _sha(hidden.tobytes()), f"lib/step/{tag}/hidden"
         loss = training.mlm_loss_and_backward(params, config, batch,
                                               rng=np.random.default_rng(SEED))
