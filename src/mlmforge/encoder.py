@@ -129,14 +129,17 @@ class EncoderOutput:
 # --- initialization ---------------------------------------------------------
 
 def _trunc_normal(rng: np.random.Generator, shape, std: float, dtype) -> np.ndarray:
-    """Normal(0, std^2) resampled until everything lies within +-2 std."""
+    """Normal(0, std^2) resampled until everything lies within +-2 std.
+
+    Each round redraws only the values that failed the round before, in
+    ascending position order."""
     x = rng.normal(0.0, std, size=shape)
-    while True:
-        bad = np.abs(x) > 2.0 * std
-        n_bad = int(bad.sum())
-        if n_bad == 0:
-            break
-        x[bad] = rng.normal(0.0, std, size=n_bad)
+    flat = x.reshape(-1)
+    bad = np.flatnonzero(np.abs(flat) > 2.0 * std)
+    while bad.size:
+        redraw = rng.normal(0.0, std, size=bad.size)
+        flat[bad] = redraw
+        bad = bad[np.abs(redraw) > 2.0 * std]
     return x.astype(dtype)
 
 

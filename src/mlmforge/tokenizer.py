@@ -21,14 +21,20 @@ PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID = range(5)
 N_SPECIALS = len(SPECIAL_TOKENS)
 
 _MAX_WORD_CHARS = 100
+# Distinct words a Vocab keeps the pieces of; at ~137 B an entry, ~4.5 MB.
+_MEMO_WORDS = 1 << 15
 
 TokenSequence = list[int]
 
 
 class Vocab:
-    """Ordered token list; line number in the vocab file is the token id."""
+    """Ordered token list; line number in the vocab file is the token id.
 
-    __slots__ = ("tokens", "id_of")
+    `encode` keeps each pretokenized word's piece ids in `_pieces`, for the
+    first `_MEMO_WORDS` distinct words it sees; a new Vocab starts empty.
+    """
+
+    __slots__ = ("tokens", "id_of", "_pieces")
 
     def __init__(self, tokens):
         tokens = list(tokens)
@@ -43,6 +49,7 @@ class Vocab:
                 raise ConfigError(f"invalid vocabulary token: {t!r}")
         self.tokens = tokens
         self.id_of = {t: i for i, t in enumerate(tokens)}
+        self._pieces: dict[str, tuple[int, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -241,10 +248,10 @@ def train_vocab(corpus: SentenceCorpus, target_size: int = 8192, min_freq: int =
     return Vocab(tokens)
 
 
-def _wordpiece_ids(vocab: Vocab, word: str) -> list[int]:
+def _wordpiece_ids(vocab: Vocab, word: str) -> tuple[int, ...]:
     """Greedy longest-prefix decomposition; no full decomposition -> [UNK]."""
     if len(word) > _MAX_WORD_CHARS:
-        return [UNK_ID]
+        return (UNK_ID,)
     pieces: list[int] = []
     start = 0
     n = len(word)
@@ -261,10 +268,10 @@ def _wordpiece_ids(vocab: Vocab, word: str) -> list[int]:
                 break
             end -= 1
         if match is None:
-            return [UNK_ID]
+            return (UNK_ID,)
         pieces.append(match)
         start = end
-    return pieces
+    return tuple(pieces)
 
 
 def encode(vocab: Vocab, text: str, max_len: int) -> TokenSequence:
@@ -272,8 +279,14 @@ def encode(vocab: Vocab, text: str, max_len: int) -> TokenSequence:
     if max_len < 2:
         raise ConfigError(f"max_len must be at least 2, got {max_len}")
     ids: list[int] = [CLS_ID]
+    memo = vocab._pieces
     for word in pretokenize(text):
-        ids.extend(_wordpiece_ids(vocab, word))
+        pieces = memo.get(word)
+        if pieces is None:
+            pieces = _wordpiece_ids(vocab, word)
+            if len(memo) < _MEMO_WORDS:
+                memo[word] = pieces
+        ids.extend(pieces)
     ids = ids[: max_len - 1]
     ids.append(SEP_ID)
     return ids

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlmforge import training
+from mlmforge import encoder, training
 from mlmforge.encoder import (
+    INIT_STD,
     EncodedBatch,
     EncoderOutput,
     ModelConfig,
@@ -60,6 +61,19 @@ def padded(seq, width):
     return EncodedBatch(ids, mask, np.zeros_like(ids))
 
 
+def reference_trunc_normal(rng, shape, std, dtype):
+    """The init loop that re-tested the whole matrix every round, kept as
+    the reference `encoder._trunc_normal` must equal bit for bit."""
+    x = rng.normal(0.0, std, size=shape)
+    while True:
+        bad = np.abs(x) > 2.0 * std
+        n_bad = int(bad.sum())
+        if n_bad == 0:
+            break
+        x[bad] = rng.normal(0.0, std, size=n_bad)
+    return x.astype(dtype)
+
+
 class TestModelConfig:
     def test_hidden_divisible_by_heads(self):
         with pytest.raises(ConfigError):
@@ -90,6 +104,27 @@ class TestInit:
         w = store["encoder.layer0.attn.wq"].value
         assert np.abs(w).max() <= 2 * 0.02
         assert w.std() == pytest.approx(0.02, rel=0.2)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(0,), (1,), (7,), (50, 32), (3, 4, 5), (513, 128)])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    def test_trunc_normal_is_the_reference_bit_for_bit(self, seed, shape, dtype):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = encoder._trunc_normal(rng, shape, INIT_STD, dtype)
+        want = reference_trunc_normal(ref_rng, shape, INIT_STD, dtype)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        # Both drew the same number of values: the streams stay in step.
+        assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_init_params_is_the_reference_init(self, dtype):
+        with mock.patch.object(encoder, "_trunc_normal", reference_trunc_normal):
+            want = init_params(TINY, seed=5, dtype=dtype)
+        got = init_params(TINY, seed=5, dtype=dtype)
+        assert got.names() == want.names()
+        for name in got.names():
+            assert got[name].value.tobytes() == want[name].value.tobytes(), name
 
     def test_biases_zero_gains_one(self):
         store = init_params(TINY, seed=0)

@@ -27,7 +27,9 @@ def test_digests_every_output_once(lines):
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
     names = [line.split("  ", 1)[1] for line in lines]
     assert len(names) == len(set(names))
-    for want in ("lib/step/float32/encoder.layer0.ffn.w1.grad", "lib/step/float64/loss",
+    for want in ("tok/vocab", "tok/encode/cold", "tok/encode/warm", "tok/encode/fresh",
+                 "init/encoder.tok_emb.value", "init/encoder.layer3.ffn.w2.value",
+                 "lib/step/float32/encoder.layer0.ffn.w1.grad", "lib/step/float64/loss",
                  "lib/pretrain/float64/best/encoder.tok_emb.adam_v",
                  "lib/finetune/float32/final/cls.out.w.value", "lib/finetune/float64/log",
                  "cli/pt/ckpt/best.ckpt", "cli/ct/logs/pretrain.jsonl",

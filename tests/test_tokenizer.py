@@ -31,6 +31,11 @@ def manual_vocab(*tokens):
     return Vocab([*SPECIAL_TOKENS, *tokens])
 
 
+def encode_vocab():
+    return manual_vocab("rain", "sleep", "cafe", "##s", "don", "t", "'", ",", "?",
+                        "wait", "what", "a", "##a", "e", "##e")
+
+
 # The per-character loops that `normalize` and `pretokenize` ran before they
 # became `str.translate` tables, kept as the reference both must match.
 def reference_normalize(text):
@@ -62,10 +67,38 @@ def reference_pretokenize(text):
     return words
 
 
+# The greedy longest-prefix loop that `encode` ran on every word before the
+# vocabulary kept a memo of its pieces, kept as the reference: it reads
+# nothing but `vocab.id_of`, so the memo cannot feed it.
+def reference_wordpiece_ids(vocab, word):
+    if len(word) > tokenizer._MAX_WORD_CHARS:
+        return [UNK_ID]
+    pieces = []
+    start = 0
+    n = len(word)
+    while start < n:
+        end = n
+        match = None
+        while start < end:
+            sub = word[start:end]
+            if start > 0:
+                sub = "##" + sub
+            tid = vocab.id_of.get(sub)
+            if tid is not None:
+                match = tid
+                break
+            end -= 1
+        if match is None:
+            return [UNK_ID]
+        pieces.append(match)
+        start = end
+    return pieces
+
+
 def reference_encode(vocab, text, max_len):
     ids = [CLS_ID]
     for word in reference_pretokenize(text):
-        ids.extend(tokenizer._wordpiece_ids(vocab, word))
+        ids.extend(reference_wordpiece_ids(vocab, word))
     return ids[: max_len - 1] + [SEP_ID]
 
 
@@ -296,10 +329,60 @@ class TestTranslateTablesMatchReference:
                     max_size=8),
            st.integers(min_value=2, max_value=24))
     def test_encode(self, parts, max_len):
-        vocab = manual_vocab("rain", "sleep", "cafe", "##s", "don", "t", "'", ",", "?",
-                             "wait", "what", "a", "##a", "e", "##e")
+        vocab = encode_vocab()
         text = " ".join(parts)
         assert encode(vocab, text, max_len) == reference_encode(vocab, text, max_len)
+
+
+# One vocabulary for every example below, so later examples meet a warm memo.
+WARM_VOCAB = encode_vocab()
+# Runs of "a"/"e" around _MAX_WORD_CHARS: each decomposes into pieces up to
+# 100 characters and is [UNK] past that.
+long_words = st.text(alphabet="ae", min_size=tokenizer._MAX_WORD_CHARS - 2,
+                     max_size=tokenizer._MAX_WORD_CHARS + 30)
+
+
+class TestEncodeMemo:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(["rain", "Rains", "CAFÉ", "café", "don't",
+                                               "wait,what?", "sleeps"]),
+                              mixed_text, long_words),
+                    max_size=8),
+           st.integers(min_value=2, max_value=24))
+    def test_a_warm_memo_encodes_as_the_reference(self, parts, max_len):
+        text = " ".join(parts)
+        want = reference_encode(WARM_VOCAB, text, max_len)
+        assert encode(WARM_VOCAB, text, max_len) == want
+        assert encode(WARM_VOCAB, text, max_len) == want
+
+    def test_a_returned_list_is_the_callers_own(self):
+        vocab = encode_vocab()
+        first = encode(vocab, "rains rain", 16)
+        want = list(first)
+        first[1] = 999
+        first.extend([7, 7])
+        assert encode(vocab, "rains rain", 16) == want
+        single = encode(vocab, "sleeps", 16)
+        single[1:3] = [0, 0]
+        assert encode(vocab, "sleeps", 16) == reference_encode(vocab, "sleeps", 16)
+
+    def test_the_memo_stops_at_its_cap(self, monkeypatch):
+        monkeypatch.setattr(tokenizer, "_MEMO_WORDS", 4)
+        vocab = encode_vocab()
+        first = "rains rain sleeps cafes"
+        more = "don't wait, what? " + "a" * 101 + " aeae eaea"
+        for text in (first, more, first + " " + more, more):
+            assert encode(vocab, text, 64) == reference_encode(vocab, text, 64)
+            assert len(vocab._pieces) == 4
+        assert sorted(vocab._pieces) == sorted(first.split())
+
+    def test_a_new_vocab_starts_empty(self, tmp_path):
+        vocab = encode_vocab()
+        encode(vocab, "rains rain", 16)
+        assert vocab._pieces
+        vocab.save(tmp_path / "vocab.txt")
+        assert Vocab.load(tmp_path / "vocab.txt")._pieces == {}
+        assert encode_vocab()._pieces == {}
 
 
 ROUND_TRIP_CORPUS = corpus_of(

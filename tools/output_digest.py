@@ -5,6 +5,11 @@
 With SRC_DIR (a checkout's `src/`) first on `sys.path`, this runs, in a
 temporary directory:
 
+- `tokenizer.encode` of a fixed set of texts (mixed case, accents,
+  punctuation, a word over 100 characters, Cyrillic and CJK) with a
+  vocabulary trained on part of them: once with one `Vocab`, again with the
+  same `Vocab`, then with a fresh one;
+- `encoder.init_params(ModelConfig(), 0)`;
 - one MLM training step (forward and backward, dropout on) on the first
   batch of the pretraining corpus below, in float32 and float64;
 - a same-seed library `pretrain` (desk layout, vocab 1500, dropout 0.1,
@@ -16,7 +21,8 @@ temporary directory:
   the holdout runs; 3 epochs, and the best one is not the first) -> evaluate (validation with eval.batch_size=5, and
   test) -> report.
 
-OUT gets one `sha256  name` line per gradient, the loss and the real
+OUT gets one `sha256  name` line for that vocabulary, per pass of encodes,
+per initial parameter value, per gradient, the loss and the real
 tokens' hidden states of the single step (these show which tensors' float
 bits a change moves before training mixes them), per parameter value, Adam
 moment, step count and log of the library runs (final and best snapshots),
@@ -59,6 +65,33 @@ def _words(rng, n):
     while len(words) < n:
         words.add("".join(letters[i] for i in rng.integers(0, 26, size=rng.integers(3, 9))))
     return sorted(words)
+
+
+TEXTS = [
+    "The RAIN kept falling; I couldn't sleep... again!",
+    "Café crème, naïve RÉSUMÉ: déjà vu (2021) #mentalhealth @user",
+    "rain, Rain, RAIN! rain-rain?? sleep/SLEEP",
+    "Привет, как дела? Я не могу спать, опять.",
+    "a" * 101 + " short " + "ab" * 60 + " Cafés",
+    "我今天很累。睡不着！ Привет café",
+    "Ünïcödé ŠPAÇÉ “quotes” — dashes… and tabs\tand\nlines",
+]
+TRAIN_TEXTS = 4  # the vocabulary sees no CJK, so those characters are [UNK]
+
+
+def direct_lines():
+    from mlmforge import encoder, tokenizer
+    from mlmforge.corpus import CorpusStats, SentenceCorpus
+
+    vocab = tokenizer.train_vocab(SentenceCorpus(TEXTS[:TRAIN_TEXTS], CorpusStats()),
+                                  target_size=120, min_freq=1)
+    yield _sha(vocab.serialize().encode()), "tok/vocab"
+    for tag, v in (("cold", vocab), ("warm", vocab), ("fresh", tokenizer.Vocab(vocab.tokens))):
+        ids = [tokenizer.encode(v, t, max_len) for max_len in (8, 64) for t in TEXTS]
+        yield _sha(repr(ids).encode()), f"tok/encode/{tag}"
+
+    for name, p in encoder.init_params(encoder.ModelConfig(), SEED).items():
+        yield _sha(p.value.tobytes()), f"init/{name}.value"
 
 
 def library_runs(root: Path):
@@ -189,7 +222,8 @@ def main(argv=None) -> int:
     logging.disable(logging.WARNING)  # split-size notes about the small fixtures
     with tempfile.TemporaryDirectory(prefix="output-digest-") as tmp, \
             contextlib.redirect_stdout(io.StringIO()):
-        lines = [*library_runs(Path(tmp) / "fixture"), *cli_chain(Path(tmp) / "cli")]
+        lines = [*direct_lines(), *library_runs(Path(tmp) / "fixture"),
+                 *cli_chain(Path(tmp) / "cli")]
     out.write_text("".join(f"{h}  {name}\n" for h, name in lines), encoding="utf-8")
     print(f"wrote {len(lines)} digests to {out}")
     return 0
