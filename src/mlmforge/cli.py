@@ -156,10 +156,11 @@ class RunDir:
 
 
 def _load_model(args):
-    """(vocab, params, model config) from --vocab and a --from checkpoint trained with it."""
+    """(vocab, params, model config, manifest) from --vocab and a --from
+    checkpoint trained with it."""
     vocab = tokenizer.Vocab.load(args.vocab)
     params, manifest = load_checkpoint(args.from_ckpt, expected_vocab_hash=vocab.content_hash())
-    return vocab, params, ModelConfig.from_dict(manifest["model_config"])
+    return vocab, params, ModelConfig.from_dict(manifest["model_config"]), manifest
 
 
 def _encode_corpus(vocab, sentences, max_len):
@@ -233,13 +234,13 @@ def cmd_pretrain(args, cfg) -> None:
 
 
 def cmd_continue_pretrain(args, cfg) -> None:
-    vocab, params, config = _load_model(args)
+    vocab, params, config, _ = _load_model(args)
     _run_pretrain(args, cfg, vocab, config, params)
 
 
 def cmd_finetune(args, cfg) -> None:
     train_cfg = train_config_from(cfg)
-    vocab, params, config = _load_model(args)
+    vocab, params, config, _ = _load_model(args)
     dataset = benchmarks.load_manifest_dataset(args.dataset)
     dataset = _with_validation(dataset, cfg)
     with RunDir(args.run_dir) as run:
@@ -261,10 +262,16 @@ def cmd_finetune(args, cfg) -> None:
 def cmd_evaluate(args, cfg) -> None:
     evaluation.check_batch_size(cfg["eval.batch_size"])
     evaluation.check_aggregation(cfg["eval.aggregation"])
-    vocab, params, config = _load_model(args)
+    vocab, params, config, manifest = _load_model(args)
     dataset = benchmarks.load_manifest_dataset(args.dataset)
     if args.split == "validation":
         dataset = _with_validation(dataset, cfg)
+    labels = sorted(dataset.label_map, key=dataset.label_map.get)
+    extra = manifest.get("extra")
+    trained = extra.get("labels", labels) if isinstance(extra, dict) else labels
+    if trained != labels:
+        raise ConfigError(f"checkpoint head was trained on labels {trained}, but dataset "
+                          f"{dataset.name!r} has {labels} (in class-index order)")
     with RunDir(args.run_dir) as run:
         run.echo_config(cfg)
         table = evaluation.evaluate_model(params, config, dataset, args.split, vocab,

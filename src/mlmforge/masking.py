@@ -86,6 +86,15 @@ def _truncate(seq: Sequence[int], max_len: int) -> list[int]:
     return s[: max_len - 1] + [SEP_ID]
 
 
+def check_maskable(corpus_ids: Sequence[Sequence[int]], max_len: int, corpus: str) -> None:
+    """Raises DataError naming the first sequence with no token to mask once
+    truncated to max_len as `build_batch` truncates it."""
+    for i, seq in enumerate(corpus_ids):
+        if max(_truncate(seq, max_len), default=0) < N_SPECIALS:
+            raise DataError(f"{corpus} sequence {i} (from 0) has no maskable "
+                            "(non-special) tokens")
+
+
 def build_batch(
     corpus_ids: Sequence[Sequence[int]],
     indices: Sequence[int],

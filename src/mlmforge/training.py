@@ -35,7 +35,7 @@ from .encoder import (
     mlm_head_backward,
 )
 from .errors import ConfigError, DataError, NonFiniteError
-from .masking import MASKING_MODES, MASK_RATIO, build_batch, build_epoch_batches
+from .masking import MASKING_MODES, MASK_RATIO, build_batch, build_epoch_batches, check_maskable
 from .numerics import ParameterStore, adam_step, ops
 from .numerics.ops import IGNORE_ID, cross_entropy, cross_entropy_backward
 # `encode` is unused here, but perfbench/tracing.py looks it up in this module.
@@ -214,7 +214,8 @@ def pretrain(
     A loaded checkpoint continues from its persisted step counter; passing a
     fresh store trains from scratch. Validation (when a validation corpus is
     given) runs every eval_every steps on a fixed statically-masked stream,
-    and the best-validation snapshot is retained.
+    and the best-validation snapshot is retained. A sequence of either corpus
+    with no token to mask is a DataError before the first step.
     """
     if not corpus_ids:
         raise DataError("pretraining corpus is empty")
@@ -223,6 +224,8 @@ def pretrain(
             f"checkpoint already at step {params.step_count} >= max_steps {cfg.max_steps}"
         )
     max_len = config.max_positions
+    check_maskable(corpus_ids, max_len, "training")
+    check_maskable(val_corpus_ids or (), max_len, "validation")
     batches_per_epoch = math.ceil(len(corpus_ids) / cfg.batch_size)
 
     log: list[dict] = []

@@ -73,6 +73,32 @@ def pipeline(tmp_path_factory):
     return root, corpus, vocab
 
 
+@pytest.fixture(scope="module")
+def finetuned(pipeline, tmp_path_factory):
+    """A head fine-tuned on the Dreaddit fixture (labels class0, class1)."""
+    root, _, vocab = pipeline
+    out = tmp_path_factory.mktemp("finetuned")
+    manifest = make_fixture("Dreaddit", out / "data", seed=0)
+    assert run("finetune", "--from", str(root / "pt" / "ckpt" / "last.ckpt"),
+               "--dataset", str(manifest), "--vocab", str(vocab), "--run-dir", str(out / "ft"),
+               *FAST_TRAIN, "--set", "train.epochs=1") == 0
+    return out / "ft" / "ckpt" / "best.ckpt", manifest
+
+
+def relabelled(manifest, out_dir, names):
+    """A copy of a fixture dataset with each label renamed by `names`."""
+    out_dir.mkdir()
+    meta = json.loads(manifest.read_text(encoding="utf-8"))
+    meta["labels"] = [names[lab] for lab in meta["labels"]]
+    for split_file in meta["files"].values():
+        text = (manifest.parent / split_file).read_text(encoding="utf-8")
+        rows = [json.loads(line) for line in text.splitlines()]
+        (out_dir / split_file).write_text("".join(
+            json.dumps(dict(row, label=names[row["label"]])) + "\n" for row in rows))
+    (out_dir / "manifest.json").write_text(json.dumps(meta))
+    return out_dir / "manifest.json"
+
+
 class TestPipeline:
     def test_prep_outputs(self, pipeline):
         root, corpus, _ = pipeline
@@ -185,6 +211,40 @@ class TestErrors:
         assert code == 4 and len(err.strip().splitlines()) == 1
         assert err.startswith("CKPT/") and "'encoder.tok_emb' has shape" in err
         assert not (tmp_path / "run").exists()
+
+    def test_sentence_with_nothing_to_mask_is_one_data_line(self, pipeline, tmp_path, capsys):
+        root, corpus, vocab = pipeline
+        lines = corpus.read_text(encoding="utf-8").splitlines()
+        bad = tmp_path / "corpus.txt"
+        bad.write_text("\n".join([*lines, "\U0001f62d\U0001f62d\U0001f62d"]) + "\n",
+                       encoding="utf-8")  # encodes to [CLS] [UNK] [SEP]
+        code = run("pretrain", "--corpus", str(bad), "--vocab", str(vocab),
+                   "--run-dir", str(tmp_path / "run"), *FAST_TRAIN)
+        err = capsys.readouterr().err
+        assert code == 3 and len(err.strip().splitlines()) == 1
+        assert err.startswith(f"DATA/training sequence {len(lines)} (from 0) has no maskable")
+        assert not (tmp_path / "run" / "ckpt").exists()
+
+    def test_evaluate_refuses_a_head_trained_on_other_labels(self, pipeline, finetuned,
+                                                             tmp_path, capsys):
+        _, _, vocab = pipeline
+        ckpt, manifest = finetuned
+        other = relabelled(manifest, tmp_path / "data", {"class0": "yes", "class1": "no"})
+        code = run("evaluate", "--from", str(ckpt), "--dataset", str(other), "--vocab", str(vocab),
+                   "--split", "test", "--model-name", "m", "--run-dir", str(tmp_path / "run"))
+        err = capsys.readouterr().err
+        assert code == 2 and len(err.strip().splitlines()) == 1
+        assert err.startswith("CONFIG/checkpoint head was trained on labels ['class0', 'class1'], "
+                              "but dataset 'Dreaddit' has ['no', 'yes']")
+        assert not (tmp_path / "run").exists()
+
+    def test_evaluate_accepts_the_labels_it_was_trained_on(self, pipeline, finetuned, tmp_path):
+        _, _, vocab = pipeline
+        ckpt, manifest = finetuned
+        same = relabelled(manifest, tmp_path / "data", {"class0": "class0", "class1": "class1"})
+        assert run("evaluate", "--from", str(ckpt), "--dataset", str(same), "--vocab", str(vocab),
+                   "--split", "test", "--model-name", "m", "--run-dir", str(tmp_path / "run")) == 0
+        assert len(list((tmp_path / "run" / "results").glob("*.json"))) == 1
 
     def test_non_finite_tensor_is_one_ckpt_line(self, pipeline, tmp_path, capsys):
         root, corpus, vocab = pipeline

@@ -1,13 +1,20 @@
+import dataclasses
+import itertools
 import json
 import platform
+import re
 import resource
 import struct
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mlmforge import evaluation, training
+from mlmforge import checkpoint, evaluation, training
 from mlmforge.benchmarks import Example, LabeledDataset
 from mlmforge.checkpoint import MAGIC, load_checkpoint, read_manifest, save_checkpoint
 from mlmforge.corpus import CorpusStats, SentenceCorpus
@@ -20,6 +27,7 @@ from mlmforge.encoder import (
     init_params,
     mlm_head,
     mlm_head_backward,
+    param_shapes,
 )
 from mlmforge.errors import CheckpointError, ConfigError, DataError, NonFiniteError
 from mlmforge.numerics import _heap, adam_step, ops
@@ -95,6 +103,20 @@ class TestPretrain:
         r2 = pretrain(MICRO_CORPUS, init_params(MICRO, 0), MICRO, micro_cfg())
         assert r1.log == r2.log
         assert stores_equal(r1.params, r2.params)
+
+    @pytest.mark.parametrize("corpus, val, match", [
+        ([*MICRO_CORPUS, [2, 1, 3]], None, r"^training sequence 4 \(from 0\) has no maskable"),
+        (MICRO_CORPUS, [[2, 6, 3], [2, 1, 1, 3]], r"^validation sequence 1 \(from 0\)"),
+        # the one ordinary token lies past max_positions, so truncation drops it
+        ([[2, *[1] * 14, 6, 3], *MICRO_CORPUS], None, r"^training sequence 0 \(from 0\)"),
+    ])
+    def test_sequence_with_nothing_to_mask_fails_before_step_0(self, corpus, val, match):
+        params = init_params(MICRO, 0)
+        before = params.clone()
+        with pytest.raises(DataError, match=match):
+            pretrain(corpus, params, MICRO, micro_cfg(max_steps=40), val_corpus_ids=val)
+        assert params.step_count == 0
+        assert stores_equal(params, before)
 
     def test_loss_decreases_on_toy_corpus(self):
         cfg = micro_cfg(max_steps=120, eval_every=10**6)
@@ -460,6 +482,11 @@ def renamed(manifest, old, new):
     return dict(manifest, tensors=tensors)
 
 
+def with_param(store, name, shape):
+    store.add(name, np.zeros(shape, dtype=np.float32))
+    return store
+
+
 class TestCheckpointFormat:
     def test_save_load_save_byte_identical(self, tmp_path):
         params = init_params(MICRO, 0)
@@ -514,10 +541,11 @@ class TestCheckpointFormat:
         (lambda m: dict(m, step="3"), "invalid step"),
         (lambda m: dict(m, model_config=dict(m["model_config"], hidden=0)), "model_config"),
         (lambda m: dict(m, vocab_hash=5), "hash mismatch"),
-        (lambda m: with_record(m, 1, name="encoder.tok_emb"), "duplicate tensor"),
+        (lambda m: with_record(m, 1, name="encoder.tok_emb"),
+         "tensor record 1: 'encoder.tok_emb' is not part"),
         (lambda m: with_record(m, 1, shape=[16, 24]), "'encoder.tok_emb#m' has shape"),
         (lambda m: with_model(m, hidden=32), "'encoder.tok_emb' has shape"),
-        (lambda m: with_model(m, n_layers=2), "'encoder.layer1.attn.wq' missing"),
+        (lambda m: with_model(m, n_layers=2), "it implies 'encoder.layer1.attn.wq'"),
         (lambda m: with_model(m, n_layers=10**12), "layers but the checkpoint holds"),
         (lambda m: renamed(m, "mlm.out_bias", "mlm.extra"), "'mlm.extra' is not part"),
         (lambda m: renamed(m, "encoder.layer0.attn.wq", "cls.out.b"), "'cls.out.b' has shape"),
@@ -551,6 +579,25 @@ class TestCheckpointFormat:
         save_checkpoint(params, MICRO, path)
         with pytest.raises(CheckpointError, match="'cls.out.b' has shape"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("store, config, match", [
+        (lambda: init_params(MICRO, 0), dataclasses.replace(MICRO, n_layers=2),
+         "parameter 'encoder.layer1.attn.wq' has shape None, model_config implies (16, 16)"),
+        (lambda: init_params(dataclasses.replace(MICRO, n_layers=2), 0), MICRO,
+         "parameter 'encoder.layer1.attn.wq' has shape (16, 16), model_config implies None"),
+        (lambda: init_params(dataclasses.replace(MICRO, hidden=8), 0), MICRO,
+         "parameter 'encoder.tok_emb' has shape (24, 8), model_config implies (24, 16)"),
+        (lambda: with_param(init_params(MICRO, 0), "junk", (4,)), MICRO,
+         "parameter 'junk' has shape (4,), model_config implies None"),
+    ])
+    def test_save_refuses_a_store_unlike_its_config(self, tmp_path, store, config, match):
+        path = tmp_path / "last.ckpt"
+        save_checkpoint(init_params(MICRO, 0), MICRO, path)
+        before = path.read_bytes()
+        with pytest.raises(ConfigError, match=re.escape(match)):
+            save_checkpoint(store(), config, path)
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["last.ckpt"]
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "t.ckpt"
@@ -622,6 +669,88 @@ class TestCheckpointFormat:
         names = [t["name"] for t in manifest["tensors"]]
         assert "encoder.tok_emb" in names
         assert "encoder.tok_emb#m" in names
+
+
+@st.composite
+def small_models(draw):
+    """A small ModelConfig, and a head of 2-5 classes or none."""
+    n_heads = draw(st.integers(1, 2))
+    config = ModelConfig(n_layers=draw(st.integers(1, 2)), n_heads=n_heads,
+                         hidden=n_heads * draw(st.integers(1, 3)), ffn=draw(st.integers(1, 5)),
+                         vocab_size=draw(st.integers(6, 10)),
+                         max_positions=draw(st.integers(1, 5)),
+                         n_segments=draw(st.integers(1, 2)), dropout=0.0)
+    return config, draw(st.none() | st.integers(2, 5))
+
+
+def save_small_model(path, config, n_classes):
+    """A store for `config` with distinct values and Adam moments, saved to `path`."""
+    params = init_params(config, 0)
+    if n_classes is not None:
+        init_classifier(params, config, n_classes, seed=1)
+    for _, p in params.items():
+        p.adam_m[...] = p.value / 2 + 1
+        p.adam_v[...] = p.value ** 2
+    params.step_count = 3
+    save_checkpoint(params, config, path, vocab_hash="h", extra={"labels": ["a", "b"]})
+
+
+# Any JSON value a hand-edited record field might hold.
+JSON_FIELD = (st.none() | st.booleans() | st.integers(-8, 2**40) | st.text(max_size=4)
+              | st.lists(st.integers(0, 16), max_size=3)
+              | st.sampled_from(["float64", "cls.out.b"]))
+
+
+class TestCheckpointTable:
+    """The tensor table on disk is the one its model_config implies, and a
+    load refuses any table that differs from it with one CheckpointError."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=small_models())
+    def test_saved_table_is_the_expected_table_and_round_trips(self, model):
+        config, n_classes = model
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "a.ckpt"), Path(tmp, "b.ckpt")
+            save_small_model(first, config, n_classes)
+            tensors = read_manifest(first)["tensors"]
+            assert tensors == checkpoint._table(param_shapes(config, n_classes))
+            ends = itertools.accumulate(t["length"] for t in tensors)
+            assert [t["offset"] for t in tensors] == [0, *list(ends)[:-1]]
+            loaded, manifest = load_checkpoint(first, expected_vocab_hash="h")
+            assert loaded.names() == list(param_shapes(config, n_classes))
+            save_checkpoint(loaded, config, second, vocab_hash="h", extra=manifest["extra"])
+            assert first.read_bytes() == second.read_bytes()
+
+    @settings(max_examples=120, deadline=None)
+    @given(model=small_models(), data=st.data())
+    def test_any_edit_of_the_table_is_one_checkpoint_error(self, model, data):
+        config, n_classes = model
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "m.ckpt")
+            save_small_model(path, config, n_classes)
+            manifest = read_manifest(path)
+            tensors = manifest["tensors"]
+            index = data.draw(st.integers(0, len(tensors) - 1), label="record")
+            rec = tensors[index]
+            edit = data.draw(st.sampled_from(["swap", "extra key", "field"]), label="edit")
+            if edit == "swap":
+                other = data.draw(st.integers(0, len(tensors) - 1).filter(lambda i: i != index),
+                                  label="with record")
+                tensors[index], tensors[other] = tensors[other], rec
+                offset = 0
+                for t in tensors:
+                    t["offset"] = offset
+                    offset += t["length"]
+            elif edit == "extra key":
+                rec[data.draw(st.sampled_from(["note", "checksum", "#m"]), label="key")] = (
+                    data.draw(JSON_FIELD, label="value"))
+            else:
+                key = data.draw(st.sampled_from(sorted(rec)), label="field")
+                rec[key] = data.draw(JSON_FIELD.filter(lambda v: v != rec[key]), label="value")
+            rewrite_manifest(path, manifest)
+            with pytest.raises(CheckpointError) as caught:
+                load_checkpoint(path, expected_vocab_hash="h")
+            assert "\n" not in str(caught.value)
 
 
 class TestStepHeap:
