@@ -8,30 +8,19 @@ classification fine-tuning, and recall/F1 comparison reporting.
 
 __version__ = "0.1.0"
 
-from .corpus import RawPost, SentenceCorpus, corpus_stats, ingest, segment
-from .encoder import (
-    EncodedBatch,
-    EncoderOutput,
-    ModelConfig,
-    cls_logits,
-    count_params,
-    encode_batch,
-    init_classifier,
-    init_params,
-    mlm_logits,
-)
+from .corpus import RawPost, SentenceCorpus, ingest, segment
+from .encoder import EncodedBatch, ModelConfig, count_params, init_classifier, init_params
 from .evaluation import ConfusionTable, EvalReport, compute_metrics, evaluate_model, render_report
 from .masking import MaskedBatch, build_epoch_batches, mask_sequence
 from .numerics import ParameterStore, adam_step, grad_check
-from .tokenizer import Vocab, decode, encode, train_vocab
+from .tokenizer import Vocab, encode, train_vocab
 from .training import TrainConfig, finetune, pretrain
 from .checkpoint import load_checkpoint, save_checkpoint
-from .benchmarks import LabeledDataset, SplitSpec, holdout_split, load_dataset, registry
+from .benchmarks import LabeledDataset, SplitSpec, holdout_split, registry
 
 __all__ = [
     "ConfusionTable",
     "EncodedBatch",
-    "EncoderOutput",
     "EvalReport",
     "LabeledDataset",
     "MaskedBatch",
@@ -44,13 +33,9 @@ __all__ = [
     "Vocab",
     "adam_step",
     "build_epoch_batches",
-    "cls_logits",
     "compute_metrics",
-    "corpus_stats",
     "count_params",
-    "decode",
     "encode",
-    "encode_batch",
     "evaluate_model",
     "finetune",
     "grad_check",
@@ -59,9 +44,7 @@ __all__ = [
     "init_classifier",
     "init_params",
     "load_checkpoint",
-    "load_dataset",
     "mask_sequence",
-    "mlm_logits",
     "pretrain",
     "registry",
     "render_report",

@@ -124,29 +124,6 @@ def _record_to_example(rec: dict, where: str) -> Example:
     return Example(text=text, label=label)
 
 
-def load_dataset(path, name: str | None = None) -> LabeledDataset:
-    """Load one file of labeled records, CSV by a .csv suffix and JSONL
-    otherwise; every example lands in 'train'."""
-    p = Path(path)
-    examples = _read_records(p, "csv" if p.suffix.lower() == ".csv" else "jsonl")
-    ds = LabeledDataset(
-        name=name or p.stem,
-        examples=examples,
-        label_map=_build_label_map(ex.label for ex in examples),
-        splits={"train": list(range(len(examples)))},
-    )
-    ds.validate()
-    return ds
-
-
-def save_dataset(dataset: LabeledDataset, path) -> None:
-    """Canonical JSONL: sorted keys, no ASCII escaping, LF endings."""
-    with atomic_write(path) as fh:
-        for ex in dataset.examples:
-            fh.write(json.dumps({"label": ex.label, "text": ex.text},
-                                sort_keys=True, ensure_ascii=False) + "\n")
-
-
 def holdout_split(dataset: LabeledDataset, spec: SplitSpec) -> LabeledDataset:
     """Move a deterministic validation sample out of train; test untouched.
 
@@ -324,14 +301,11 @@ _FIXTURE_FILLERS = (
 )
 
 
-def make_fixture(name: str, out_dir, seed: int = 0,
-                 sizes: tuple[int, int, int] | None = None) -> Path:
+def make_fixture(name: str, out_dir, seed: int = 0) -> Path:
     """Write a miniature synthetic dataset shaped like a registry row (same
     class count) plus its manifest. Returns the manifest path."""
-    info = registry_entry(name)
-    c = info.n_classes
-    if sizes is None:
-        sizes = (max(6 * c, 24), max(2 * c, 8), max(2 * c, 8))
+    c = registry_entry(name).n_classes
+    sizes = (max(6 * c, 24), max(2 * c, 8), max(2 * c, 8))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

@@ -24,7 +24,7 @@ import numpy as np
 from . import benchmarks, corpus, evaluation, tokenizer
 from ._files import JSON_ERRORS, atomic_write, read_json_object
 from .checkpoint import load_checkpoint, save_checkpoint
-from .encoder import ModelConfig, init_params
+from .encoder import ModelConfig, check_classifier, init_params
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -243,6 +243,10 @@ def cmd_finetune(args, cfg) -> None:
     vocab, params, config, _ = _load_model(args)
     dataset = benchmarks.load_manifest_dataset(args.dataset)
     dataset = _with_validation(dataset, cfg)
+    if not dataset.splits.get("train"):
+        raise DataError(f"dataset {dataset.name!r} has an empty train split")
+    if "cls.out.b" in params:  # a head fine-tuned before must fit this dataset
+        check_classifier(params, dataset.n_classes(), f"dataset {dataset.name!r}")
     with RunDir(args.run_dir) as run:
         run.echo_config(cfg)
         result = finetune(dataset, params, config, train_cfg, vocab)
@@ -272,10 +276,13 @@ def cmd_evaluate(args, cfg) -> None:
     if trained != labels:
         raise ConfigError(f"checkpoint head was trained on labels {trained}, but dataset "
                           f"{dataset.name!r} has {labels} (in class-index order)")
-    with RunDir(args.run_dir) as run:
-        run.echo_config(cfg)
+    try:
         table = evaluation.evaluate_model(params, config, dataset, args.split, vocab,
                                           batch_size=cfg["eval.batch_size"])
+    except ConfigError as exc:  # the head does not fit: name its checkpoint
+        raise ConfigError(f"{args.from_ckpt}: {exc}") from exc
+    with RunDir(args.run_dir) as run:
+        run.echo_config(cfg)
         record = evaluation.results_record(
             args.model_name, dataset.name, args.split, table,
             aggregation=cfg["eval.aggregation"],

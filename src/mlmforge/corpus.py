@@ -119,11 +119,6 @@ def segment(posts: Iterable[RawPost], dedup: bool = True) -> SentenceCorpus:
     return SentenceCorpus(sentences=sentences, stats=_stats(sentences, n_dup))
 
 
-def corpus_stats(corpus: SentenceCorpus) -> CorpusStats:
-    """Recount sentences and whitespace tokens; dedup count is carried over."""
-    return _stats(corpus.sentences, corpus.stats.n_duplicates_removed)
-
-
 def write_sentences(corpus: SentenceCorpus, path) -> None:
     """One sentence per line, UTF-8, LF endings."""
     with atomic_write(path) as fh:

@@ -69,11 +69,6 @@ class ModelConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
     @classmethod
-    def desk(cls, **overrides) -> "ModelConfig":
-        """Minute-scale CPU default, structurally identical to the base layout."""
-        return cls(**overrides)
-
-    @classmethod
     def base(cls, **overrides) -> "ModelConfig":
         """The 12-layer / 768-hidden / 12-head base layout."""
         kw = dict(
@@ -118,12 +113,6 @@ class EncodedBatch:
         token."""
         n, width = np.shape(self.ids)
         return np.arange(n) * width
-
-
-@dataclass
-class EncoderOutput:
-    hidden_states: np.ndarray  # [batch, seq, hidden]
-    cls_vector: np.ndarray     # [batch, hidden], row 0 of hidden_states
 
 
 # --- initialization ---------------------------------------------------------
@@ -566,20 +555,6 @@ def backward_hidden(params: ParameterStore, config: ModelConfig, cache: dict,
     seg.grad += ops.embedding_lookup_backward(demb, cache["seg_ids"], seg.value.shape[0])
 
 
-def encode_batch(params: ParameterStore, config: ModelConfig,
-                 batch: EncodedBatch) -> EncoderOutput:
-    """Eval-mode (no dropout) hidden states of every real token, padded to
-    [batch, seq, hidden] with every pad row exactly 0, and the [CLS]
-    vectors of `batch`."""
-    att = np.asarray(batch.attention_mask)
-    real = np.flatnonzero(att.reshape(-1))
-    rows, _ = forward_hidden(params, config, batch, real)
-    hidden = np.zeros((att.size, rows.shape[-1]), dtype=rows.dtype)
-    hidden[real] = rows
-    hidden = hidden.reshape(*att.shape, -1)
-    return EncoderOutput(hidden_states=hidden, cls_vector=hidden[:, 0, :])
-
-
 # --- MLM head ----------------------------------------------------------------
 
 def mlm_head(params: ParameterStore, hidden: np.ndarray, want_cache: bool = False):
@@ -618,11 +593,6 @@ def mlm_head_backward(params: ParameterStore, cache: dict, dlogits: np.ndarray) 
     return _dense_backward(params, dt1, cache["hidden"], "mlm.dense.w", "mlm.dense.b")
 
 
-def mlm_logits(params: ParameterStore, output: EncoderOutput) -> np.ndarray:
-    logits, _ = mlm_head(params, output.hidden_states)
-    return logits
-
-
 # --- classification head ------------------------------------------------------
 
 def cls_head(params: ParameterStore, cls_vec: np.ndarray, want_cache: bool = False):
@@ -637,9 +607,3 @@ def cls_head_backward(params: ParameterStore, cache: dict, dlogits: np.ndarray) 
     du2 = _dense_backward(params, dlogits, cache["u2"], "cls.out.w", "cls.out.b")
     du1 = ops.tanh_backward(du2, cache["u2"])
     return _dense_backward(params, du1, cache["cls_vec"], "cls.dense.w", "cls.dense.b")
-
-
-def cls_logits(params: ParameterStore, output: EncoderOutput, n_classes: int) -> np.ndarray:
-    check_classifier(params, n_classes, "the caller")
-    logits, _ = cls_head(params, output.cls_vector)
-    return logits

@@ -193,14 +193,6 @@ class EvalReport:
             "rows": self.rows,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalReport":
-        report = cls(aggregation=d["aggregation"])
-        for model in d.get("models", d.get("rows", {}).keys()):
-            for ds, cell in d["rows"][model].items():
-                report.add(model, ds, cell["recall"], cell["f1"])
-        return report
-
 
 def _best_per_column(report: EvalReport):
     """(dataset, metric) -> set of models holding the column maximum."""

@@ -63,9 +63,6 @@ class ParameterStore:
         for p in self.entries.values():
             p.grad[...] = 0
 
-    def n_scalars(self) -> int:
-        return sum(p.value.size for p in self.entries.values())
-
     def clone(self) -> "ParameterStore":
         """An independent copy; every tensor keeps its dtype."""
         return self._copy(lambda a: a.copy())

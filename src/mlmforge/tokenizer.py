@@ -1,4 +1,4 @@
-"""Uncased WordPiece vocabulary: training, encoding, decoding.
+"""Uncased WordPiece vocabulary: training and encoding.
 
 The trainer is the simplified pair-scoring variant: starting from single
 characters (word-initial plus "##" continuations), it repeatedly merges the
@@ -86,13 +86,11 @@ def _is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
 
 
-def _drop_mark(ch: str) -> str | None:
-    return None if unicodedata.category(ch) == "Mn" else ch
-
-
 def _drop_mark_split_punct(ch: str) -> str | None:
     # No punctuation character is a combining mark.
-    return f" {ch} " if _is_punct(ch) else _drop_mark(ch)
+    if _is_punct(ch):
+        return f" {ch} "
+    return None if unicodedata.category(ch) == "Mn" else ch
 
 
 class _CharTable(dict):
@@ -120,13 +118,7 @@ class _CharTable(dict):
         return out
 
 
-_MARKS = _CharTable(_drop_mark)
 _MARKS_AND_PUNCT = _CharTable(_drop_mark_split_punct)
-
-
-def normalize(text: str) -> str:
-    """Lowercase and strip accents (canonical decomposition, drop combining marks)."""
-    return unicodedata.normalize("NFD", text.lower()).translate(_MARKS)
 
 
 def pretokenize(text: str) -> list[str]:
@@ -290,23 +282,3 @@ def encode(vocab: Vocab, text: str, max_len: int) -> TokenSequence:
     ids = ids[: max_len - 1]
     ids.append(SEP_ID)
     return ids
-
-
-def decode(vocab: Vocab, seq: TokenSequence) -> str:
-    """Strip specials, fuse "##" continuations, join words with single spaces."""
-    words: list[str] = []
-    size = len(vocab)
-    for tid in seq:
-        tid = int(tid)
-        if tid < 0 or tid >= size:
-            raise DataError(f"token id {tid} out of range for vocabulary of size {size}")
-        if tid < N_SPECIALS:
-            continue
-        tok = vocab.tokens[tid]
-        if tok.startswith("##") and words:
-            words[-1] += tok[2:]
-        elif tok.startswith("##"):
-            words.append(tok[2:])
-        else:
-            words.append(tok)
-    return " ".join(words)

@@ -587,9 +587,9 @@ def test_criterion_10_parameter_count():
 
     desk = ModelConfig()
     store = init_params(desk, seed=0)
-    assert count_params(desk) == store.n_scalars()
+    assert count_params(desk) == sum(p.value.size for _, p in store.items())
     init_classifier(store, desk, 4, seed=1)
-    assert count_params(desk, n_classes=4) == store.n_scalars()
+    assert count_params(desk, n_classes=4) == sum(p.value.size for _, p in store.items())
     report_line(10, f"base {base_total:,} (110M +-2%); desk closed form exact "
                     f"({count_params(desk):,})")
 

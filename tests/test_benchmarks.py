@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import logging
 
@@ -9,71 +11,92 @@ from mlmforge.benchmarks import (
     LabeledDataset,
     SplitSpec,
     holdout_split,
-    load_dataset,
     load_manifest_dataset,
     make_fixture,
     read_manifest,
     registry,
     registry_entry,
-    save_dataset,
     write_manifest,
 )
 from mlmforge.errors import ConfigError, DataError
 
 
-def write_jsonl(path, records):
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(json.dumps(r) + "\n")
+def record_text(fmt, records):
+    """`records` as JSONL lines, or as CSV rows under a text,label header
+    (a missing field is an empty cell)."""
+    if fmt == "jsonl":
+        return "".join(json.dumps(r) + "\n" for r in records)
+    out = io.StringIO()
+    writer = csv.DictWriter(out, ["text", "label"], lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(records)
+    return out.getvalue()
 
 
-class TestLoadDataset:
-    def test_label_map_sorted(self, tmp_path):
-        p = tmp_path / "d.jsonl"
-        write_jsonl(p, [
+def load_records(tmp_path, fmt, text):
+    """Load `text` as the one split file of a manifest in format `fmt`."""
+    (tmp_path / f"train.{fmt}").write_text(text, encoding="utf-8")
+    write_manifest({"name": "d", "format": fmt, "files": {"train": f"train.{fmt}"}},
+                   tmp_path / "manifest.json")
+    return load_manifest_dataset(tmp_path / "manifest.json")
+
+
+FORMATS = ["jsonl", "csv"]
+
+
+class TestRecordFiles:
+    """Record files as the CLI reads them: through a manifest, in either
+    format."""
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_label_map_sorted(self, tmp_path, fmt):
+        ds = load_records(tmp_path, fmt, record_text(fmt, [
             {"text": "sad post", "label": "depression"},
             {"text": "ok post", "label": "control"},
             {"text": "another", "label": "depression"},
-        ])
-        ds = load_dataset(p)
+        ]))
         assert ds.label_map == {"control": 0, "depression": 1}
         assert [ex.label for ex in ds.examples] == ["depression", "control", "depression"]
-        assert ds.splits["train"] == [0, 1, 2]
+        assert ds.splits == {"train": [0, 1, 2]}
 
-    def test_csv_with_quoted_commas(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text('text,label\n"hello, world",a\nplain,b\n', encoding="utf-8")
-        ds = load_dataset(p)
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_quoted_commas(self, tmp_path, fmt):
+        text = record_text(fmt, [{"text": "hello, world", "label": "a"},
+                                 {"text": "plain", "label": "b"}])
+        if fmt == "csv":
+            assert text == 'text,label\n"hello, world",a\nplain,b\n'
+        ds = load_records(tmp_path, fmt, text)
         assert ds.examples[0].text == "hello, world"
         assert ds.n_classes() == 2
 
-    def test_unclosed_quote_past_the_field_limit_is_data_error(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text('text,label\n"' + "x " * 70000 + ",a\nplain,b\n", encoding="utf-8")
-        with pytest.raises(DataError, match="invalid CSV"):
-            load_dataset(p)
+    @pytest.mark.parametrize("fmt, text, match", [
+        ("csv", 'text,label\n"' + "x " * 70000 + ",a\nplain,b\n", "invalid CSV"),
+        ("jsonl", '{"label": "a", "text": "' + "x " * 70000 + '}\n', "invalid JSON"),
+    ])
+    def test_unclosed_quote_is_data_error(self, tmp_path, fmt, text, match):
+        with pytest.raises(DataError, match=match):
+            load_records(tmp_path, fmt, text)
 
-    def test_empty_label_error_names_line(self, tmp_path):
-        p = tmp_path / "d.jsonl"
-        write_jsonl(p, [
+    # A CSV file's header is its line 1.
+    @pytest.mark.parametrize("fmt, line", [("jsonl", 3), ("csv", 4)])
+    def test_empty_label_error_names_line(self, tmp_path, fmt, line):
+        text = record_text(fmt, [
             {"text": "fine", "label": "a"},
             {"text": "fine", "label": "b"},
             {"text": "broken", "label": ""},
         ])
-        with pytest.raises(DataError, match=":3"):
-            load_dataset(p)
+        with pytest.raises(DataError, match=f"train.{fmt}:{line}: missing or empty label"):
+            load_records(tmp_path, fmt, text)
 
-    def test_missing_text_error(self, tmp_path):
-        p = tmp_path / "d.jsonl"
-        write_jsonl(p, [{"label": "a"}])
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_missing_text_error(self, tmp_path, fmt):
         with pytest.raises(DataError, match="text"):
-            load_dataset(p)
+            load_records(tmp_path, fmt, record_text(fmt, [{"label": "a"}]))
 
-    def test_single_class_rejected(self, tmp_path):
-        p = tmp_path / "d.jsonl"
-        write_jsonl(p, [{"text": "x", "label": "only"}])
-        with pytest.raises(DataError):
-            load_dataset(p)
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_single_class_rejected(self, tmp_path, fmt):
+        with pytest.raises(DataError, match="needs >= 2 classes"):
+            load_records(tmp_path, fmt, record_text(fmt, [{"text": "x", "label": "only"}]))
 
 
 def balanced_dataset(n=100, classes=("neg", "pos")):
@@ -240,21 +263,3 @@ class TestManifestLoading:
         write_manifest(manifest, mpath)
         with pytest.raises(DataError, match=match):
             load_manifest_dataset(mpath)
-
-
-class TestCanonicalForm:
-    def test_save_is_byte_stable(self, tmp_path):
-        ds = balanced_dataset(10)
-        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        save_dataset(ds, p1)
-        reloaded = load_dataset(p1, name="toy")
-        save_dataset(reloaded, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_save_load_preserves_examples(self, tmp_path):
-        ds = balanced_dataset(6)
-        p = tmp_path / "c.jsonl"
-        save_dataset(ds, p)
-        reloaded = load_dataset(p)
-        assert [ex.text for ex in reloaded.examples] == [ex.text for ex in ds.examples]
-        assert [ex.label for ex in reloaded.examples] == [ex.label for ex in ds.examples]

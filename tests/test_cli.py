@@ -45,13 +45,14 @@ FAST_TRAIN = [
 ]
 
 
-def manifest_without_validation(out_dir):
-    """A fixture manifest naming only train and test, so commands that need
-    validation examples hold them out of train."""
+def manifest_without(out_dir, split="validation"):
+    """A Dreaddit fixture manifest that names no `split` file; without
+    validation, commands that need validation examples hold them out of
+    train."""
     path = make_fixture("Dreaddit", out_dir, seed=0)
     manifest = json.loads(path.read_text(encoding="utf-8"))
-    del manifest["files"]["validation"]
-    del manifest["expected_splits"]["validation"]
+    del manifest["files"][split]
+    del manifest["expected_splits"][split]
     path.write_text(json.dumps(manifest), encoding="utf-8")
     return path
 
@@ -238,6 +239,31 @@ class TestErrors:
                               "but dataset 'Dreaddit' has ['no', 'yes']")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command, head, dataset, message", [
+        ("evaluate", "none", "no validation",
+         "CONFIG/{ckpt}: no classifier head in parameter store"),
+        ("evaluate", "Dreaddit", "no test",
+         "DATA/dataset 'Dreaddit' has no examples in split 'test'"),
+        ("finetune", "Dreaddit", "SAD",
+         "CONFIG/classifier head has 2 classes but dataset 'SAD' has 9"),
+        ("finetune", "none", "no train", "DATA/dataset 'Dreaddit' has an empty train split"),
+    ], ids=["evaluate-no-head", "evaluate-empty-split", "finetune-other-classes",
+            "finetune-empty-train"])
+    def test_unfit_head_or_empty_split_leaves_no_run_dir(self, pipeline, finetuned, tmp_path,
+                                                         capsys, command, head, dataset,
+                                                         message):
+        root, _, vocab = pipeline
+        ckpt = root / "pt" / "ckpt" / "last.ckpt" if head == "none" else finetuned[0]
+        manifest = (make_fixture("SAD", tmp_path / "data", seed=0) if dataset == "SAD"
+                    else manifest_without(tmp_path / "data", dataset.removeprefix("no ")))
+        run_dir = tmp_path / "run"
+        code = run(command, "--from", str(ckpt), "--dataset", str(manifest), "--vocab", str(vocab),
+                   "--run-dir", str(run_dir), *FAST_TRAIN)
+        err = capsys.readouterr().err
+        assert (code, err) == (2 if message.startswith("CONFIG/") else 3,
+                               message.format(ckpt=ckpt) + "\n")
+        assert not run_dir.exists()
+
     def test_evaluate_accepts_the_labels_it_was_trained_on(self, pipeline, finetuned, tmp_path):
         _, _, vocab = pipeline
         ckpt, manifest = finetuned
@@ -278,7 +304,7 @@ class TestErrors:
         root, corpus, vocab = pipeline
         inputs = (["--corpus", corpus] if command == "pretrain" else
                   ["--from", root / "pt" / "ckpt" / "last.ckpt",
-                   "--dataset", manifest_without_validation(tmp_path / "data")])
+                   "--dataset", manifest_without(tmp_path / "data")])
         run_dir = tmp_path / "run"
         code = run(command, *map(str, inputs), "--vocab", str(vocab), "--run-dir", str(run_dir),
                    *FAST_TRAIN, "--set", override)
@@ -330,7 +356,7 @@ class TestErrors:
     def test_out_of_range_value_is_one_line_config_error(self, pipeline, tmp_path, capsys,
                                                           command, split, override):
         root, _, vocab = pipeline
-        manifest = manifest_without_validation(tmp_path / "data")
+        manifest = manifest_without(tmp_path / "data")
         code = run(command, "--from", str(root / "pt" / "ckpt" / "last.ckpt"),
                    "--dataset", str(manifest), "--vocab", str(vocab),
                    "--run-dir", str(tmp_path / "run"), "--set", override,

@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from mlmforge.corpus import (
-    CorpusStats,
     RawPost,
-    SentenceCorpus,
-    corpus_stats,
     ingest,
     read_sentences,
     segment,
@@ -111,23 +108,25 @@ class TestSegment:
 
 class TestStats:
     def test_direct_count(self):
-        corpus = SentenceCorpus(["two words", "three more words"], CorpusStats())
-        stats = corpus_stats(corpus)
+        stats = segment([post("two words\nthree more words")]).stats
         assert stats.n_sentences == 2
         assert stats.n_tokens_ws == 5
 
-    def test_empty(self):
-        stats = corpus_stats(SentenceCorpus([], CorpusStats()))
-        assert stats.as_dict() == {
+    def test_empty(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_text("\n  \n", encoding="utf-8")
+        assert read_sentences(path).stats.as_dict() == {
             "n_sentences": 0, "n_tokens_ws": 0, "n_duplicates_removed": 0,
         }
 
-    def test_synthetic_thousand_sentences(self):
+    def test_synthetic_thousand_sentences(self, tmp_path):
         # Independent oracle: the generator itself fixes the counts.
         rng = np.random.default_rng(7)
         lengths = [int(rng.integers(1, 6)) for _ in range(1000)]
-        sentences = [" ".join(f"tok{j}" for j in range(n)) for n in lengths]
-        stats = corpus_stats(SentenceCorpus(sentences, CorpusStats()))
+        path = tmp_path / "corpus.txt"
+        path.write_text("".join(" ".join(f"tok{j}" for j in range(n)) + "\n" for n in lengths),
+                        encoding="utf-8")
+        stats = read_sentences(path).stats
         assert stats.n_sentences == 1000
         assert stats.n_tokens_ws == sum(lengths)
 

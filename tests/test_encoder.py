@@ -10,7 +10,6 @@ from mlmforge import encoder, training
 from mlmforge.encoder import (
     INIT_STD,
     EncodedBatch,
-    EncoderOutput,
     ModelConfig,
     _dense,
     _dense_backward,
@@ -20,13 +19,12 @@ from mlmforge.encoder import (
     _split_heads,
     backward_hidden,
     check_classifier,
-    cls_logits,
+    cls_head,
     count_params,
-    encode_batch,
     forward_hidden,
     init_classifier,
     init_params,
-    mlm_logits,
+    mlm_head,
 )
 from mlmforge.errors import ConfigError, ShapeError
 from mlmforge.masking import build_batch
@@ -51,6 +49,17 @@ def batch_of(*seqs):
 def real_rows(batch):
     """The flat [batch * seq] positions of every real token."""
     return np.flatnonzero(np.asarray(batch.attention_mask).reshape(-1))
+
+
+def padded_hidden(store, config, batch):
+    """Eval-mode hidden states of every real token of `batch`, padded to
+    [batch, seq, hidden] with every pad row exactly 0."""
+    att = np.asarray(batch.attention_mask)
+    real = real_rows(batch)
+    rows, _ = forward_hidden(store, config, batch, real)
+    hidden = np.zeros((att.size, config.hidden), dtype=rows.dtype)
+    hidden[real] = rows
+    return hidden.reshape(*att.shape, -1)
 
 
 def padded(seq, width):
@@ -152,57 +161,57 @@ class TestCountParams:
 
     def test_matches_allocated_scalars_exactly(self):
         store = tiny_store()
-        assert count_params(TINY) == store.n_scalars()
+        assert count_params(TINY) == sum(p.value.size for _, p in store.items())
         store2 = tiny_store(n_classes=3)
-        assert count_params(TINY, n_classes=3) == store2.n_scalars()
+        assert count_params(TINY, n_classes=3) == sum(p.value.size for _, p in store2.items())
 
 
-class TestEncodeBatch:
+class TestForwardHidden:
     def test_output_shapes(self):
         cfg = ModelConfig(n_layers=2, hidden=128, n_heads=4, ffn=256, vocab_size=200,
                           max_positions=32, dropout=0.0)
         store = init_params(cfg, seed=0)
-        seqs = [[2] + list(range(5, 19)) + [3]] * 2
-        out = encode_batch(store, cfg, batch_of(*seqs))
-        assert out.hidden_states.shape == (2, 16, 128)
-        assert out.cls_vector.shape == (2, 128)
+        batch = batch_of(*[[2] + list(range(5, 19)) + [3]] * 2)
+        assert padded_hidden(store, cfg, batch).shape == (2, 16, 128)
+        assert forward_hidden(store, cfg, batch, batch.cls_rows())[0].shape == (2, 128)
 
     def test_cls_vector_is_row_zero(self):
         store = tiny_store()
-        out = encode_batch(store, TINY, batch_of([2, 7, 8, 3], [2, 9, 3]))
-        assert (out.cls_vector == out.hidden_states[:, 0, :]).all()
+        batch = batch_of([2, 7, 8, 3], [2, 9, 3])
+        cls_vectors, _ = forward_hidden(store, TINY, batch, batch.cls_rows())
+        npt.assert_allclose(cls_vectors, padded_hidden(store, TINY, batch)[:, 0, :],
+                            rtol=1e-5, atol=1e-6)
 
     def test_duplicate_rows_identical_output(self):
         store = tiny_store()
-        out = encode_batch(store, TINY, batch_of([2, 7, 8, 3], [2, 7, 8, 3]))
-        assert (out.hidden_states[0] == out.hidden_states[1]).all()
+        hidden = padded_hidden(store, TINY, batch_of([2, 7, 8, 3], [2, 7, 8, 3]))
+        assert (hidden[0] == hidden[1]).all()
 
     def test_padding_leaves_real_positions_unchanged(self):
         store = tiny_store()
         seq = [2, 10, 11, 12, 3]
-        short = encode_batch(store, TINY, batch_of(seq))
-        long = encode_batch(store, TINY, padded(seq, 12))
-        npt.assert_allclose(short.hidden_states[0],
-                            long.hidden_states[0, : len(seq)], atol=1e-5)
+        short = padded_hidden(store, TINY, batch_of(seq))
+        long = padded_hidden(store, TINY, padded(seq, 12))
+        npt.assert_allclose(short[0], long[0, : len(seq)], atol=1e-5)
 
     def test_batch_permutation_invariance(self):
         store = tiny_store()
         seqs = [[2, 10, 11, 3], [2, 12, 13, 14, 3], [2, 15, 3]]
-        fwd = encode_batch(store, TINY, batch_of(*seqs))
-        rev = encode_batch(store, TINY, batch_of(*seqs[::-1]))
-        npt.assert_allclose(fwd.hidden_states[0], rev.hidden_states[2], atol=1e-6)
-        npt.assert_allclose(fwd.hidden_states[2], rev.hidden_states[0], atol=1e-6)
+        fwd = padded_hidden(store, TINY, batch_of(*seqs))
+        rev = padded_hidden(store, TINY, batch_of(*seqs[::-1]))
+        npt.assert_allclose(fwd[0], rev[2], atol=1e-6)
+        npt.assert_allclose(fwd[2], rev[0], atol=1e-6)
 
     def test_too_long_sequence_rejected(self):
         store = tiny_store()
         seq = [2] + [5] * 20 + [3]
         with pytest.raises(ShapeError, match="max_positions"):
-            encode_batch(store, TINY, batch_of(seq))
+            padded_hidden(store, TINY, batch_of(seq))
 
     def test_ids_beyond_vocab_rejected(self):
         store = tiny_store()
         with pytest.raises(ShapeError):
-            encode_batch(store, TINY, batch_of([2, 99, 3]))
+            padded_hidden(store, TINY, batch_of([2, 99, 3]))
 
     def test_attention_rows_normalized_and_pads_excluded(self):
         store = tiny_store()
@@ -228,10 +237,10 @@ class TestRequestedRows:
     positions asked for; a position that is not a real token above the one
     before it is a ShapeError naming its batch row and position."""
 
-    def test_ascending_rows_are_encode_batch_rows_and_unsorted_rows_raise(self):
+    def test_ascending_rows_are_padded_rows_and_unsorted_rows_raise(self):
         store = tiny_store()
         batch = batch_of([2, 10, 11, 12, 3], [2, 9, 3])
-        every = encode_batch(store, TINY, batch).hidden_states.reshape(-1, TINY.hidden)
+        every = padded_hidden(store, TINY, batch).reshape(-1, TINY.hidden)
         rows = np.array([0, 3, 4, 5, 7])
         got, _ = forward_hidden(store, TINY, batch, rows)
         npt.assert_allclose(got, every[rows], rtol=1e-5, atol=1e-6)
@@ -330,20 +339,19 @@ class TestDense:
 class TestMlmHead:
     def test_logits_shape(self):
         store = tiny_store()
-        out = encode_batch(store, TINY, batch_of([2, 7, 8, 3]))
-        logits = mlm_logits(store, out)
+        logits, _ = mlm_head(store, padded_hidden(store, TINY, batch_of([2, 7, 8, 3])))
         assert logits.shape == (1, 4, TINY.vocab_size)
 
     def test_tied_projection_tracks_embedding_row(self):
         store = tiny_store()
-        out = encode_batch(store, TINY, batch_of([2, 7, 8, 3]))
-        before = mlm_logits(store, out)
+        hidden = padded_hidden(store, TINY, batch_of([2, 7, 8, 3]))
+        before, _ = mlm_head(store, hidden)
         t = 23
         bump = np.zeros_like(store["encoder.tok_emb"].value)
         bump[t] = 0.01
         store["encoder.tok_emb"].value += bump
         # same encoder input (token 23 unused), so only column t moves
-        after = mlm_logits(store, out)
+        after, _ = mlm_head(store, hidden)
         diff = np.abs(after - before).max(axis=(0, 1))
         assert diff[t] > 0
         others = np.delete(diff, t)
@@ -353,36 +361,28 @@ class TestMlmHead:
 class TestClsHead:
     def test_logits_shape(self):
         store = tiny_store(n_classes=3)
-        out = encode_batch(store, TINY, batch_of(*[[2, 7, 8, 3]] * 4))
-        assert cls_logits(store, out, 3).shape == (4, 3)
+        batch = batch_of(*[[2, 7, 8, 3]] * 4)
+        cls_vectors, _ = forward_hidden(store, TINY, batch, batch.cls_rows())
+        assert cls_head(store, cls_vectors)[0].shape == (4, 3)
 
     def test_zero_head_gives_zero_logits(self):
         store = tiny_store(n_classes=3)
         for name in ("cls.dense.w", "cls.dense.b", "cls.out.w", "cls.out.b"):
             store[name].value[...] = 0.0
-        out = encode_batch(store, TINY, batch_of([2, 7, 3]))
-        assert (cls_logits(store, out, 3) == 0).all()
+        batch = batch_of([2, 7, 3])
+        cls_vectors, _ = forward_hidden(store, TINY, batch, batch.cls_rows())
+        assert (cls_head(store, cls_vectors)[0] == 0).all()
 
     def test_n_classes_mismatch(self):
         store = tiny_store(n_classes=3)
-        out = encode_batch(store, TINY, batch_of([2, 7, 3]))
         with pytest.raises(ConfigError, match="classifier head has 3 classes but the caller "
                                               "has 5"):
-            cls_logits(store, out, 5)
+            check_classifier(store, 5, "the caller")
 
     def test_missing_head(self):
         store = tiny_store()
         with pytest.raises(ConfigError, match="no classifier head"):
             check_classifier(store, 3, "the caller")
-
-    def test_depends_only_on_position_zero(self):
-        store = tiny_store(n_classes=3)
-        out = encode_batch(store, TINY, batch_of([2, 7, 8, 9, 3]))
-        rng = np.random.default_rng(0)
-        noisy = out.hidden_states.copy()
-        noisy[:, 1:, :] = rng.normal(size=noisy[:, 1:, :].shape).astype(noisy.dtype)
-        noised = EncoderOutput(hidden_states=noisy, cls_vector=noisy[:, 0, :])
-        assert (cls_logits(store, out, 3) == cls_logits(store, noised, 3)).all()
 
     def test_head_gradients_match_finite_differences(self):
         from mlmforge.training import cls_loss, cls_loss_and_backward
@@ -458,9 +458,9 @@ class TestDropout:
         cfg = ModelConfig(n_layers=1, hidden=16, n_heads=2, ffn=32, vocab_size=20,
                           max_positions=8, dropout=0.5)
         store = init_params(cfg, seed=0)
-        a = encode_batch(store, cfg, batch_of([2, 6, 3]))
-        b = encode_batch(store, cfg, batch_of([2, 6, 3]))
-        assert (a.hidden_states == b.hidden_states).all()
+        a = padded_hidden(store, cfg, batch_of([2, 6, 3]))
+        b = padded_hidden(store, cfg, batch_of([2, 6, 3]))
+        assert (a == b).all()
 
 
 # --- token-major layout vs the padded reference ---------------------------------
@@ -756,9 +756,3 @@ class TestTokenMajorLayout:
         real = real_rows(masked_batch(lengths, seed).encoded())
         rows = data.draw(st.lists(st.sampled_from(real.tolist()), unique=True))
         check_rows_against_reference(lengths, sorted(rows), seed)
-
-    def test_encode_batch_pad_rows_are_zero(self):
-        store = tiny_store()
-        hidden = encode_batch(store, TINY, padded([2, 10, 11, 3], 8)).hidden_states
-        assert (hidden[0, 4:] == 0).all()
-        assert (hidden[0, :4] != 0).any(axis=-1).all()

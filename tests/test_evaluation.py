@@ -8,8 +8,8 @@ from mlmforge.benchmarks import Example, LabeledDataset
 from mlmforge.encoder import (
     EncodedBatch,
     ModelConfig,
-    cls_logits,
-    encode_batch,
+    cls_head,
+    forward_hidden,
     init_classifier,
     init_params,
 )
@@ -171,8 +171,8 @@ class TestEvaluateModel:
     @pytest.mark.parametrize("batch_size", [1, 3, 32])
     def test_predictions_equal_argmax_of_every_row_path(self, eval_setup, batch_size):
         """confusion_table runs the last layer on [CLS] alone; its
-        predictions are those of the classifier on encode_batch, which runs
-        it on every real token."""
+        predictions are those of the classifier on the [CLS] rows of a
+        forward pass that runs it on every real token."""
         ds, vocab, config, params = eval_setup
         params = params.astype(np.float64)
         rng = np.random.default_rng(0)
@@ -182,8 +182,11 @@ class TestEvaluateModel:
         seqs, labels = encode_split(ds, "validation", vocab, config.max_positions)
         seqs = seqs + [s[:2] for s in seqs] + seqs[::-1]
         labels = np.concatenate([labels, labels, labels[::-1]])
-        out = encode_batch(params, config, EncodedBatch.from_sequences(seqs))
-        preds = np.argmax(cls_logits(params, out, 2), axis=1)
+        batch = EncodedBatch.from_sequences(seqs)
+        real = np.flatnonzero(batch.attention_mask.reshape(-1))
+        every, _ = forward_hidden(params, config, batch, real)
+        logits, _ = cls_head(params, every[np.searchsorted(real, batch.cls_rows())])
+        preds = np.argmax(logits, axis=1)
         assert len(set(preds.tolist())) == 2
         want = ConfusionTable.from_predictions(labels, preds, 2)
         got = confusion_table(params, config, seqs, labels, 2, batch_size)
@@ -232,10 +235,9 @@ class TestReports:
     def test_json_round_trip(self):
         r = self.report()
         doc = json.loads(render_report(r, "json"))
-        back = EvalReport.from_dict(doc)
-        assert back.aggregation == r.aggregation
-        assert back.rows == r.rows
-        assert back.model_names() == r.model_names()
+        assert doc == r.to_dict()
+        assert doc == {"aggregation": "weighted", "models": ["base", "adapted"],
+                       "datasets": ["taskA", "taskB"], "rows": r.rows}
 
     def test_bit_stable(self):
         assert render_report(self.report()) == render_report(self.report())

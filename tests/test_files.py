@@ -7,17 +7,12 @@ import os
 import pytest
 
 from mlmforge import _files, benchmarks, corpus, tokenizer, training
-from mlmforge.benchmarks import Example, LabeledDataset
 from mlmforge.cli import main
 from mlmforge.corpus import CorpusStats, SentenceCorpus
 
 
 def sentences(words):
     return SentenceCorpus(words, CorpusStats(n_sentences=len(words), n_tokens_ws=len(words)))
-
-
-def dataset(texts):
-    return LabeledDataset("toy", [Example(t, "a") for t in texts], {"a": 0})
 
 
 # writer(path, variant) writes one of two different contents to path.
@@ -28,8 +23,6 @@ WRITERS = {
         [{"step": i, "value": 0.5 * i} for i in range(2 + v)], path),
     "write_sentences": lambda path, v: corpus.write_sentences(
         sentences(["one.", "two.", "three."][: 2 + v]), path),
-    "save_dataset": lambda path, v: benchmarks.save_dataset(
-        dataset(["x y", "z w", "q"][: 2 + v]), path),
     "write_manifest": lambda path, v: benchmarks.write_manifest(
         {"name": "toy", "files": {"train": f"t{v}.jsonl"}}, path),
 }

@@ -3,6 +3,7 @@ module reads the environment, and a damaged input file either loads or
 raises a ForgeError, never another exception."""
 
 import ast
+import importlib.util
 import json
 import struct
 from pathlib import Path
@@ -16,7 +17,8 @@ from mlmforge.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from mlmforge.encoder import ModelConfig, init_params
 from mlmforge.errors import ForgeError
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "mlmforge"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "mlmforge"
 
 # Calls that open or probe a file; only `_files.py` may make them.
 FILE_CALLS = {"open", "read_text", "read_bytes", "is_file"}
@@ -91,7 +93,52 @@ def test_settable_value_count_is_pinned():
     count = (sum(1 for tree in trees for _ in optional_params(tree)),
              len(cli.CONFIG_DEFAULTS),
              sum(1 for tree in trees for _ in env_reads(tree)))
-    assert count == (41, 24, 0)
+    assert count == (39, 24, 0)
+
+
+# Public names that no pipeline code uses, each kept for the reason given.
+UNCALLED = {
+    "count_params": "pins the ~110M parameters of the paper's base layout",
+    "registry": "pins the paper's eight-dataset inventory",
+    "grad_check": "the finite-difference oracle of every backward pass",
+    "mlm_loss": "the MLM loss that grad_check probes",
+    "cls_loss": "the classifier loss that grad_check probes",
+}
+
+
+def references(tree, imports: bool):
+    """The names a module uses: names, attribute names and, when `imports`,
+    the names it imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif imports and isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.name.rpartition(".")[2] for alias in node.names)
+
+
+def test_every_public_function_and_class_has_a_pipeline_caller():
+    """Every public top-level function and class in `src/` is used by
+    `src/` (a package `__init__.py`'s imports are re-exports and do not
+    count), by `tools/` or by `perfbench/` code other than its tests, or is
+    a `tracing.SITES` attribute. Methods are left out: their names collide
+    with other types' (`bytes.decode`, `ModelConfig.from_dict`)."""
+    pipeline = [*SRC.rglob("*.py"), *(ROOT / "tools").glob("*.py"),
+                *(p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_"))]
+    used = {name for path in pipeline
+            for name in references(ast.parse(path.read_text(encoding="utf-8")),
+                                   imports=path.name != "__init__.py")}
+    spec = importlib.util.spec_from_file_location("sites", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    used.update(part for _, attr, *_ in tracing.SITES for part in attr.split("."))
+    public = [f"{path.relative_to(SRC)}::{node.name}"
+              for path in sorted(SRC.rglob("*.py"))
+              for node in ast.parse(path.read_text(encoding="utf-8")).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_"]
+    assert [name for name in public
+            if name.partition("::")[2] not in used | UNCALLED.keys()] == []
 
 
 # --- byte-mutation fuzzing of every loader --------------------------------------
@@ -105,7 +152,7 @@ def inputs(tmp_path_factory):
     """kind -> (path to write the mutated file to, its intact bytes, the byte
     range that mutations touch, loader)."""
     root = tmp_path_factory.mktemp("inputs")
-    manifest = benchmarks.make_fixture("Dreaddit", root / "ds", seed=0, sizes=(8, 4, 4))
+    manifest = benchmarks.make_fixture("Dreaddit", root / "ds", seed=0)
     ckpt = root / "intact.ckpt"
     save_checkpoint(init_params(TINY, 0), TINY, ckpt, vocab_hash="h")
     ckpt_bytes = ckpt.read_bytes()
@@ -117,7 +164,8 @@ def inputs(tmp_path_factory):
         "config": json.dumps({"train.max_steps": 50, "corpus.dedup": True,
                               "eval.aggregation": "macro", "model.dropout": 0.1}, indent=2),
         "manifest": manifest.read_text(encoding="utf-8"),
-        "dataset jsonl": (manifest.parent / "train.jsonl").read_text(encoding="utf-8"),
+        "dataset jsonl": "".join((manifest.parent / "train.jsonl").read_text(encoding="utf-8")
+                                 .splitlines(keepends=True)[:8]),
         "dataset csv": 'text,label\n"hello, world",a\n"two\nlines",b\nplain café,a\n',
         "vocab": "\n".join([*tokenizer.SPECIAL_TOKENS, "rain", "café", "##s", "naïve"]) + "\n",
         "corpus": "It rained all night.\nNaïve café talk!\n\nStill tired.\n",
@@ -125,11 +173,15 @@ def inputs(tmp_path_factory):
         "results": json.dumps({"model": "m", "dataset": "d", "aggregation": "weighted",
                                "recall": 50.0, "f1": 40.5}),
     }
+    # A record file is read as the CLI reads it: as the one split of a manifest.
+    for fmt in ("jsonl", "csv"):
+        benchmarks.write_manifest({"name": "d", "format": fmt, "files": {"train": f"d.{fmt}"}},
+                                  root / f"d.{fmt}.json")
     cases = {
         "config": ("c.json", lambda p: cli.build_run_config(str(p), [])),
         "manifest": ("ds/mutated.json", benchmarks.load_manifest_dataset),
-        "dataset jsonl": ("d.jsonl", benchmarks.load_dataset),
-        "dataset csv": ("d.csv", benchmarks.load_dataset),
+        "dataset jsonl": ("d.jsonl", lambda p: benchmarks.load_manifest_dataset(f"{p}.json")),
+        "dataset csv": ("d.csv", lambda p: benchmarks.load_manifest_dataset(f"{p}.json")),
         "vocab": ("vocab.txt", tokenizer.Vocab.load),
         "corpus": ("corpus.txt", corpus.read_sentences),
         "posts": ("posts.jsonl", lambda p: list(corpus.ingest(p))),

@@ -21,7 +21,6 @@ from mlmforge.corpus import CorpusStats, SentenceCorpus
 from mlmforge.encoder import (
     ModelConfig,
     backward_hidden,
-    encode_batch,
     forward_hidden,
     init_classifier,
     init_params,
@@ -256,11 +255,15 @@ class TestSparseMLM:
         assert len(stream) == 2
         losses, counts = [], []
         for batch in stream:
-            hidden = encode_batch(params, MICRO, batch.encoded()).hidden_states
-            logits, _ = mlm_head(params, hidden)
-            labelled = batch.labels != IGNORE_ID
-            losses.append(cross_entropy(logits[labelled], batch.labels[labelled])[0])
-            counts.append(int(labelled.sum()))
+            # The last layer on every real token, then the labelled rows.
+            encoded = batch.encoded()
+            real = np.flatnonzero(encoded.attention_mask.reshape(-1))
+            every, _ = forward_hidden(params, MICRO, encoded, real)
+            labels = batch.labels.reshape(-1)
+            labelled = np.flatnonzero(labels != IGNORE_ID)
+            logits, _ = mlm_head(params, every[np.searchsorted(real, labelled)])
+            losses.append(cross_entropy(logits, labels[labelled])[0])
+            counts.append(labelled.size)
         expected = np.dot(losses, counts) / sum(counts)
         assert mlm_eval_loss(params, MICRO, stream) == pytest.approx(expected, rel=1e-12)
 

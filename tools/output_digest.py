@@ -104,7 +104,7 @@ def library_runs(root: Path):
     # Sentence lengths 2..96 words, so batches mix short rows with padding.
     sents = [" ".join(words[i] for i in rng.integers(0, N_WORDS, size=rng.integers(2, 97)))
              for _ in range(112)]
-    config = encoder.ModelConfig.desk(vocab_size=len(vocab), dropout=0.1)
+    config = encoder.ModelConfig(vocab_size=len(vocab), dropout=0.1)
     ids = [tokenizer.encode(vocab, s, config.max_positions) for s in sents]
     train_ids, val_ids = ids[:96], ids[96:]
     cfg = training.TrainConfig(batch_size=16, max_steps=6, eval_every=3, lr_encoder=1e-3,
