@@ -127,12 +127,6 @@ def _read_manifest(fh, p: Path) -> dict:
     return manifest
 
 
-def read_manifest(path) -> dict:
-    p = require_file(path, "checkpoint", CheckpointError)
-    with open(p, "rb") as fh:
-        return _read_manifest(fh, p)
-
-
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 

@@ -1,9 +1,10 @@
 """Command-line entry point: corpus prep, vocab training, (continued)
 pretraining, fine-tuning, evaluation, and report rendering.
 
-Every command works inside a run directory (config.json echo, ckpt/, logs/,
-results/) guarded by a lock file, and is reproducible bit-for-bit from the
-echoed config. Errors exit nonzero with a single-line, machine-parsable
+Every command works inside a `RunDir` (ckpt/, logs/, results/) guarded by a
+lock file. Its config.json, written only when the command succeeds,
+reproduces the outputs bit-for-bit; a failed command leaves no directory
+it created. Errors exit nonzero with a single-line, machine-parsable
 message prefixed by its category (CONFIG/, DATA/, CKPT/, NUMERIC/,
 INTERNAL/). Commands run with numpy's floating-point warnings silenced:
 a non-finite value is reported once, by the op check that catches it (in
@@ -16,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from . import benchmarks, corpus, evaluation, tokenizer
 from ._files import JSON_ERRORS, atomic_write, read_json_object
 from .checkpoint import load_checkpoint, save_checkpoint
-from .encoder import ModelConfig, check_classifier, init_params
+from .encoder import ModelConfig, init_params
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -118,15 +119,23 @@ def train_config_from(cfg: dict) -> TrainConfig:
 
 
 class RunDir:
-    """Run directory with the fixed layout and a concurrency lock."""
+    """Run directory with the fixed layout and a concurrency lock. It writes
+    config.json (`cfg`) only when its block ends without an error; when the
+    block raises, it removes the directories it created, leaf first, while
+    they are empty, so it never removes a file."""
 
-    def __init__(self, path):
+    def __init__(self, path, cfg: dict):
         self.path = Path(path)
-        self.path.mkdir(parents=True, exist_ok=True)
+        self._cfg = cfg
         self._lock = self.path / ".lock"
-        self._locked = False
+        self._created: list[Path] = []  # leaf first
 
     def __enter__(self) -> "RunDir":
+        d = self.path
+        while not d.exists():
+            self._created.append(d)
+            d = d.parent
+        self.path.mkdir(parents=True, exist_ok=True)
         try:
             fd = os.open(self._lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
@@ -136,22 +145,28 @@ class RunDir:
             ) from None
         with os.fdopen(fd, "w") as fh:
             fh.write(str(os.getpid()) + "\n")
-        self._locked = True
         return self
 
-    def __exit__(self, *exc):
-        if self._locked:
+    def __exit__(self, exc_type, *exc):
+        try:
+            if exc_type is None:
+                with atomic_write(self.path / "config.json") as fh:
+                    fh.write(json.dumps(self._cfg, sort_keys=True, indent=2) + "\n")
+        finally:
             self._lock.unlink(missing_ok=True)
-            self._locked = False
+            if exc_type is not None:
+                for d in self._created:
+                    try:
+                        d.rmdir()  # fails on a directory that holds a file
+                    except OSError:
+                        pass
         return False
-
-    def echo_config(self, cfg: dict) -> None:
-        with atomic_write(self.path / "config.json") as fh:
-            fh.write(json.dumps(cfg, sort_keys=True, indent=2) + "\n")
 
     def subdir(self, name: str) -> Path:
         d = self.path / name
-        d.mkdir(exist_ok=True)
+        if not d.exists():
+            d.mkdir()
+            self._created.insert(0, d)
         return d
 
 
@@ -182,10 +197,9 @@ def cmd_prep_corpus(args, cfg) -> None:
     warnings: list[str] = []
     built = corpus.segment(corpus.ingest(args.input, warnings=warnings),
                            dedup=cfg["corpus.dedup"])
-    with RunDir(args.run_dir) as run:
-        run.echo_config(cfg)
+    with RunDir(args.run_dir, cfg) as run:
         corpus.write_sentences(built, run.path / "corpus.txt")
-        stats = built.stats.as_dict()
+        stats = asdict(built.stats)
         stats["n_malformed_lines"] = len(warnings)
         with atomic_write(run.path / "stats.json") as fh:
             fh.write(json.dumps(stats, sort_keys=True, indent=2) + "\n")
@@ -194,8 +208,7 @@ def cmd_prep_corpus(args, cfg) -> None:
 
 def cmd_build_vocab(args, cfg) -> None:
     sentences = corpus.read_sentences(args.corpus)
-    with RunDir(args.run_dir) as run:
-        run.echo_config(cfg)
+    with RunDir(args.run_dir, cfg) as run:
         vocab = tokenizer.train_vocab(
             sentences, target_size=cfg["vocab.target_size"], min_freq=cfg["vocab.min_freq"]
         )
@@ -209,8 +222,7 @@ def _run_pretrain(args, cfg, vocab, config, params=None) -> None:
     train_cfg = train_config_from(cfg)
     sentences = corpus.read_sentences(args.corpus)
     val_sentences = corpus.read_sentences(args.val_corpus) if args.val_corpus else None
-    with RunDir(args.run_dir) as run:
-        run.echo_config(cfg)
+    with RunDir(args.run_dir, cfg) as run:
         if params is None:
             params = init_params(config, train_cfg.seed)
         corpus_ids = _encode_corpus(vocab, sentences.sentences, config.max_positions)
@@ -243,12 +255,7 @@ def cmd_finetune(args, cfg) -> None:
     vocab, params, config, _ = _load_model(args)
     dataset = benchmarks.load_manifest_dataset(args.dataset)
     dataset = _with_validation(dataset, cfg)
-    if not dataset.splits.get("train"):
-        raise DataError(f"dataset {dataset.name!r} has an empty train split")
-    if "cls.out.b" in params:  # a head fine-tuned before must fit this dataset
-        check_classifier(params, dataset.n_classes(), f"dataset {dataset.name!r}")
-    with RunDir(args.run_dir) as run:
-        run.echo_config(cfg)
+    with RunDir(args.run_dir, cfg) as run:
         result = finetune(dataset, params, config, train_cfg, vocab)
         ckpt_dir = run.subdir("ckpt")
         logs_dir = run.subdir("logs")
@@ -281,8 +288,7 @@ def cmd_evaluate(args, cfg) -> None:
                                           batch_size=cfg["eval.batch_size"])
     except ConfigError as exc:  # the head does not fit: name its checkpoint
         raise ConfigError(f"{args.from_ckpt}: {exc}") from exc
-    with RunDir(args.run_dir) as run:
-        run.echo_config(cfg)
+    with RunDir(args.run_dir, cfg) as run:
         record = evaluation.results_record(
             args.model_name, dataset.name, args.split, table,
             aggregation=cfg["eval.aggregation"],
@@ -323,8 +329,7 @@ def cmd_report(args, cfg) -> None:
     report = evaluation.EvalReport(aggregation=aggs.pop())
     for r in records:
         report.add(r["model"], r["dataset"], r["recall"], r["f1"])
-    with RunDir(args.run_dir) as run:
-        run.echo_config(cfg)
+    with RunDir(args.run_dir, cfg) as run:
         md = evaluation.render_report(report, "markdown")
         js = evaluation.render_report(report, "json")
         for name, text in (("report.md", md), ("report.json", js)):

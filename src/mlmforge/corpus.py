@@ -32,13 +32,6 @@ class CorpusStats:
     n_tokens_ws: int = 0
     n_duplicates_removed: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "n_sentences": self.n_sentences,
-            "n_tokens_ws": self.n_tokens_ws,
-            "n_duplicates_removed": self.n_duplicates_removed,
-        }
-
 
 def _stats(sentences: list[str], n_duplicates_removed: int = 0) -> CorpusStats:
     return CorpusStats(n_sentences=len(sentences),

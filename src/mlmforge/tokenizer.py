@@ -54,9 +54,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.id_of
-
     def serialize(self) -> str:
         return "\n".join(self.tokens) + "\n"
 

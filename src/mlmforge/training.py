@@ -14,7 +14,7 @@ raises; see `_checked_step`. Validation and evaluation stay checked.
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -79,9 +79,6 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 0")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -287,12 +284,11 @@ def finetune(
     are logged each epoch; the best-F1 epoch snapshot is returned.
 
     A classifier head is attached (deterministically from the seed) when the
-    store does not already carry one.
+    store does not already carry one. Every refusal (an empty split, a label
+    outside the label map, a head of another class count) comes before it,
+    so a refused call leaves the store as it was.
     """
     n_classes = dataset.n_classes()
-    if "cls.out.b" not in params:
-        init_classifier(params, config, n_classes, cfg.seed)
-    check_classifier(params, n_classes, f"dataset {dataset.name!r}")
     max_len = config.max_positions
     train_seqs, train_labels = evaluation.encode_split(dataset, "train", vocab, max_len)
     if not train_seqs:
@@ -300,6 +296,10 @@ def finetune(
     val_seqs, val_labels = evaluation.encode_split(dataset, "validation", vocab, max_len)
     if not val_seqs:
         raise DataError(f"dataset {dataset.name!r} has no examples in split 'validation'")
+    if "cls.out.b" in params:
+        check_classifier(params, n_classes, f"dataset {dataset.name!r}")
+    else:
+        init_classifier(params, config, n_classes, cfg.seed)
     groups = _finetune_groups(params, cfg)
     live_rows = None
     if cfg.epochs > 0:

@@ -13,7 +13,7 @@ import mlmforge
 from mlmforge import cli
 from mlmforge.benchmarks import make_fixture
 from mlmforge.cli import CONFIG_DEFAULTS, build_run_config, main
-from mlmforge.errors import ConfigError, DeterminismError, NonFiniteError, ShapeError
+from mlmforge.errors import ConfigError, DataError, DeterminismError, NonFiniteError, ShapeError
 
 
 def run(*argv):
@@ -224,7 +224,64 @@ class TestErrors:
         err = capsys.readouterr().err
         assert code == 3 and len(err.strip().splitlines()) == 1
         assert err.startswith(f"DATA/training sequence {len(lines)} (from 0) has no maskable")
-        assert not (tmp_path / "run" / "ckpt").exists()
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command, override, message", [
+        ("build-vocab", "vocab.target_size=8", "CONFIG/target_size=8 cannot hold the specials"),
+        ("pretrain", None, "DATA/pretraining corpus is empty"),
+        ("continue-pretrain", "train.max_steps=8",
+         "CONFIG/checkpoint already at step 8 >= max_steps 8"),
+    ])
+    def test_refusal_inside_the_run_leaves_no_run_dir(self, pipeline, tmp_path, capsys,
+                                                      command, override, message):
+        """The run dir and the parents it needed are gone after a refusal
+        that comes from the command's own work, not from reading its inputs."""
+        root, corpus, vocab = pipeline
+        if command == "pretrain":
+            corpus = tmp_path / "empty.txt"
+            corpus.write_text("", encoding="utf-8")
+        inputs = {"build-vocab": ["--corpus", corpus],
+                  "pretrain": ["--corpus", corpus, "--vocab", vocab],
+                  "continue-pretrain": ["--from", root / "pt" / "ckpt" / "last.ckpt",
+                                        "--corpus", corpus, "--vocab", vocab]}[command]
+        code = run(command, *map(str, inputs), "--run-dir", str(tmp_path / "a" / "b" / "run"),
+                   *FAST_TRAIN, *(["--set", override] if override else []))
+        err = capsys.readouterr().err
+        assert code == (2 if message.startswith("CONFIG/") else 3)
+        assert len(err.strip().splitlines()) == 1 and err.startswith(message)
+        assert not (tmp_path / "a").exists()
+
+    def test_refused_rerun_leaves_the_run_dir_byte_identical(self, pipeline, tmp_path, capsys):
+        _, corpus, _ = pipeline
+        run_dir = tmp_path / "run"
+        assert run("build-vocab", "--corpus", str(corpus), "--run-dir", str(run_dir),
+                   "--set", "vocab.target_size=128", "--set", "vocab.min_freq=1") == 0
+        before = {p: p.read_bytes() for p in run_dir.rglob("*")}
+        assert sorted(p.name for p in before) == ["config.json", "vocab.txt"]
+        unmaskable = tmp_path / "corpus.txt"
+        unmaskable.write_text("\U0001f62d\n", encoding="utf-8")  # [CLS] [UNK] [SEP]
+        assert run("pretrain", "--corpus", str(unmaskable), "--vocab", str(run_dir / "vocab.txt"),
+                   "--run-dir", str(run_dir), *FAST_TRAIN) == 3
+        assert run("build-vocab", "--corpus", str(corpus), "--run-dir", str(run_dir),
+                   "--set", "vocab.target_size=8") == 2
+        capsys.readouterr()
+        assert {p: p.read_bytes() for p in run_dir.rglob("*")} == before
+
+    def test_run_dir_never_removes_a_file(self, tmp_path):
+        existing = tmp_path / "existing"
+        existing.mkdir()
+        with pytest.raises(DataError):
+            with cli.RunDir(existing, {}):
+                raise DataError("refused")
+        fresh = tmp_path / "a" / "fresh"
+        with pytest.raises(DataError):
+            with cli.RunDir(fresh, {}) as run_dir:
+                (run_dir.subdir("ckpt") / "last.ckpt").write_bytes(b"kept")
+                run_dir.subdir("logs")
+                raise DataError("refused after an output")
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+            "a", "a/fresh", "a/fresh/ckpt", "a/fresh/ckpt/last.ckpt", "existing"]
+        assert (fresh / "ckpt" / "last.ckpt").read_bytes() == b"kept"
 
     def test_evaluate_refuses_a_head_trained_on_other_labels(self, pipeline, finetuned,
                                                              tmp_path, capsys):
@@ -400,7 +457,7 @@ class TestErrors:
         assert proc.returncode == 5
         assert proc.stderr.startswith("NUMERIC/aborting at step ")
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
-        assert not (tmp_path / "run" / ".lock").exists()
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("exc, prefix, code", [
         (NonFiniteError("matmul: produced non-finite values"), "NUMERIC/", 5),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -115,7 +116,7 @@ class TestStats:
     def test_empty(self, tmp_path):
         path = tmp_path / "corpus.txt"
         path.write_text("\n  \n", encoding="utf-8")
-        assert read_sentences(path).stats.as_dict() == {
+        assert dataclasses.asdict(read_sentences(path).stats) == {
             "n_sentences": 0, "n_tokens_ws": 0, "n_duplicates_removed": 0,
         }
 

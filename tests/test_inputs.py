@@ -118,6 +118,21 @@ def references(tree, imports: bool):
             yield from (alias.name.rpartition(".")[2] for alias in node.names)
 
 
+def public_definitions():
+    """`module::name` of every public top-level function and class in `src/`."""
+    return [f"{path.relative_to(SRC)}::{node.name}"
+            for path in sorted(SRC.rglob("*.py"))
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_"]
+
+
+def test_public_names_are_unique_across_modules():
+    """The caller pin below matches bare names, so a name defined in two
+    modules would let a caller of one hide the other."""
+    names = [name.partition("::")[2] for name in public_definitions()]
+    assert sorted({name for name in names if names.count(name) > 1}) == []
+
+
 def test_every_public_function_and_class_has_a_pipeline_caller():
     """Every public top-level function and class in `src/` is used by
     `src/` (a package `__init__.py`'s imports are re-exports and do not
@@ -133,11 +148,7 @@ def test_every_public_function_and_class_has_a_pipeline_caller():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     used.update(part for _, attr, *_ in tracing.SITES for part in attr.split("."))
-    public = [f"{path.relative_to(SRC)}::{node.name}"
-              for path in sorted(SRC.rglob("*.py"))
-              for node in ast.parse(path.read_text(encoding="utf-8")).body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_"]
-    assert [name for name in public
+    assert [name for name in public_definitions()
             if name.partition("::")[2] not in used | UNCALLED.keys()] == []
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from mlmforge import checkpoint, evaluation, training
 from mlmforge.benchmarks import Example, LabeledDataset
-from mlmforge.checkpoint import MAGIC, load_checkpoint, read_manifest, save_checkpoint
+from mlmforge.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from mlmforge.corpus import CorpusStats, SentenceCorpus
 from mlmforge.encoder import (
     ModelConfig,
@@ -457,6 +457,38 @@ class TestFinetune:
         with pytest.raises(ConfigError, match="classifier head has 5 classes but dataset"):
             finetune(ds, params, config, micro_cfg(epochs=1), vocab)
 
+    @pytest.mark.parametrize("refusal, error, match", [
+        ("no train", DataError, "empty train split"),
+        ("no validation", DataError, "no examples in split 'validation'"),
+        ("unknown label", DataError, "'unknown' not in label map"),
+        ("5-class head", ConfigError, "classifier head has 5 classes"),
+    ])
+    def test_refusal_leaves_the_store_unchanged(self, toy_setup, refusal, error, match):
+        ds, vocab, config = toy_setup
+        params = init_params(config, seed=0)
+        splits = dict(ds.splits)
+        examples = list(ds.examples)
+        if refusal == "5-class head":
+            init_classifier(params, config, 5, seed=1)
+        elif refusal == "unknown label":
+            examples[0] = Example(examples[0].text, "unknown")
+        else:
+            del splits[refusal.removeprefix("no ")]
+        before = store_bytes(params)
+        broken = LabeledDataset("toy", examples, dict(ds.label_map), splits)
+        with pytest.raises(error, match=match):
+            finetune(broken, params, config, micro_cfg(epochs=1), vocab)
+        assert params.names() == list(before)
+        assert store_bytes(params) == before
+
+
+def read_manifest(path):
+    """A checkpoint's JSON manifest, read from its header without any check."""
+    data = path.read_bytes()
+    head = len(MAGIC) + 4
+    (mlen,) = struct.unpack("<Q", data[head:head + 8])
+    return json.loads(data[head + 8:head + 8 + mlen])
+
 
 def rewrite_manifest(path, manifest):
     """Replace a checkpoint's manifest, keeping its header layout and blob."""
@@ -638,8 +670,6 @@ class TestCheckpointFormat:
         path.write_bytes(path.read_bytes()[:length])
         match = "magic" if length < len(MAGIC) else "truncated header"
         with pytest.raises(CheckpointError, match=match):
-            read_manifest(path)
-        with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("mlen", ["size - 19", 2**40, 2**63, 2**64 - 1])
@@ -651,8 +681,6 @@ class TestCheckpointFormat:
             mlen = len(data) - 19  # one byte more than the file holds after the header
         head = len(MAGIC) + 4
         path.write_bytes(data[:head] + struct.pack("<Q", mlen) + data[head + 8:])
-        with pytest.raises(CheckpointError, match="truncated manifest"):
-            read_manifest(path)
         with pytest.raises(CheckpointError, match="truncated manifest"):
             load_checkpoint(path)
 
