@@ -27,6 +27,7 @@ import json
 import math
 import os
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -77,7 +78,7 @@ def save_checkpoint(
                           f"model_config implies {shapes.get(name)}")
     manifest = {
         "format_version": FORMAT_VERSION,
-        "model_config": config.as_dict(),
+        "model_config": asdict(config),
         "vocab_hash": vocab_hash,
         "step": store.step_count,
         "extra": extra or {},
@@ -170,7 +171,7 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None):
     with open(p, "rb") as fh:
         manifest = _read_manifest(fh, p)
         try:
-            config = ModelConfig.from_dict(manifest["model_config"])
+            config = ModelConfig(**manifest["model_config"])
         except (KeyError, TypeError, ConfigError) as exc:
             raise CheckpointError(f"{p}: manifest missing or invalid model_config") from exc
         if expected_vocab_hash is not None and manifest.get("vocab_hash") != expected_vocab_hash:

@@ -175,7 +175,7 @@ def _load_model(args):
     checkpoint trained with it."""
     vocab = tokenizer.Vocab.load(args.vocab)
     params, manifest = load_checkpoint(args.from_ckpt, expected_vocab_hash=vocab.content_hash())
-    return vocab, params, ModelConfig.from_dict(manifest["model_config"]), manifest
+    return vocab, params, ModelConfig(**manifest["model_config"]), manifest
 
 
 def _encode_corpus(vocab, sentences, max_len):
@@ -235,6 +235,8 @@ def _run_pretrain(args, cfg, vocab, config, params=None) -> None:
         save_checkpoint(result.params, config, ckpt_dir / "last.ckpt", vocab_hash)
         if result.best_params is not None:
             save_checkpoint(result.best_params, config, ckpt_dir / "best.ckpt", vocab_hash)
+        else:  # an earlier run's best snapshot does not match this config.json
+            (ckpt_dir / "best.ckpt").unlink(missing_ok=True)
         write_log(result.log, logs_dir / "pretrain.jsonl")
         last = result.log[-1]["value"] if result.log else float("nan")
         print(f"trained to step {result.params.step_count}, last train mlm_loss {last:.4f}")

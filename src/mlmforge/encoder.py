@@ -34,7 +34,7 @@ backward functions, which accumulate into ParameterStore gradients.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -77,13 +77,6 @@ class ModelConfig:
         )
         kw.update(overrides)
         return cls(**kw)
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 @dataclass

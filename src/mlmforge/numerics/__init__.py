@@ -6,7 +6,6 @@ from .params import (
     Param,
     ParameterStore,
     adam_step,
-    resolve_groups,
 )
 from . import _heap, ops
 
@@ -23,5 +22,4 @@ __all__ = [
     "adam_step",
     "grad_check",
     "ops",
-    "resolve_groups",
 ]

@@ -6,7 +6,6 @@ gets the operations of one whole-tensor update, so the bits are the same.
 """
 
 from dataclasses import dataclass
-from fnmatch import fnmatchcase
 
 import numpy as np
 
@@ -78,24 +77,6 @@ class ParameterStore:
         return out
 
 
-def resolve_groups(store: ParameterStore, lr_by_group: dict[str, float]) -> dict[str, float]:
-    """Map each parameter to its one learning rate via glob patterns.
-
-    A parameter matching zero or more than one pattern is a configuration
-    error: groups must partition the name space.
-    """
-    resolved: dict[str, float] = {}
-    for name in store.names():
-        hits = [pat for pat in lr_by_group if fnmatchcase(name, pat)]
-        if len(hits) != 1:
-            raise ConfigError(
-                f"parameter '{name}' matches {len(hits)} learning-rate groups "
-                f"(patterns: {sorted(lr_by_group)})"
-            )
-        resolved[name] = lr_by_group[hits[0]]
-    return resolved
-
-
 # Elements per Adam block: a block's value, grad, moments and scratch stay
 # in L2, where a whole 8192 x 128 tok_emb's do not.
 _ADAM_BLOCK = 1 << 16
@@ -127,20 +108,24 @@ def _adam_update(p: Param, lr_over_bc1: float, inv_bc2: float) -> None:
         value -= upd
 
 
-def adam_step(store: ParameterStore, lr_by_group: dict[str, float],
+def adam_step(store: ParameterStore, lr: dict[str, float],
               rows: dict[str, np.ndarray] | None = None) -> None:
-    """One bias-corrected Adam update per parameter, using its group's rate.
+    """One bias-corrected Adam update per parameter at its rate `lr[name]`.
 
     theta -= lr * m_hat / (sqrt(v_hat) + eps), with beta1, beta2 and eps
     the module's ADAM_* constants. Grads are zeroed afterwards and
-    step_count advances by exactly one.
+    step_count advances by exactly one. `lr` must name exactly the store's
+    parameters.
 
     `rows` maps a parameter to the sorted leading-axis rows that may hold a
     nonzero grad or moment; its other rows must hold +0 in all three, where
     the update is exactly +0, so they are skipped. The named rows are
     gathered, updated by the same operations and scattered back.
     """
-    rates = resolve_groups(store, lr_by_group)
+    if lr.keys() != store.entries.keys():
+        name = next(n for n in {**store.entries, **lr} if (n in lr) != (n in store))
+        raise ConfigError(f"adam_step lr must name exactly the store's parameters: '{name}' "
+                          + ("has no rate" if name in store else "is not a parameter"))
     rows = rows or {}
     for name, r in rows.items():
         n = store[name].value.shape[0]
@@ -156,10 +141,10 @@ def adam_step(store: ParameterStore, lr_by_group: dict[str, float],
     for name, p in store.entries.items():
         r = rows.get(name)
         if r is None:
-            _adam_update(p, rates[name] / bc1, inv_bc2)
+            _adam_update(p, lr[name] / bc1, inv_bc2)
             p.grad[...] = 0
         else:
             part = Param(p.value[r], p.grad[r], p.adam_m[r], p.adam_v[r])
-            _adam_update(part, rates[name] / bc1, inv_bc2)
+            _adam_update(part, lr[name] / bc1, inv_bc2)
             p.value[r], p.adam_m[r], p.adam_v[r] = part.value, part.adam_m, part.adam_v
             p.grad[r] = 0

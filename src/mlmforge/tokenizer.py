@@ -191,7 +191,7 @@ def train_vocab(corpus: SentenceCorpus, target_size: int = 8192, min_freq: int =
         best_pair = None
         best_fab = best_fa = best_fb = 0
         for pair, fab in pair_freq.items():
-            if fab < min_freq or fab <= 0:
+            if fab < min_freq:
                 continue
             a, b = pair
             if a not in known or b not in known:

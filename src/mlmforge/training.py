@@ -66,7 +66,7 @@ class TrainConfig:
             raise ConfigError("max_steps must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        # lr 0 is allowed: it freezes a group bitwise (e.g. frozen encoder).
+        # lr 0 is allowed: it freezes its tensors bitwise (e.g. frozen encoder).
         for name in ("lr_encoder", "lr_head"):
             lr = getattr(self, name)
             if not (math.isfinite(lr) and lr >= 0):
@@ -224,6 +224,8 @@ def pretrain(
     check_maskable(corpus_ids, max_len, "training")
     check_maskable(val_corpus_ids or (), max_len, "validation")
     batches_per_epoch = math.ceil(len(corpus_ids) / cfg.batch_size)
+    # every tensor, a cls.* head carried by a continued checkpoint included
+    lr = dict.fromkeys(params.names(), cfg.lr_encoder)
 
     log: list[dict] = []
     best_params = None
@@ -248,7 +250,7 @@ def pretrain(
         )
         loss = _checked_step(params, f"step {step}", lambda: mlm_loss_and_backward(
             params, config, batch, rng=_dropout_rng(cfg, step)))
-        adam_step(params, {"*": cfg.lr_encoder})
+        adam_step(params, lr)
         log.append({"step": params.step_count, "split": "train",
                     "metric": "mlm_loss", "value": loss})
         if val_corpus_ids and params.step_count % cfg.eval_every == 0:
@@ -265,13 +267,6 @@ def pretrain(
 # --- fine-tuning ----------------------------------------------------------------
 
 
-def _finetune_groups(params: ParameterStore, cfg: TrainConfig) -> dict[str, float]:
-    groups = {"cls.*": cfg.lr_head, "encoder.*": cfg.lr_encoder}
-    if any(n.startswith("mlm.") for n in params.names()):
-        groups["mlm.*"] = cfg.lr_encoder
-    return groups
-
-
 def finetune(
     dataset: LabeledDataset,
     params: ParameterStore,
@@ -279,9 +274,9 @@ def finetune(
     cfg: TrainConfig,
     vocab: Vocab,
 ) -> FinetuneResult:
-    """Cross-entropy fine-tuning with two Adam groups: encoder tensors at
-    lr_encoder, classifier head at lr_head. Validation recall/F1 (weighted)
-    are logged each epoch; the best-F1 epoch snapshot is returned.
+    """Cross-entropy fine-tuning: Adam moves the classifier head (`cls.*`)
+    at lr_head and every other tensor at lr_encoder. Validation recall/F1
+    (weighted) are logged each epoch; the best-F1 epoch snapshot is returned.
 
     A classifier head is attached (deterministically from the seed) when the
     store does not already carry one. Every refusal (an empty split, a label
@@ -300,7 +295,8 @@ def finetune(
         check_classifier(params, n_classes, f"dataset {dataset.name!r}")
     else:
         init_classifier(params, config, n_classes, cfg.seed)
-    groups = _finetune_groups(params, cfg)
+    lr = {name: cfg.lr_head if name.startswith("cls.") else cfg.lr_encoder
+          for name in params.names()}
     live_rows = None
     if cfg.epochs > 0:
         # Fresh optimizer for the downstream task: pretraining moments and the
@@ -341,7 +337,7 @@ def finetune(
             targets = train_labels[lo:hi]
             loss = _checked_step(params, f"epoch {epoch}", lambda: cls_loss_and_backward(
                 params, config, batch, targets, rng=_dropout_rng(cfg, step)))
-            adam_step(params, groups, live_rows)
+            adam_step(params, lr, live_rows)
             step += 1
             log.append({"epoch": epoch, "split": "train", "metric": "cls_loss",
                         "value": loss})

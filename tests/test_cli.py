@@ -144,6 +144,21 @@ class TestPipeline:
         assert "**" in md
         assert (tmp_path / "rep" / "report.json").is_file()
 
+    @pytest.mark.parametrize("command", ["pretrain", "continue-pretrain"])
+    def test_rerun_without_validation_removes_the_stale_best_checkpoint(self, pipeline,
+                                                                        tmp_path, command):
+        root, corpus, vocab = pipeline
+        args = [command, "--corpus", str(corpus), "--vocab", str(vocab),
+                "--run-dir", str(tmp_path / "run"), *FAST_TRAIN]
+        if command == "continue-pretrain":
+            args += ["--from", str(root / "pt" / "ckpt" / "last.ckpt"),
+                     "--set", "train.max_steps=12"]
+        assert run(*args, "--val-corpus", str(corpus)) == 0
+        assert (tmp_path / "run" / "ckpt" / "best.ckpt").is_file()
+        assert run(*args, "--set", "train.seed=1") == 0
+        assert [p.name for p in (tmp_path / "run" / "ckpt").iterdir()] == ["last.ckpt"]
+        assert json.loads((tmp_path / "run" / "config.json").read_text())["train.seed"] == 1
+
     def test_rerun_is_bitwise_identical(self, pipeline, tmp_path):
         root, corpus, vocab = pipeline
         for d in ("r1", "r2"):

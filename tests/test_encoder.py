@@ -1,3 +1,5 @@
+import dataclasses
+import json
 from unittest import mock
 
 import numpy as np
@@ -93,8 +95,9 @@ class TestModelConfig:
             ModelConfig(dropout=1.0)
 
     def test_dict_round_trip(self):
+        """A config survives the JSON a checkpoint manifest stores it as."""
         cfg = ModelConfig.base()
-        assert ModelConfig.from_dict(cfg.as_dict()) == cfg
+        assert ModelConfig(**json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
 
 
 class TestInit:
@@ -450,7 +453,7 @@ class TestDropout:
         plain, _ = forward_hidden(store, cfg, batch, rows)
         dropped, _ = forward_hidden(store, cfg, batch, rows, rng=np.random.default_rng(0))
         assert (dropped != plain).any()
-        no_drop = ModelConfig(**{**cfg.as_dict(), "dropout": 0.0})
+        no_drop = dataclasses.replace(cfg, dropout=0.0)
         same, _ = forward_hidden(store, no_drop, batch, rows, rng=np.random.default_rng(0))
         assert same.tobytes() == plain.tobytes()
 

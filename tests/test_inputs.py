@@ -138,7 +138,7 @@ def test_every_public_function_and_class_has_a_pipeline_caller():
     `src/` (a package `__init__.py`'s imports are re-exports and do not
     count), by `tools/` or by `perfbench/` code other than its tests, or is
     a `tracing.SITES` attribute. Methods are left out: their names collide
-    with other types' (`bytes.decode`, `ModelConfig.from_dict`)."""
+    with other types' (`bytes.decode`, `ParameterStore.items`)."""
     pipeline = [*SRC.rglob("*.py"), *(ROOT / "tools").glob("*.py"),
                 *(p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_"))]
     used = {name for path in pipeline

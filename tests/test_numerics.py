@@ -13,7 +13,7 @@ from mlmforge.errors import (
     NonFiniteError,
     ShapeError,
 )
-from mlmforge.numerics import ParameterStore, adam_step, grad_check, resolve_groups
+from mlmforge.numerics import ParameterStore, adam_step, grad_check
 from mlmforge.numerics import ops
 
 
@@ -420,30 +420,37 @@ class TestAdam:
         adam_step(store, {"w": 1e-3})
         assert (store["w"].value == before).all()
 
-    def test_two_group_update_ratio_one_to_three(self):
+    def test_per_name_update_ratio_one_to_three(self):
         store = self.scalar_store("enc.w", "head.w")
         store["enc.w"].grad[...] = 0.7
         store["head.w"].grad[...] = 0.7
-        adam_step(store, {"enc.*": 1e-5, "head.*": 3e-5})
+        adam_step(store, {"enc.w": 1e-5, "head.w": 3e-5})
         ratio = store["head.w"].value[0] / store["enc.w"].value[0]
         npt.assert_allclose(ratio, 3.0, rtol=1e-5)
 
     def test_grads_zeroed_and_step_counted(self):
         store = self.scalar_store("w")
         store["w"].grad[...] = 1.0
-        adam_step(store, {"*": 1e-3})
+        adam_step(store, {"w": 1e-3})
         assert store.step_count == 1
         assert (store["w"].grad == 0).all()
 
-    def test_unmatched_parameter_is_config_error(self):
-        store = self.scalar_store("a", "b")
-        with pytest.raises(ConfigError, match="matches 0"):
-            adam_step(store, {"a": 1e-3})
-
-    def test_doubly_matched_parameter_is_config_error(self):
-        store = self.scalar_store("a")
-        with pytest.raises(ConfigError, match="matches 2"):
-            resolve_groups(store, {"a": 1e-3, "*": 1e-4})
+    @pytest.mark.parametrize("lr, name", [({"a": 1e-3}, "'b' has no rate"),
+                                          ({"a": 1e-3, "b": 1e-3, "c": 1e-3},
+                                           "'c' is not a parameter"),
+                                          ({"b": 1e-3, "c": 1e-3}, "'a' has no rate")],
+                             ids=["missing", "extra", "both"])
+    def test_lr_naming_other_than_the_parameters_is_config_error(self, lr, name):
+        """The first name that differs, the store's order first, is named
+        before any update."""
+        store = self.scalar_store("a", "b", value=1.0)
+        for _, p in store.items():
+            p.grad[...] = 0.5
+        with pytest.raises(ConfigError, match=name):
+            adam_step(store, lr)
+        assert store.step_count == 0
+        for _, p in store.items():
+            assert (p.value, p.grad, p.adam_m, p.adam_v) == (1.0, 0.5, 0.0, 0.0)
 
     def test_bitwise_deterministic(self):
         def run():
@@ -452,7 +459,7 @@ class TestAdam:
             store.add("w", rng.normal(size=(4, 4)).astype(np.float32))
             for _ in range(10):
                 store["w"].grad[...] = rng.normal(size=(4, 4)).astype(np.float32)
-                adam_step(store, {"*": 1e-3})
+                adam_step(store, {"w": 1e-3})
             return store["w"].value.copy()
 
         assert (run() == run()).all()
@@ -466,7 +473,7 @@ class TestAdam:
         for _ in range(5):
             store["enc.w"].grad[...] = rng.normal(size=8).astype(np.float32)
             store["head.w"].grad[...] = rng.normal(size=8).astype(np.float32)
-            adam_step(store, {"enc.*": 0.0, "head.*": 1e-3})
+            adam_step(store, {"enc.w": 0.0, "head.w": 1e-3})
         assert (store["enc.w"].value == before).all()
         assert (store["head.w"].value != 0).any()
 
@@ -476,8 +483,7 @@ class TestAdam:
         """Both paths of adam_step against the textbook update: whole
         tensors (one block, and several with a ragged last one) and a row
         set whose other rows hold +0 grad and moments, also at rate 0."""
-        def textbook_step(store, groups):
-            rates = resolve_groups(store, groups)
+        def textbook_step(store, lr):
             store.step_count += 1
             t = store.step_count
             b1, b2 = 0.9, 0.999
@@ -486,7 +492,7 @@ class TestAdam:
                 p.adam_m[...] = b1 * p.adam_m + (1.0 - b1) * g
                 p.adam_v[...] = b2 * p.adam_v + (1.0 - b2) * (g * g)
                 denom = np.sqrt(p.adam_v * (1.0 / (1.0 - b2**t))) + 1e-8
-                p.value -= (p.adam_m / denom) * (rates[name] / (1.0 - b1**t))
+                p.value -= (p.adam_m / denom) * (lr[name] / (1.0 - b1**t))
                 p.grad[...] = 0
 
         rng = np.random.default_rng(13)
@@ -501,14 +507,15 @@ class TestAdam:
         rows = {"enc.rows": np.array([0, 5, 6, 17, 39]), "frozen.rows": np.array([2, 8])}
         twin = store.clone()
         frozen = store["frozen.rows"].value.tobytes()
-        groups = {"enc.*": 0.3, "head.*": 0.7, "frozen.*": 0.0}
+        lr = {"enc.w": 0.3, "head.b": 0.7, "enc.blocks": 0.3, "enc.rows": 0.3,
+              "frozen.rows": 0.0}
         for _ in range(5):
             for name, p in store.items():
                 r = rows.get(name, slice(None))
                 p.grad[r] = rng.normal(size=p.value[r].shape).astype(dtype)
                 twin[name].grad[...] = p.grad
-            adam_step(store, groups, rows)
-            textbook_step(twin, groups)
+            adam_step(store, lr, rows)
+            textbook_step(twin, lr)
         for name, p in store.items():
             q = twin[name]
             for a, b in ((p.value, q.value), (p.adam_m, q.adam_m), (p.adam_v, q.adam_v),
@@ -526,13 +533,13 @@ class TestAdam:
         store.add("w", np.ones((4, 2), dtype=np.float32))
         store["w"].grad[...] = 1.0
         with pytest.raises(ConfigError, match="sorted, distinct integers in \\[0, 4\\)"):
-            adam_step(store, {"*": 1e-3}, {"w": np.array(rows)})
+            adam_step(store, {"w": 1e-3}, {"w": np.array(rows)})
         assert store.step_count == 0
         assert (store["w"].value == 1.0).all() and (store["w"].grad == 1.0).all()
 
     def test_row_set_of_unknown_parameter_rejected(self):
         with pytest.raises(ConfigError, match="unknown parameter"):
-            adam_step(self.scalar_store("w"), {"*": 1e-3}, {"v": np.array([0])})
+            adam_step(self.scalar_store("w"), {"w": 1e-3}, {"v": np.array([0])})
 
 
 class TestParameterStore:

@@ -72,6 +72,24 @@ def stores_equal(a, b, values_only=False):
     return values_only or a.step_count == b.step_count
 
 
+@pytest.fixture
+def adam_rates(monkeypatch):
+    """Records, per `training.adam_step` call, the set of rates it gave the
+    tensors under each name prefix (`encoder`, `mlm`, `cls`)."""
+    seen = []
+    full_adam = training.adam_step
+
+    def recording_adam(store, lr, rows=None):
+        rates = {}
+        for name, rate in lr.items():
+            rates.setdefault(name.partition(".")[0], set()).add(rate)
+        seen.append(rates)
+        full_adam(store, lr, rows)
+
+    monkeypatch.setattr(training, "adam_step", recording_adam)
+    return seen
+
+
 class TestTrainConfig:
     def test_default_lr_ratio_is_three(self):
         cfg = TrainConfig()
@@ -202,6 +220,16 @@ class TestPretrain:
         final = pretrain(MICRO_CORPUS, resumed, MICRO, micro_cfg(max_steps=2)).params
         assert stores_equal(uninterrupted, final)
 
+    def test_continued_checkpoint_with_a_head_moves_every_tensor_at_lr_encoder(
+            self, tmp_path, adam_rates):
+        params = init_params(MICRO, 0)
+        init_classifier(params, MICRO, 2, 0)
+        ck = tmp_path / "with_head.ckpt"
+        save_checkpoint(params, MICRO, ck, vocab_hash="h")
+        resumed, _ = load_checkpoint(ck)
+        pretrain(MICRO_CORPUS, resumed, MICRO, micro_cfg(max_steps=3))
+        assert adam_rates == [{"encoder": {1e-3}, "mlm": {1e-3}, "cls": {1e-3}}] * 3
+
 
 def dense_mlm_loss_and_backward(params, config, batch):
     """Reference: run the last layer and project every real position, and
@@ -279,7 +307,7 @@ class TestSparseMLM:
     def test_mt19937_dropout_trains_deterministically(self, batch):
         """The masks are a pure function of the rng state, whatever the bit
         generator."""
-        config = ModelConfig(**{**MICRO.as_dict(), "dropout": 0.1})
+        config = dataclasses.replace(MICRO, dropout=0.1)
 
         def train(bit_generator):
             params = init_params(config, 0)
@@ -287,7 +315,7 @@ class TestSparseMLM:
             for step in range(3):
                 rng = np.random.Generator(bit_generator(step))
                 losses.append(mlm_loss_and_backward(params, config, batch, rng=rng))
-                adam_step(params, {"*": 1e-2})
+                adam_step(params, dict.fromkeys(params.names(), 1e-2))
             return losses, store_bytes(params)
 
         run = train(np.random.MT19937)
@@ -354,6 +382,13 @@ class TestFinetune:
                 for part in ("value", "grad", "adam_m", "adam_v"):
                     assert getattr(p, part).dtype == np.float64, f"{name}.{part}"
 
+    def test_adam_moves_the_head_at_lr_head_and_the_rest_at_lr_encoder(self, toy_setup,
+                                                                       adam_rates):
+        ds, vocab, config = toy_setup
+        finetune(ds, init_params(config, seed=0), config,
+                 micro_cfg(epochs=2, batch_size=20), vocab)
+        assert adam_rates == [{"encoder": {1e-3}, "mlm": {1e-3}, "cls": {3e-3}}] * 4
+
     def test_frozen_encoder_bitwise_unchanged(self, toy_setup):
         ds, vocab, config = toy_setup
         params = init_params(config, seed=2)
@@ -417,16 +452,16 @@ class TestFinetune:
         full_adam = training.adam_step
         seen = []
 
-        def recording_adam(store, groups, rows=None):
+        def recording_adam(store, lr, rows=None):
             seen.append(rows)
-            full_adam(store, groups, rows)
+            full_adam(store, lr, rows)
 
         monkeypatch.setattr(training, "adam_step", recording_adam)
         with_rows = finetune(ds, pretrained(), config, cfg, vocab)
         live = seen[0]["encoder.tok_emb"]
         assert 0 < live.size < config.vocab_size and all(r is seen[0] for r in seen)
         monkeypatch.setattr(training, "adam_step",
-                            lambda store, groups, rows=None: full_adam(store, groups))
+                            lambda store, lr, rows=None: full_adam(store, lr))
         every_row = finetune(ds, pretrained(), config, cfg, vocab)
         for a, b in ((with_rows.final_params, every_row.final_params),
                      (with_rows.params, every_row.params)):
