@@ -29,11 +29,15 @@ order: one (n_real, hidden) embedding draw, then per layer one
 split into views. So the masks are a pure function of the rng state, the
 batch and the requested rows, with any bit generator.
 
-Forward functions optionally return a cache consumed by the matching
-backward functions, which accumulate into ParameterStore gradients.
+The stack is `_embed`, then per layer the sublayers `_self_attention` and
+`_feed_forward`, which take their parameter prefix (`encoder.layer2.attn`,
+whose layer norm is `<prefix>_norm`). Each forward returns a named-tuple
+cache for its backward, which accumulates into ParameterStore gradients.
+Every op is called as `ops.<name>`, so a patch on `numerics.ops` sees all.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -205,6 +209,16 @@ def count_params(config: ModelConfig, n_classes: int | None = None) -> int:
 
 # --- encoder forward / backward ---------------------------------------------
 
+# The caches that each forward function hands to its backward.
+_GroupCache = namedtuple("_GroupCache", "qh kh vh probs probs_d keep")  # one length group
+_EmbedCache = namedtuple("_EmbedCache", "seq tok_ids seg_ids positions norm keep")
+_AttentionCache = namedtuple("_AttentionCache", "rows x_in xq groups ctx keep norm inv_sqrt_dh")
+_FFNCache = namedtuple("_FFNCache", "x hmid gelu keep norm")
+_StackCache = namedtuple("_StackCache", "emb layers")  # layers: (attention, FFN) per layer
+_MLMCache = namedtuple("_MLMCache", "hidden gelu t3 norm")
+_ClsCache = namedtuple("_ClsCache", "cls_vec u2")
+
+
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     b, s, h = x.shape
     return x.reshape(b, s, n_heads, h // n_heads).transpose(0, 2, 1, 3)
@@ -343,8 +357,7 @@ def _attention(rows: _Rows, q, k, v, n_heads: int, inv_sqrt_dh, keeps):
         probs = ops.softmax(scores)
         probs_d = probs if keep is None else probs * keep
         cc[cells] = _merge_heads(ops.matmul(probs_d, vh)).reshape(-1, width)
-        caches.append({"qh": qh, "kh": kh, "vh": vh, "probs": probs, "probs_d": probs_d,
-                       "keep": keep})
+        caches.append(_GroupCache(qh, kh, vh, probs, probs_d, keep))
     ctx = np.empty_like(q)
     ctx[rows.cells[rows.slots]] = cc[rows.slots]
     return ctx, caches
@@ -359,12 +372,12 @@ def _attention_backward(rows: _Rows, caches, dctx, n_heads: int, inv_sqrt_dh):
     dkt, dvt = (np.empty((rows.tok.size, width), dtype=dctx.dtype) for _ in range(2))
     for (seqs, n, _, cells, tok), gc in zip(_blocks(rows), caches):
         dctxh = _split_heads(dcc[cells].reshape(len(seqs), n, width), n_heads)
-        dprobs, dvh = ops.matmul_backward(dctxh, gc["probs_d"], gc["vh"])
-        if gc["keep"] is not None:
-            dprobs = ops.dropout_backward(dprobs, gc["keep"])
-        dscores = ops.softmax_backward(dprobs, gc["probs"])
+        dprobs, dvh = ops.matmul_backward(dctxh, gc.probs_d, gc.vh)
+        if gc.keep is not None:
+            dprobs = ops.dropout_backward(dprobs, gc.keep)
+        dscores = ops.softmax_backward(dprobs, gc.probs)
         dscores *= inv_sqrt_dh
-        dqh, dkhT = ops.matmul_backward(dscores, gc["qh"], gc["kh"].swapaxes(-1, -2))
+        dqh, dkhT = ops.matmul_backward(dscores, gc.qh, gc.kh.swapaxes(-1, -2))
         dqc[cells] = _merge_heads(dqh).reshape(-1, width)
         dkt[tok] = _merge_heads(dkhT.swapaxes(-1, -2)).reshape(-1, width)
         dvt[tok] = _merge_heads(dvh).reshape(-1, width)
@@ -397,6 +410,102 @@ def _dense_backward(params: ParameterStore, dout: np.ndarray, x: np.ndarray,
     return dx
 
 
+def _norm(params: ParameterStore, x: np.ndarray, name: str):
+    """ops.layer_norm of x with the gain and bias under `name`."""
+    return ops.layer_norm(x, params[f"{name}.gain"].value, params[f"{name}.bias"].value)
+
+
+def _norm_backward(params: ParameterStore, dout: np.ndarray, cache, name: str) -> np.ndarray:
+    """Accumulate the grads of `_norm(params, x, name)` and return d/dx."""
+    dx, dgain, dbias = ops.layer_norm_backward(dout, cache)
+    params[f"{name}.gain"].grad += dgain
+    params[f"{name}.bias"].grad += dbias
+    return dx
+
+
+def _embed(params: ParameterStore, ids, seg, every: _Rows, p_drop: float, rng):
+    """Token + position + segment embeddings of every real token, then
+    encoder.emb_norm and dropout."""
+    tok_ids, seg_ids = ids.reshape(-1)[every.flat], seg.reshape(-1)[every.flat]
+    positions = every.flat % every.seq
+    x = ops.embedding_lookup(params["encoder.tok_emb"].value, tok_ids)
+    x = x + params["encoder.pos_emb"].value[positions]
+    x = x + ops.embedding_lookup(params["encoder.seg_emb"].value, seg_ids)
+    x, norm = _norm(params, x, "encoder.emb_norm")
+    keep = None if rng is None else ops.dropout_keep(x.shape, p_drop, rng, x.dtype)
+    if keep is not None:
+        x *= keep
+    return x, _EmbedCache(every.seq, tok_ids, seg_ids, positions, norm, keep)
+
+
+def _embed_backward(params: ParameterStore, dx: np.ndarray, cache: _EmbedCache) -> None:
+    if cache.keep is not None:
+        dx = ops.dropout_backward(dx, cache.keep)
+    demb = _norm_backward(params, dx, cache.norm, "encoder.emb_norm")
+    # tok_emb's gradient goes to the touched rows alone. The dense add would
+    # also add +0 to every other row, which changes no bit: no writer leaves
+    # a -0.0 in a gradient (each adds onto the +0 it was zeroed to).
+    touched, inv = np.unique(cache.tok_ids, return_inverse=True)
+    params["encoder.tok_emb"].grad[touched] += ops.embedding_lookup_backward(
+        demb, inv, touched.size)
+    params["encoder.pos_emb"].grad[:cache.seq] += ops.embedding_lookup_backward(
+        demb, cache.positions, cache.seq)
+    seg = params["encoder.seg_emb"]
+    seg.grad += ops.embedding_lookup_backward(demb, cache.seg_ids, seg.value.shape[0])
+
+
+def _self_attention(params: ParameterStore, x_in: np.ndarray, rows: _Rows, pre: str,
+                    n_heads: int, keeps, keep):
+    """The attention sublayer with parameters `pre`.*, returning the `rows`
+    of its output: projections, `_attention` with the group masks `keeps`,
+    output dropout `keep`, the residual add and `<pre>_norm`."""
+    xq = x_in if rows.sel is None else x_in[rows.sel]
+    q = _dense(params, xq, f"{pre}.wq", f"{pre}.bq")
+    k, v = (_dense(params, x_in, f"{pre}.w{z}", f"{pre}.b{z}") for z in "kv")
+    inv_sqrt_dh = x_in.dtype.type(1.0 / np.sqrt(x_in.shape[1] // n_heads))
+    ctx, groups = _attention(rows, q, k, v, n_heads, inv_sqrt_dh, keeps)
+    out = _dense(params, ctx, f"{pre}.wo", f"{pre}.bo")
+    if keep is not None:
+        out *= keep
+    x, norm = _norm(params, xq + out, f"{pre}_norm")
+    return x, _AttentionCache(rows, x_in, xq, groups, ctx, keep, norm, inv_sqrt_dh)
+
+
+def _self_attention_backward(params: ParameterStore, dx: np.ndarray, cache: _AttentionCache,
+                             pre: str, n_heads: int) -> np.ndarray:
+    dres = _norm_backward(params, dx, cache.norm, f"{pre}_norm")
+    dout = dres if cache.keep is None else ops.dropout_backward(dres, cache.keep)
+    dctx = _dense_backward(params, dout, cache.ctx, f"{pre}.wo", f"{pre}.bo")
+    dq, dk, dv = _attention_backward(cache.rows, cache.groups, dctx, n_heads, cache.inv_sqrt_dh)
+    dx_in = dres + _dense_backward(params, dq, cache.xq, f"{pre}.wq", f"{pre}.bq")
+    if cache.rows.sel is not None:
+        dxq, dx_in = dx_in, np.zeros_like(cache.x_in)
+        dx_in[cache.rows.sel] = dxq
+    for dz, z in ((dk, "k"), (dv, "v")):
+        dx_in = dx_in + _dense_backward(params, dz, cache.x_in, f"{pre}.w{z}", f"{pre}.b{z}")
+    return dx_in
+
+
+def _feed_forward(params: ParameterStore, x: np.ndarray, pre: str, keep):
+    """The FFN sublayer with parameters `pre`.*: dense, gelu, dense, output
+    dropout `keep`, the residual add and `<pre>_norm`."""
+    hmid, gelu = ops.gelu(_dense(params, x, f"{pre}.w1", f"{pre}.b1"))
+    out = _dense(params, hmid, f"{pre}.w2", f"{pre}.b2")
+    if keep is not None:
+        out *= keep
+    y, norm = _norm(params, x + out, f"{pre}_norm")
+    return y, _FFNCache(x, hmid, gelu, keep, norm)
+
+
+def _feed_forward_backward(params: ParameterStore, dy: np.ndarray, cache: _FFNCache,
+                           pre: str) -> np.ndarray:
+    dres = _norm_backward(params, dy, cache.norm, f"{pre}_norm")
+    dout = dres if cache.keep is None else ops.dropout_backward(dres, cache.keep)
+    dhmid = _dense_backward(params, dout, cache.hmid, f"{pre}.w2", f"{pre}.b2")
+    da = ops.gelu_backward(dhmid, cache.gelu)
+    return dres + _dense_backward(params, da, cache.x, f"{pre}.w1", f"{pre}.b1")
+
+
 def forward_hidden(params: ParameterStore, config: ModelConfig, batch: EncodedBatch, rows,
                    rng: np.random.Generator | None = None, want_cache: bool = False):
     """Run the encoder stack and return the last layer's hidden states at
@@ -412,162 +521,57 @@ def forward_hidden(params: ParameterStore, config: ModelConfig, batch: EncodedBa
     s = ids.shape[1]
     if s > config.max_positions:
         raise ShapeError(f"sequence length {s} exceeds max_positions {config.max_positions}")
-    att = np.asarray(batch.attention_mask)
-    seg = np.asarray(batch.segment_ids)
+    att, seg = np.asarray(batch.attention_mask), np.asarray(batch.segment_ids)
     if att.shape != ids.shape or seg.shape != ids.shape:
         raise ShapeError("ids, attention_mask and segment_ids must share a shape")
     every = _Rows.of(att)
     last = every.ask(rows)
-
-    tok_emb = params["encoder.tok_emb"].value
-    dtype = tok_emb.dtype
     p_drop = config.dropout
-    if p_drop == 0.0:
-        rng = None
-    nh = config.n_heads
-
-    tok_ids = ids.reshape(-1)[every.flat]
-    seg_ids = seg.reshape(-1)[every.flat]
-    positions = every.flat % s
-
-    x = ops.embedding_lookup(tok_emb, tok_ids)
-    x = x + params["encoder.pos_emb"].value[positions]
-    x = x + ops.embedding_lookup(params["encoder.seg_emb"].value, seg_ids)
-    x, emb_norm_cache = ops.layer_norm(
-        x, params["encoder.emb_norm.gain"].value, params["encoder.emb_norm.bias"].value
-    )
-    emb_keep = None
-    if rng is not None:
-        emb_keep = ops.dropout_keep(x.shape, p_drop, rng, dtype)
-        x *= emb_keep
-    inv_sqrt_dh = dtype.type(1.0 / np.sqrt(config.hidden // nh))
-
-    layer_caches = []
+    rng = rng if p_drop > 0.0 else None
+    x, emb = _embed(params, ids, seg, every, p_drop, rng)
+    layers = []
     for i in range(config.n_layers):
-        pre = f"encoder.layer{i}"
         out = last if i == config.n_layers - 1 else every
-        x_in = x
-        xq = x_in if out.sel is None else x_in[out.sel]
-        q = _dense(params, xq, f"{pre}.attn.wq", f"{pre}.attn.bq")
-        k, v = (_dense(params, x_in, f"{pre}.attn.w{z}", f"{pre}.attn.b{z}") for z in "kv")
         att_keeps, ao_keep, ff_keep = (
-            out.layer_keeps(rng, p_drop, dtype, nh, config.hidden) if rng is not None
-            else ([None] * len(out.groups[0]), None, None))
-        ctxm, attn_caches = _attention(out, q, k, v, nh, inv_sqrt_dh, att_keeps)
-        ao = _dense(params, ctxm, f"{pre}.attn.wo", f"{pre}.attn.bo")
-        if ao_keep is not None:
-            ao *= ao_keep
-        n1, n1_cache = ops.layer_norm(
-            xq + ao, params[f"{pre}.attn_norm.gain"].value, params[f"{pre}.attn_norm.bias"].value
-        )
-        a1 = _dense(params, n1, f"{pre}.ffn.w1", f"{pre}.ffn.b1")
-        hmid, gelu_cache = ops.gelu(a1)
-        ff = _dense(params, hmid, f"{pre}.ffn.w2", f"{pre}.ffn.b2")
-        if ff_keep is not None:
-            ff *= ff_keep
-        x, n2_cache = ops.layer_norm(
-            n1 + ff, params[f"{pre}.ffn_norm.gain"].value, params[f"{pre}.ffn_norm.bias"].value
-        )
+            out.layer_keeps(rng, p_drop, x.dtype, config.n_heads, config.hidden)
+            if rng is not None else ([None] * len(out.groups[0]), None, None))
+        x, attn = _self_attention(params, x, out, f"encoder.layer{i}.attn", config.n_heads,
+                                  att_keeps, ao_keep)
+        x, ffn = _feed_forward(params, x, f"encoder.layer{i}.ffn", ff_keep)
         if want_cache:
-            layer_caches.append({
-                "rows": out, "x_in": x_in, "xq": xq, "attn": attn_caches,
-                "ctxm": ctxm, "ao_keep": ao_keep, "n1": n1, "n1_cache": n1_cache,
-                "gelu_cache": gelu_cache, "hmid": hmid, "ff_keep": ff_keep,
-                "n2_cache": n2_cache,
-            })
-
-    cache = None
-    if want_cache:
-        cache = {
-            "seq": s, "tok_ids": tok_ids, "seg_ids": seg_ids,
-            "positions": positions, "emb_norm_cache": emb_norm_cache, "emb_keep": emb_keep,
-            "inv_sqrt_dh": inv_sqrt_dh, "layers": layer_caches,
-        }
-    return x, cache
+            layers.append((attn, ffn))
+    return x, _StackCache(emb, layers) if want_cache else None
 
 
-def backward_hidden(params: ParameterStore, config: ModelConfig, cache: dict,
+def backward_hidden(params: ParameterStore, config: ModelConfig, cache: _StackCache,
                     d_hidden: np.ndarray) -> None:
     """Accumulate encoder gradients given d(loss)/d(the rows that
     forward_hidden returned), a (len(rows), hidden) array."""
-    n_rows = cache["layers"][-1]["rows"].flat.size
+    n_rows = cache.layers[-1][0].rows.flat.size
     if d_hidden.shape != (n_rows, config.hidden):
         raise ShapeError(f"backward_hidden: gradient {d_hidden.shape} does not match the "
                          f"{n_rows} rows forward_hidden returned")
-    s = cache["seq"]
     dx = d_hidden
-    for i in reversed(range(config.n_layers)):
-        pre = f"encoder.layer{i}"
-        lc = cache["layers"][i]
-
-        dres2, dg2, db2 = ops.layer_norm_backward(dx, lc["n2_cache"])
-        params[f"{pre}.ffn_norm.gain"].grad += dg2
-        params[f"{pre}.ffn_norm.bias"].grad += db2
-        dff = dres2
-        if lc["ff_keep"] is not None:
-            dff = ops.dropout_backward(dff, lc["ff_keep"])
-        dhmid = _dense_backward(params, dff, lc["hmid"], f"{pre}.ffn.w2", f"{pre}.ffn.b2")
-        da1 = ops.gelu_backward(dhmid, lc["gelu_cache"])
-        dn1 = dres2 + _dense_backward(params, da1, lc["n1"], f"{pre}.ffn.w1", f"{pre}.ffn.b1")
-
-        dres1, dg1, db1 = ops.layer_norm_backward(dn1, lc["n1_cache"])
-        params[f"{pre}.attn_norm.gain"].grad += dg1
-        params[f"{pre}.attn_norm.bias"].grad += db1
-        dao = dres1
-        if lc["ao_keep"] is not None:
-            dao = ops.dropout_backward(dao, lc["ao_keep"])
-        dctxm = _dense_backward(params, dao, lc["ctxm"], f"{pre}.attn.wo", f"{pre}.attn.bo")
-        x_in, out = lc["x_in"], lc["rows"]
-        dq, dk, dv = _attention_backward(out, lc["attn"], dctxm, config.n_heads,
-                                         cache["inv_sqrt_dh"])
-        dx_in = dres1 + _dense_backward(params, dq, lc["xq"], f"{pre}.attn.wq",
-                                        f"{pre}.attn.bq")
-        if out.sel is not None:
-            dxq, dx_in = dx_in, np.zeros_like(x_in)
-            dx_in[out.sel] = dxq
-        for dz, proj in ((dk, "k"), (dv, "v")):
-            dx_in = dx_in + _dense_backward(params, dz, x_in,
-                                            f"{pre}.attn.w{proj}", f"{pre}.attn.b{proj}")
-        dx = dx_in
-
-    if cache["emb_keep"] is not None:
-        dx = ops.dropout_backward(dx, cache["emb_keep"])
-    demb, dg, db = ops.layer_norm_backward(dx, cache["emb_norm_cache"])
-    params["encoder.emb_norm.gain"].grad += dg
-    params["encoder.emb_norm.bias"].grad += db
-
-    # tok_emb's gradient goes to the touched rows alone. The dense add would
-    # also add +0 to every other row, which changes no bit: no writer leaves
-    # a -0.0 in a gradient (each adds onto the +0 it was zeroed to).
-    touched, inv = np.unique(cache["tok_ids"], return_inverse=True)
-    params["encoder.tok_emb"].grad[touched] += ops.embedding_lookup_backward(
-        demb, inv, touched.size)
-    params["encoder.pos_emb"].grad[:s] += ops.embedding_lookup_backward(
-        demb, cache["positions"], s)
-    seg = params["encoder.seg_emb"]
-    seg.grad += ops.embedding_lookup_backward(demb, cache["seg_ids"], seg.value.shape[0])
+    for i, (attn, ffn) in reversed(list(enumerate(cache.layers))):
+        dx = _feed_forward_backward(params, dx, ffn, f"encoder.layer{i}.ffn")
+        dx = _self_attention_backward(params, dx, attn, f"encoder.layer{i}.attn", config.n_heads)
+    _embed_backward(params, dx, cache.emb)
 
 
 # --- MLM head ----------------------------------------------------------------
 
 def mlm_head(params: ParameterStore, hidden: np.ndarray, want_cache: bool = False):
-    """dense -> gelu -> layer norm -> tied-embedding projection + bias.
-
-    Accepts hidden states of any leading shape; training feeds the
-    labelled rows' states, (n_masked, hidden).
-    """
-    t1 = _dense(params, hidden, "mlm.dense.w", "mlm.dense.b")
-    t2, gelu_cache = ops.gelu(t1)
-    t3, n_cache = ops.layer_norm(t2, params["mlm.norm.gain"].value, params["mlm.norm.bias"].value)
+    """dense -> gelu -> layer norm -> tied-embedding projection + bias, on
+    hidden states of any leading shape (training feeds (n_masked, hidden))."""
+    t2, gelu = ops.gelu(_dense(params, hidden, "mlm.dense.w", "mlm.dense.b"))
+    t3, norm = _norm(params, t2, "mlm.norm")
     # Tied projection, kept out of _dense: its weight is tok_emb.T.
     emb_t = params["encoder.tok_emb"].value.T
     logits = ops.add_bias(ops.matmul(t3, emb_t), params["mlm.out_bias"].value)
-    cache = ({"hidden": hidden, "gelu_cache": gelu_cache, "t3": t3, "n_cache": n_cache}
-             if want_cache else None)
-    return logits, cache
+    return logits, _MLMCache(hidden, gelu, t3, norm) if want_cache else None
 
 
-def mlm_head_backward(params: ParameterStore, cache: dict, dlogits: np.ndarray) -> np.ndarray:
+def mlm_head_backward(params: ParameterStore, cache: _MLMCache, dlogits: np.ndarray) -> np.ndarray:
     """Returns d(loss)/d(hidden); tied embedding grads flow into tok_emb."""
     dlogits, d_out_bias = ops.add_bias_backward(dlogits)
     params["mlm.out_bias"].grad += d_out_bias
@@ -575,15 +579,11 @@ def mlm_head_backward(params: ParameterStore, cache: dict, dlogits: np.ndarray) 
     # as the contiguous dlogits.T @ t3, and d/dt3 transposed. d/dt3 goes
     # back to C order: the layer-norm backward sums a transposed array in
     # another order, with other float bits.
-    demb, dt3_t = ops.matmul_backward(dlogits.T, params["encoder.tok_emb"].value,
-                                      cache["t3"].T)
+    demb, dt3_t = ops.matmul_backward(dlogits.T, params["encoder.tok_emb"].value, cache.t3.T)
     params["encoder.tok_emb"].grad += demb
-    dt3 = np.ascontiguousarray(dt3_t.T)
-    dt2, dg, db = ops.layer_norm_backward(dt3, cache["n_cache"])
-    params["mlm.norm.gain"].grad += dg
-    params["mlm.norm.bias"].grad += db
-    dt1 = ops.gelu_backward(dt2, cache["gelu_cache"])
-    return _dense_backward(params, dt1, cache["hidden"], "mlm.dense.w", "mlm.dense.b")
+    dt2 = _norm_backward(params, np.ascontiguousarray(dt3_t.T), cache.norm, "mlm.norm")
+    dt1 = ops.gelu_backward(dt2, cache.gelu)
+    return _dense_backward(params, dt1, cache.hidden, "mlm.dense.w", "mlm.dense.b")
 
 
 # --- classification head ------------------------------------------------------
@@ -591,12 +591,11 @@ def mlm_head_backward(params: ParameterStore, cache: dict, dlogits: np.ndarray) 
 def cls_head(params: ParameterStore, cls_vec: np.ndarray, want_cache: bool = False):
     u2 = ops.tanh(_dense(params, cls_vec, "cls.dense.w", "cls.dense.b"))
     logits = _dense(params, u2, "cls.out.w", "cls.out.b")
-    cache = {"cls_vec": cls_vec, "u2": u2} if want_cache else None
-    return logits, cache
+    return logits, _ClsCache(cls_vec, u2) if want_cache else None
 
 
-def cls_head_backward(params: ParameterStore, cache: dict, dlogits: np.ndarray) -> np.ndarray:
+def cls_head_backward(params: ParameterStore, cache: _ClsCache, dlogits: np.ndarray) -> np.ndarray:
     """Returns d(loss)/d(cls_vector)."""
-    du2 = _dense_backward(params, dlogits, cache["u2"], "cls.out.w", "cls.out.b")
-    du1 = ops.tanh_backward(du2, cache["u2"])
-    return _dense_backward(params, du1, cache["cls_vec"], "cls.dense.w", "cls.dense.b")
+    du2 = _dense_backward(params, dlogits, cache.u2, "cls.out.w", "cls.out.b")
+    du1 = ops.tanh_backward(du2, cache.u2)
+    return _dense_backward(params, du1, cache.cls_vec, "cls.dense.w", "cls.dense.b")

@@ -220,11 +220,11 @@ class TestForwardHidden:
         store = tiny_store()
         batch = batch_of([2, 10, 11, 3], [2, 9, 3], [2, 12, 13, 3])
         _, cache = forward_hidden(store, TINY, batch, real_rows(batch), want_cache=True)
-        for layer in cache["layers"]:
-            shapes = [group["probs"].shape for group in layer["attn"]]
+        for attn, _ in cache.layers:
+            shapes = [group.probs.shape for group in attn.groups]
             assert shapes == [(1, TINY.n_heads, 3, 3), (2, TINY.n_heads, 4, 4)]
-            for group in layer["attn"]:
-                npt.assert_allclose(group["probs"].sum(axis=-1), 1.0, atol=1e-6)
+            for group in attn.groups:
+                npt.assert_allclose(group.probs.sum(axis=-1), 1.0, atol=1e-6)
 
     @pytest.mark.parametrize("row", [[1, 0, 1, 0], [0, 0, 0, 0]], ids=["hole", "empty"])
     def test_mask_row_must_be_a_non_empty_prefix(self, row):
@@ -638,15 +638,15 @@ class ReplayRng:
             draw[flat] = np.where(keep != 0, KEPT, 0.0)
             return draw.reshape(b, s, -1)
 
-        self.draws = [rows(np.flatnonzero(np.asarray(att).reshape(-1)), cache["emb_keep"])]
-        for lc in cache["layers"]:
-            out = lc["rows"]
+        self.draws = [rows(np.flatnonzero(np.asarray(att).reshape(-1)), cache.emb.keep)]
+        for attn, ffn in cache.layers:
+            out = attn.rows
             probs = np.full((b, config.n_heads, s, s), 0.5)
-            for (seqs, _, l, *_), gc in zip(_blocks(out), lc["attn"]):
+            for (seqs, _, l, *_), gc in zip(_blocks(out), attn.groups):
                 for j, i in enumerate(seqs):
                     pos = out.flat[out.flat // s == i] % s
-                    probs[i][:, pos, :l] = np.where(gc["keep"][j, :, :pos.size] != 0, KEPT, 0.0)
-            self.draws += [probs, rows(out.flat, lc["ao_keep"]), rows(out.flat, lc["ff_keep"])]
+                    probs[i][:, pos, :l] = np.where(gc.keep[j, :, :pos.size] != 0, KEPT, 0.0)
+            self.draws += [probs, rows(out.flat, attn.keep), rows(out.flat, ffn.keep)]
 
     def random(self, shape):
         draw = self.draws.pop(0)
@@ -759,3 +759,36 @@ class TestTokenMajorLayout:
         real = real_rows(masked_batch(lengths, seed).encoded())
         rows = data.draw(st.lists(st.sampled_from(real.tolist()), unique=True))
         check_rows_against_reference(lengths, sorted(rows), seed)
+
+
+class TestSublayerPrefixes:
+    """Each sublayer's backward accumulates the grads of the parameters
+    under its prefix and no others, in float64 with dropout on. Layer 1 is
+    the last, run on each sequence's [CLS] row alone."""
+
+    @pytest.mark.parametrize("sublayer", ["attention", "ffn", "embed"])
+    def test_backward_touches_exactly_its_parameters(self, sublayer):
+        enc = masked_batch([9, 3, 14, 1, 6]).encoded()
+        params = drop_store(0)
+        _, cache = forward_hidden(params, DROP, enc, enc.cls_rows(),
+                                  rng=np.random.default_rng(0), want_cache=True)
+        params.zero_grads()
+        attn, ffn = cache.layers[1]
+        draw = np.random.default_rng(1).standard_normal
+        if sublayer == "attention":
+            encoder._self_attention_backward(params, draw(attn.xq.shape), attn,
+                                             "encoder.layer1.attn", DROP.n_heads)
+            owned = ("encoder.layer1.attn.", "encoder.layer1.attn_norm.")
+        elif sublayer == "ffn":
+            encoder._feed_forward_backward(params, draw(ffn.x.shape), ffn, "encoder.layer1.ffn")
+            owned = ("encoder.layer1.ffn.", "encoder.layer1.ffn_norm.")
+        else:
+            encoder._embed_backward(params, draw(cache.layers[0][0].x_in.shape), cache.emb)
+            owned = ("encoder.tok_emb", "encoder.pos_emb", "encoder.seg_emb",
+                     "encoder.emb_norm.")
+        touched = {name for name in params.names() if (params[name].grad != 0).any()}
+        want = {name for name in params.names() if name.startswith(owned)}
+        # bk's gradient is zero in exact arithmetic: a bias on every key moves
+        # each query's scores by one constant, which softmax ignores.
+        bk = {"encoder.layer1.attn.bk"}
+        assert touched <= want and want - touched <= bk

@@ -29,6 +29,12 @@ moment, step count and log of the library runs (final and best snapshots),
 and per file the CLI chain wrote. Two trees whose digest files are byte-identical gave
 the same outputs; `diff` lists the outputs whose bits moved. Run it twice
 on one tree to check that reruns are bitwise equal.
+
+Digest both trees at the same BLAS thread count, for example
+`OPENBLAS_NUM_THREADS=1 python3 tools/output_digest.py ...` for each: the
+thread count alone moves the bits of most lines (1,023 of 1,710 between
+one and two OpenBLAS threads), so a diff across thread counts says
+nothing about the change.
 """
 
 import contextlib
