@@ -12,20 +12,29 @@ The elementwise ops reuse their own fresh temporaries through `out=` and
 in-place ufuncs instead of allocating one array per subexpression. Each
 keeps the operation order of the plain expression in its comment, so the
 float bits are the same; only commutative swaps and exact products with
-0.5 are reordered. The embedding backward scatters into the flat table
-in the order of the row-wise scatter, and the dropout mask is thresholded
-straight into its dtype, with the same bits as the plainer forms.
+0.5 are reordered. `gelu` and `gelu_backward` run their chains over
+blocks of rows of at most `params._L2_BLOCK` elements, Adam's rule, so a
+block's operands stay in L2; blocking changes no element's operations.
+Layer norm is not blocked: its (rows, hidden) arrays already fit in L2.
+The embedding backward scatters into the flat table in the order of the
+row-wise scatter, with the same bits as the plainer form.
+
+The dropout mask reads one 32-bit lane of the generator's raw words per
+cell, 4 bytes where a float64 uniform took 8 and a conversion, and
+thresholds it straight into its dtype.
 
 Compute dtype follows the inputs: float32 for training, float64 for
 gradient-check mode.
 """
 
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 
 import numpy as np
 
 from ..errors import ConfigError, DataError, NonFiniteError, ShapeError
+from .params import _L2_BLOCK
 
 LAYER_NORM_EPS = 1e-12
 IGNORE_ID = -100  # MLM label of a position with no target; never passed to cross_entropy
@@ -149,14 +158,14 @@ def layer_norm_backward(dout: np.ndarray, cache):
 
 # --- activations ------------------------------------------------------------
 
-def _gelu_tanh(x: np.ndarray) -> np.ndarray:
-    """tanh(_GELU_C * (x + _GELU_A * x * x * x)) in one fresh array."""
-    t = np.multiply(x, _GELU_A)
-    t *= x
-    t *= x
-    t += x
-    t *= _GELU_C
-    return np.tanh(t, out=t)
+def _row_blocks(shape):
+    """The 2-D (rows, last axis) shape of an array of `shape` and slices of
+    its rows, each block at most `_L2_BLOCK` elements (one row if a row is
+    longer), so an elementwise chain keeps its working set in L2."""
+    width = shape[-1] if shape else 1
+    rows = math.prod(shape) // max(width, 1)
+    step = max(1, _L2_BLOCK // max(width, 1))
+    return (rows, width), [slice(lo, lo + step) for lo in range(0, max(rows, 1), step)]
 
 
 def gelu(x: np.ndarray):
@@ -164,11 +173,22 @@ def gelu(x: np.ndarray):
 
     Returns (out, cache) where cache feeds gelu_backward.
     """
-    # 0.5 * x * (1 + t), t = _gelu_tanh(x)
-    t = _gelu_tanh(x)
-    out = np.add(t, 1.0)
-    out *= 0.5
-    out *= x
+    # 0.5 * x * (1 + t), t = tanh(_GELU_C * (x + _GELU_A * x * x * x))
+    t = np.empty(x.shape, x.dtype)
+    out = np.empty_like(t)
+    view, blocks = _row_blocks(x.shape)
+    xs, ts, outs = x.reshape(view), t.reshape(view), out.reshape(view)
+    for b in blocks:
+        xb, tb, ob = xs[b], ts[b], outs[b]
+        np.multiply(xb, _GELU_A, out=tb)
+        tb *= xb
+        tb *= xb
+        tb += xb
+        tb *= _GELU_C
+        np.tanh(tb, out=tb)
+        np.add(tb, 1.0, out=ob)
+        ob *= 0.5
+        ob *= xb
     return ensure_finite("gelu", out), (x, t)
 
 
@@ -176,19 +196,27 @@ def gelu_backward(dout: np.ndarray, cache) -> np.ndarray:
     # dout * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * dinner),
     # dinner = _GELU_C * (1 + 3 * _GELU_A * x * x)
     x, t = cache
-    dinner = np.multiply(x, 3.0 * _GELU_A)
-    dinner *= x
-    dinner += 1.0
-    dinner *= _GELU_C
-    rest = np.multiply(t, t)
-    np.subtract(1.0, rest, out=rest)
-    rest *= 0.5
-    rest *= x
-    rest *= dinner
-    out = np.add(t, 1.0)
-    out *= 0.5
-    out += rest
-    out *= dout
+    out = np.empty_like(t)
+    view, blocks = _row_blocks(t.shape)
+    # one scratch: dinner, then 0.5 * (1 + t); rest goes into out's block
+    xs, ts, douts, outs = x.reshape(view), t.reshape(view), dout.reshape(view), out.reshape(view)
+    scratch = np.empty_like(ts[blocks[0]])
+    for b in blocks:
+        xb, tb, ob = xs[b], ts[b], outs[b]
+        sb = scratch[:len(xb)]
+        np.multiply(xb, 3.0 * _GELU_A, out=sb)
+        sb *= xb
+        sb += 1.0
+        sb *= _GELU_C
+        np.multiply(tb, tb, out=ob)
+        np.subtract(1.0, ob, out=ob)
+        ob *= 0.5
+        ob *= xb
+        ob *= sb
+        np.add(tb, 1.0, out=sb)
+        sb *= 0.5
+        sb += ob
+        np.multiply(sb, douts[b], out=ob)
     return out
 
 
@@ -264,19 +292,26 @@ def cross_entropy_backward(cache) -> np.ndarray:
 
 def dropout_keep(shape, p: float, rng: np.random.Generator, dtype) -> np.ndarray:
     """The dropout mask for an input of `shape`: 0 where an element is
-    dropped, 1/(1-p) where it is kept. Draws one float64 uniform per
-    element, in C order."""
+    dropped, 1/(1-p) rounded once to `dtype` where it is kept.
+
+    Each element, in C order, reads one 32-bit lane of
+    `rng.bit_generator.random_raw` and is dropped when the lane is below
+    ceil(p * 2**32), so the drop probability is p to within 2**-32. A 64-bit
+    word gives two lanes, low half first; MT19937, whose words hold 32 bits,
+    gives one. The threshold is compared as a Python int, so at 2**32
+    (p > 1 - 2**-32) every lane is below it rather than a wrapped uint32.
+    """
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
-    return keep_from_uniforms(rng.random(shape), p, dtype)
-
-
-def keep_from_uniforms(draw: np.ndarray, p: float, dtype) -> np.ndarray:
-    """The dropout mask of float64 uniforms `draw`: 0 where a uniform is
-    below p, else 1/(1-p) rounded once to `dtype`, in one pass."""
+    n = int(np.prod(shape))
+    bits = rng.bit_generator
+    if isinstance(bits, np.random.MT19937):
+        lanes = bits.random_raw(n).astype(np.uint32)
+    else:
+        lanes = bits.random_raw(-(-n // 2)).astype("<u8", copy=False).view("<u4")[:n]
     dtype = np.dtype(dtype).type
-    return np.multiply(np.greater_equal(draw, p).view(np.uint8), dtype(1) / dtype(1 - p),
-                       dtype=dtype)
+    kept = np.greater_equal(lanes, math.ceil(p * 2**32)).view(np.uint8)
+    return np.multiply(kept, dtype(1) / dtype(1 - p), dtype=dtype).reshape(shape)
 
 
 def dropout(x: np.ndarray, p: float, rng: np.random.Generator):

@@ -77,18 +77,19 @@ class ParameterStore:
         return out
 
 
-# Elements per Adam block: a block's value, grad, moments and scratch stay
-# in L2, where a whole 8192 x 128 tok_emb's do not.
-_ADAM_BLOCK = 1 << 16
+# Elements per block of an elementwise chain (Adam here, gelu in `ops`): a
+# block's operands and scratch stay in L2, where a whole 8192 x 128
+# tok_emb's or 768 x 512 FFN activation's do not.
+_L2_BLOCK = 1 << 16
 
 
 def _adam_update(p: Param, lr_over_bc1: float, inv_bc2: float) -> None:
     """The Adam update of p's value and moments from p.grad, which it uses as
-    scratch, in blocks of leading-axis rows of at most _ADAM_BLOCK elements.
+    scratch, in blocks of leading-axis rows of at most _L2_BLOCK elements.
     Every element sees the same operations in the same order whatever the
     blocking, so the bits do not depend on it."""
     n = p.value.shape[0]
-    step = max(1, _ADAM_BLOCK * n // max(p.value.size, 1))
+    step = max(1, _L2_BLOCK * n // max(p.value.size, 1))
     for lo in range(0, n, step):
         g, m, v, value = (a[lo:lo + step] for a in (p.grad, p.adam_m, p.adam_v, p.value))
         # one scratch array per block: first (1 - beta1) * g, then the update

@@ -178,16 +178,20 @@ def _dropout_rng(cfg: TrainConfig, step: int) -> np.random.Generator:
     return np.random.default_rng((cfg.seed, _DROPOUT_SEED_OFFSET, step))
 
 
-def _checked_step(params: ParameterStore, where: str, loss_and_backward) -> float:
+def _checked_step(params: ParameterStore, where: str, loss_and_backward,
+                  rows: dict[str, np.ndarray] | None = None) -> float:
     """`loss_and_backward()` with the ops' output checks (and numpy's
     floating-point warnings) off, then one check of the loss and every
-    gradient. On a NaN or infinity the grads are zeroed and the step, which
-    must draw the same dropout masks again, is replayed with the checks on,
-    so the op that made the value raises; if none does, a backward op made
-    it, and the first non-finite gradient is named."""
+    gradient; of a tensor in `rows` (as for `adam_step`), only those rows,
+    the others being +0. On a NaN or infinity the grads are zeroed and the
+    step, which must draw the same dropout masks again, is replayed with the
+    checks on, so the op that made the value raises; if none does, a
+    backward op made it, and the first non-finite gradient is named."""
     with ops.unchecked(), np.errstate(all="ignore"):
         loss = loss_and_backward()
-    if math.isfinite(loss) and all(np.isfinite(p.grad).all() for _, p in params.items()):
+    rows = rows or {}
+    grads = (p.grad[rows[name]] if name in rows else p.grad for name, p in params.items())
+    if math.isfinite(loss) and all(np.isfinite(g).all() for g in grads):
         return loss
     params.zero_grads()
     try:
@@ -336,7 +340,7 @@ def finetune(
             batch = EncodedBatch.from_sequences(train_seqs[lo:hi])
             targets = train_labels[lo:hi]
             loss = _checked_step(params, f"epoch {epoch}", lambda: cls_loss_and_backward(
-                params, config, batch, targets, rng=_dropout_rng(cfg, step)))
+                params, config, batch, targets, rng=_dropout_rng(cfg, step)), live_rows)
             adam_step(params, lr, live_rows)
             step += 1
             log.append({"epoch": epoch, "split": "train", "metric": "cls_loss",

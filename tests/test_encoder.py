@@ -620,38 +620,43 @@ def drop_store(seed):
     return params
 
 
-KEPT = 1.0 - 2.0 ** -53  # the largest float64 uniform, kept at any p < 1
+# Lanes that ops.dropout_keep drops and keeps at any p in (0, 1 - 2**-32]
+DROPPED, KEPT = 0, 0xFFFFFFFF
 
 
 class ReplayRng:
-    """Stands in for the padded reference's rng: `random(shape)` returns,
-    at the padded shape and in the reference's draw order, uniforms that
-    give the masks forward_hidden cached, 0.0 where a cell was dropped and
-    KEPT where it was kept. Cells the encoder does not compute (pads, the
-    last layer's other rows) get 0.5; no compared output reads them."""
+    """Stands in for the padded reference's rng: `bit_generator.random_raw`
+    returns, at the padded shape and in the reference's draw order, 64-bit
+    words whose 32-bit lanes (low half first) give the masks forward_hidden
+    cached: DROPPED where a cell was dropped and KEPT where it was kept.
+    Cells the encoder does not compute (pads, the last layer's other rows)
+    get 2**31; no compared output reads them."""
 
     def __init__(self, config, att, cache):
         b, s = att.shape
+        self.bit_generator = self
 
         def rows(flat, keep):
-            draw = np.full((b * s, keep.shape[-1]), 0.5)
-            draw[flat] = np.where(keep != 0, KEPT, 0.0)
-            return draw.reshape(b, s, -1)
+            draw = np.full((b * s, keep.shape[-1]), 2**31, np.uint32)
+            draw[flat] = np.where(keep != 0, KEPT, DROPPED)
+            return draw
 
         self.draws = [rows(np.flatnonzero(np.asarray(att).reshape(-1)), cache.emb.keep)]
         for attn, ffn in cache.layers:
             out = attn.rows
-            probs = np.full((b, config.n_heads, s, s), 0.5)
+            probs = np.full((b, config.n_heads, s, s), 2**31, np.uint32)
             for (seqs, _, l, *_), gc in zip(_blocks(out), attn.groups):
                 for j, i in enumerate(seqs):
                     pos = out.flat[out.flat // s == i] % s
-                    probs[i][:, pos, :l] = np.where(gc.keep[j, :, :pos.size] != 0, KEPT, 0.0)
+                    probs[i][:, pos, :l] = np.where(gc.keep[j, :, :pos.size] != 0, KEPT, DROPPED)
             self.draws += [probs, rows(out.flat, attn.keep), rows(out.flat, ffn.keep)]
 
-    def random(self, shape):
-        draw = self.draws.pop(0)
-        assert draw.shape == tuple(shape)
-        return draw
+    def random_raw(self, size):
+        lanes = self.draws.pop(0).reshape(-1)
+        assert size == -(-lanes.size // 2)
+        packed = np.zeros(2 * size, "<u4")
+        packed[:lanes.size] = lanes
+        return packed.view("<u8").astype(np.uint64)
 
 
 def check_rows_against_reference(lengths, rows, seed=0):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -214,8 +215,8 @@ class TestOpGradients:
 
 
 # Textbook forms of the rewritten elementwise ops: one fresh array per
-# subexpression. The ops compute into reused temporaries and must match
-# these byte for byte, in both dtypes.
+# subexpression. The ops compute into reused temporaries (gelu's in blocks
+# of rows) and must match these byte for byte, in both dtypes.
 _GELU_C = 0.7978845608028654
 _GELU_A = 0.044715
 
@@ -257,7 +258,9 @@ def textbook_layer_norm_backward(dout, cache):
 
 
 def textbook_dropout(x, p, rng):
-    keep = (rng.random(x.shape) >= p).astype(x.dtype) / (1.0 - p)
+    words = rng.bit_generator.random_raw((x.size + 1) // 2)
+    lanes = np.stack([words & 0xFFFFFFFF, words >> 32], axis=-1).reshape(-1)[:x.size]
+    keep = (lanes >= math.ceil(p * 2**32)).reshape(x.shape).astype(x.dtype) / (1.0 - p)
     return x * keep, keep
 
 
@@ -277,13 +280,24 @@ def _grad(rng, dtype, shape):
     return rng.normal(size=shape).astype(dtype)
 
 
+def _gelu_cases(suffix, shape):
+    """gelu and gelu_backward on inputs of `shape`."""
+    return {
+        f"gelu{suffix}": (lambda x: ops.gelu(x)[0], textbook_gelu,
+                          lambda r, dt: (r.normal(0.0, 2.5, size=shape).astype(dt),)),
+        f"gelu_backward{suffix}": (lambda dout, x: ops.gelu_backward(dout, ops.gelu(x)[1]),
+                                   textbook_gelu_backward,
+                                   lambda r, dt: (_grad(r, dt, shape),
+                                                  r.normal(0.0, 2.5, size=shape).astype(dt))),
+    }
+
+
 INPLACE_CASES = {
-    "gelu": (lambda x: ops.gelu(x)[0], textbook_gelu,
-             lambda r, dt: (r.normal(0.0, 2.5, size=(3, 5, 16)).astype(dt),)),
-    "gelu_backward": (lambda dout, x: ops.gelu_backward(dout, ops.gelu(x)[1]),
-                      textbook_gelu_backward,
-                      lambda r, dt: (_grad(r, dt, (3, 5, 16)),
-                                     r.normal(0.0, 2.5, size=(3, 5, 16)).astype(dt))),
+    **_gelu_cases("", (3, 5, 16)),
+    # 900 rows of 160 in blocks of 409 rows, the last one ragged
+    **_gelu_cases("_row_blocks", (3, 300, 160)),
+    # one row longer than a block
+    **_gelu_cases("_1d", (70001,)),
     "softmax": (ops.softmax, textbook_softmax, lambda r, dt: (_scores(r, dt),)),
     "softmax_backward": (ops.softmax_backward, textbook_softmax_backward,
                          lambda r, dt: (_grad(r, dt, (2, 4, 6, 6)),
@@ -382,22 +396,70 @@ class TestEmbeddingBackwardBits:
 
 
 def reference_keep(draw, p, dtype):
-    """The two-pass dropout mask that ops.keep_from_uniforms must match."""
+    """The two-pass dropout mask of uniforms `draw`, which ops.dropout_keep
+    must give for the uniforms lane / 2**32."""
     keep = np.greater_equal(draw, p).astype(dtype)
     keep /= 1.0 - p
     return keep
 
 
+def lane_rng(lanes):
+    """A stand-in rng whose bit generator's `random_raw` returns the uint32
+    `lanes` packed two to a 64-bit word, low half first, as
+    ops.dropout_keep reads a 64-bit generator."""
+    packed = np.zeros(-(-lanes.size // 2) * 2, "<u4")
+    packed[:lanes.size] = lanes.reshape(-1)
+
+    def random_raw(size):
+        assert size == packed.size // 2
+        return packed.view("<u8").astype(np.uint64)
+
+    return SimpleNamespace(bit_generator=SimpleNamespace(random_raw=random_raw))
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("p", [0.0, 0.1, 0.3, 0.5])
 def test_keep_mask_equals_two_pass_mask(dtype, p):
-    draw = np.random.default_rng(4).random((33, 7))
-    draw[0, :3] = [p, np.nextafter(p, 0.0), 0.0]
-    before = draw.copy()
-    keep = ops.keep_from_uniforms(draw, p, dtype)
-    assert draw.tobytes() == before.tobytes()
-    assert keep.dtype == dtype
-    assert keep.tobytes() == reference_keep(draw, p, dtype).tobytes()
+    """ops.dropout_keep reads one 32-bit lane per cell. As the uniform
+    lane / 2**32, which float64 holds exactly, a lane gives the two-pass
+    mask: a cell is dropped exactly when its lane is below ceil(p * 2**32).
+    Lanes one below that threshold and at it straddle it."""
+    threshold = math.ceil(p * 2**32)
+    lanes = np.random.default_rng(4).integers(0, 2**32, size=(33, 7), dtype=np.uint32)
+    lanes[0, :4] = [max(threshold - 1, 0), threshold, 0, 2**32 - 1]
+    keep = ops.dropout_keep(lanes.shape, p, lane_rng(lanes), dtype)
+    assert keep.dtype == dtype and keep.shape == lanes.shape
+    assert keep.tobytes() == reference_keep(lanes / 2**32, p, dtype).tobytes()
+    assert [keep[0, 0] == 0, keep[0, 1] == 0] == [p > 0, False]
+
+
+class TestDropoutKeepGenerators:
+    """Any numpy bit generator gives masks at the asked drop rate: MT19937's
+    words hold one 32-bit lane, the others' two."""
+
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937,
+                                               np.random.Philox, np.random.SFC64])
+    def test_kept_count_is_binomial_and_reruns_equal(self, bit_generator, p):
+        shape = (301, 333)
+        keep = ops.dropout_keep(shape, p, np.random.Generator(bit_generator(8)), np.float32)
+        again = ops.dropout_keep(shape, p, np.random.Generator(bit_generator(8)), np.float32)
+        assert keep.tobytes() == again.tobytes()
+        cells = keep.size
+        kept = int(np.count_nonzero(keep))
+        assert abs(kept - cells * (1 - p)) <= 6 * math.sqrt(cells * p * (1 - p))
+
+    def test_p_zero_keeps_every_cell(self):
+        keep = ops.dropout_keep((7, 9), 0.0, np.random.default_rng(0), np.float64)
+        assert (keep == 1.0).all()
+
+    def test_threshold_of_2_pow_32_drops_every_cell(self):
+        """ceil(p * 2**32) is 2**32 for p > 1 - 2**-32; no lane reaches it,
+        where a wrapped uint32 threshold of 0 would keep every cell."""
+        p = 1.0 - 2.0**-40
+        assert math.ceil(p * 2**32) == 2**32
+        lanes = np.full(5, 2**32 - 1, np.uint32)
+        assert (ops.dropout_keep(5, p, lane_rng(lanes), np.float64) == 0).all()
 
 
 class TestAdam:

@@ -485,6 +485,22 @@ class TestFinetune:
                            match="^aborting at epoch 1: add_bias: produced non-finite values"):
             finetune(ds, init_params(config, seed=0), config, micro_cfg(epochs=1), vocab)
 
+    def test_non_finite_live_tok_emb_row_aborts_and_names_it(self, toy_setup, monkeypatch):
+        """A finetune step checks only the live rows of tok_emb's gradient,
+        the train split's tokens; a NaN in one of them still aborts."""
+        ds, vocab, config = toy_setup
+        loss_and_backward = training.cls_loss_and_backward
+
+        def poisoning_step(params, config, batch, *args, **kwargs):
+            loss = loss_and_backward(params, config, batch, *args, **kwargs)
+            params["encoder.tok_emb"].grad[batch.ids[0, 1]] = np.nan
+            return loss
+
+        monkeypatch.setattr(training, "cls_loss_and_backward", poisoning_step)
+        with pytest.raises(NonFiniteError, match="^aborting at epoch 1: the gradient of "
+                                                 "'encoder.tok_emb' holds non-finite"):
+            finetune(ds, init_params(config, seed=0), config, micro_cfg(epochs=1), vocab)
+
     def test_head_class_count_mismatch(self, toy_setup):
         ds, vocab, config = toy_setup
         params = init_params(config, seed=0)
