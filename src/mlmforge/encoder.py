@@ -27,7 +27,14 @@ order: one (n_real, hidden) embedding draw, then per layer one
 `ops.dropout_keep` over each group's [g, heads, n, l] probabilities
 (ascending l), the attention output's rows and the FFN output's rows,
 split into views. So the masks are a pure function of the rng state, the
-batch and the requested rows, with any bit generator.
+batch and the requested rows, with any bit generator. A cache holds each
+mask as its kept bits, one byte a cell, and `ops.apply_dropout` applies
+the 1/(1-p) scale; attention caches its probabilities and their mask, and
+its backward rebuilds the dropped probabilities per group.
+
+The MLM head's logits are one buffer, the bias added in place on the
+product. Its backward takes 2-D (n_masked, vocab) rows and adds the tied
+projection's gradient to tok_emb in vocabulary row blocks.
 
 The stack is `_embed`, then per layer the sublayers `_self_attention` and
 `_feed_forward`, which take their parameter prefix (`encoder.layer2.attn`,
@@ -210,7 +217,7 @@ def count_params(config: ModelConfig, n_classes: int | None = None) -> int:
 # --- encoder forward / backward ---------------------------------------------
 
 # The caches that each forward function hands to its backward.
-_GroupCache = namedtuple("_GroupCache", "qh kh vh probs probs_d keep")  # one length group
+_GroupCache = namedtuple("_GroupCache", "qh kh vh probs keep")  # one length group
 _EmbedCache = namedtuple("_EmbedCache", "seq tok_ids seg_ids positions norm keep")
 _AttentionCache = namedtuple("_AttentionCache", "rows x_in xq groups ctx keep norm inv_sqrt_dh")
 _FFNCache = namedtuple("_FFNCache", "x hmid gelu keep norm")
@@ -316,7 +323,7 @@ class _Rows(NamedTuple):
         return _Rows(s, flat, sel, self.by_len, (g, n, l), self.tok, cells, gaps,
                      np.flatnonzero(~gap) if gaps.size else slice(None))
 
-    def layer_keeps(self, rng, p: float, dtype, n_heads: int, width: int):
+    def layer_keeps(self, rng, p: float, n_heads: int, width: int):
         """One layer's dropout masks, as views of one `ops.dropout_keep`
         over, in order: each group's [g, heads, n, l] probabilities (gaps
         included), then the attention output's and the FFN output's
@@ -324,7 +331,7 @@ class _Rows(NamedTuple):
         shapes = [(len(seqs), n_heads, n, l) for seqs, n, l, *_ in _blocks(self)]
         shapes += [(self.flat.size, width)] * 2
         sizes = [math.prod(shape) for shape in shapes]
-        keep = ops.dropout_keep(sum(sizes), p, rng, dtype)
+        keep = ops.dropout_keep(sum(sizes), p, rng)
         masks = [part.reshape(shape) for part, shape
                  in zip(np.split(keep, np.cumsum(sizes)[:-1]), shapes)]
         return masks[:-2], masks[-2], masks[-1]
@@ -340,11 +347,12 @@ def _blocks(rows: _Rows):
         i, c, t = i + g, c + g * n, t + g * l
 
 
-def _attention(rows: _Rows, q, k, v, n_heads: int, inv_sqrt_dh, keeps):
+def _attention(rows: _Rows, q, k, v, n_heads: int, inv_sqrt_dh, keeps, p: float):
     """Self-attention of each group's query cells over its tokens, on
-    [g, heads, n, l] scores with no key mask. q holds the query rows, k and
-    v every token row; returns the context as query rows and, per group,
-    the cache of `_attention_backward`."""
+    [g, heads, n, l] scores with no key mask, the probabilities dropped by
+    `keeps` at rate p. q holds the query rows, k and v every token row;
+    returns the context as query rows and, per group, the cache of
+    `_attention_backward`."""
     width = q.shape[-1]
     qc, kt, vt = q[rows.cells], k[rows.tok], v[rows.tok]
     cc = np.empty_like(qc)
@@ -355,16 +363,17 @@ def _attention(rows: _Rows, q, k, v, n_heads: int, inv_sqrt_dh, keeps):
         scores = ops.matmul(qh, kh.swapaxes(-1, -2))
         scores *= inv_sqrt_dh
         probs = ops.softmax(scores)
-        probs_d = probs if keep is None else probs * keep
+        probs_d = probs if keep is None else ops.apply_dropout(probs, keep, p)
         cc[cells] = _merge_heads(ops.matmul(probs_d, vh)).reshape(-1, width)
-        caches.append(_GroupCache(qh, kh, vh, probs, probs_d, keep))
+        caches.append(_GroupCache(qh, kh, vh, probs, keep))
     ctx = np.empty_like(q)
     ctx[rows.cells[rows.slots]] = cc[rows.slots]
     return ctx, caches
 
 
-def _attention_backward(rows: _Rows, caches, dctx, n_heads: int, inv_sqrt_dh):
-    """d/dq as query rows and d/dk, d/dv as token rows, given d/dctx."""
+def _attention_backward(rows: _Rows, caches, dctx, n_heads: int, inv_sqrt_dh, p: float):
+    """d/dq as query rows and d/dk, d/dv as token rows, given d/dctx. Each
+    group's dropped probabilities are rebuilt from its cache."""
     width = dctx.shape[-1]
     dcc = dctx[rows.cells]
     dcc[rows.gaps] = 0
@@ -372,9 +381,10 @@ def _attention_backward(rows: _Rows, caches, dctx, n_heads: int, inv_sqrt_dh):
     dkt, dvt = (np.empty((rows.tok.size, width), dtype=dctx.dtype) for _ in range(2))
     for (seqs, n, _, cells, tok), gc in zip(_blocks(rows), caches):
         dctxh = _split_heads(dcc[cells].reshape(len(seqs), n, width), n_heads)
-        dprobs, dvh = ops.matmul_backward(dctxh, gc.probs_d, gc.vh)
+        probs_d = gc.probs if gc.keep is None else ops.apply_dropout(gc.probs, gc.keep, p)
+        dprobs, dvh = ops.matmul_backward(dctxh, probs_d, gc.vh)
         if gc.keep is not None:
-            dprobs = ops.dropout_backward(dprobs, gc.keep)
+            dprobs = ops.dropout_backward(dprobs, gc.keep, p)
         dscores = ops.softmax_backward(dprobs, gc.probs)
         dscores *= inv_sqrt_dh
         dqh, dkhT = ops.matmul_backward(dscores, gc.qh, gc.kh.swapaxes(-1, -2))
@@ -387,17 +397,20 @@ def _attention_backward(rows: _Rows, caches, dctx, n_heads: int, inv_sqrt_dh):
     return dq, dk, dv
 
 
+def _plus_bias(out: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """out + bias, added in place on the fresh product `out`."""
+    if bias.shape != (out.shape[-1],):
+        raise ShapeError(f"add_bias: bias {bias.shape} does not fit input {out.shape}")
+    out += bias
+    return ops.ensure_finite("add_bias", out)
+
+
 def _dense(params: ParameterStore, x: np.ndarray, w: str, b: str) -> np.ndarray:
     """x @ params[w] + params[b], the bias added in place on the fresh
     product. The encoder passes 2-D token rows; other callers' leading
     shapes are kept, because one 2-D GEMM over flattened rows can give
     other float bits than the batched product."""
-    out = ops.matmul(x, params[w].value)
-    bias = params[b].value
-    if bias.shape != (out.shape[-1],):
-        raise ShapeError(f"add_bias: bias {bias.shape} does not fit input {out.shape}")
-    out += bias
-    return ops.ensure_finite("add_bias", out)
+    return _plus_bias(ops.matmul(x, params[w].value), params[b].value)
 
 
 def _dense_backward(params: ParameterStore, dout: np.ndarray, x: np.ndarray,
@@ -432,15 +445,16 @@ def _embed(params: ParameterStore, ids, seg, every: _Rows, p_drop: float, rng):
     x = x + params["encoder.pos_emb"].value[positions]
     x = x + ops.embedding_lookup(params["encoder.seg_emb"].value, seg_ids)
     x, norm = _norm(params, x, "encoder.emb_norm")
-    keep = None if rng is None else ops.dropout_keep(x.shape, p_drop, rng, x.dtype)
+    keep = None if rng is None else ops.dropout_keep(x.shape, p_drop, rng)
     if keep is not None:
-        x *= keep
+        x = ops.apply_dropout(x, keep, p_drop)
     return x, _EmbedCache(every.seq, tok_ids, seg_ids, positions, norm, keep)
 
 
-def _embed_backward(params: ParameterStore, dx: np.ndarray, cache: _EmbedCache) -> None:
+def _embed_backward(params: ParameterStore, dx: np.ndarray, cache: _EmbedCache,
+                    p: float) -> None:
     if cache.keep is not None:
-        dx = ops.dropout_backward(dx, cache.keep)
+        dx = ops.dropout_backward(dx, cache.keep, p)
     demb = _norm_backward(params, dx, cache.norm, "encoder.emb_norm")
     # tok_emb's gradient goes to the touched rows alone. The dense add would
     # also add +0 to every other row, which changes no bit: no writer leaves
@@ -455,28 +469,30 @@ def _embed_backward(params: ParameterStore, dx: np.ndarray, cache: _EmbedCache) 
 
 
 def _self_attention(params: ParameterStore, x_in: np.ndarray, rows: _Rows, pre: str,
-                    n_heads: int, keeps, keep):
+                    n_heads: int, keeps, keep, p: float):
     """The attention sublayer with parameters `pre`.*, returning the `rows`
     of its output: projections, `_attention` with the group masks `keeps`,
-    output dropout `keep`, the residual add and `<pre>_norm`."""
+    output dropout `keep` (both at rate p), the residual add and
+    `<pre>_norm`."""
     xq = x_in if rows.sel is None else x_in[rows.sel]
     q = _dense(params, xq, f"{pre}.wq", f"{pre}.bq")
     k, v = (_dense(params, x_in, f"{pre}.w{z}", f"{pre}.b{z}") for z in "kv")
     inv_sqrt_dh = x_in.dtype.type(1.0 / np.sqrt(x_in.shape[1] // n_heads))
-    ctx, groups = _attention(rows, q, k, v, n_heads, inv_sqrt_dh, keeps)
+    ctx, groups = _attention(rows, q, k, v, n_heads, inv_sqrt_dh, keeps, p)
     out = _dense(params, ctx, f"{pre}.wo", f"{pre}.bo")
     if keep is not None:
-        out *= keep
+        out = ops.apply_dropout(out, keep, p)
     x, norm = _norm(params, xq + out, f"{pre}_norm")
     return x, _AttentionCache(rows, x_in, xq, groups, ctx, keep, norm, inv_sqrt_dh)
 
 
 def _self_attention_backward(params: ParameterStore, dx: np.ndarray, cache: _AttentionCache,
-                             pre: str, n_heads: int) -> np.ndarray:
+                             pre: str, n_heads: int, p: float) -> np.ndarray:
     dres = _norm_backward(params, dx, cache.norm, f"{pre}_norm")
-    dout = dres if cache.keep is None else ops.dropout_backward(dres, cache.keep)
+    dout = dres if cache.keep is None else ops.dropout_backward(dres, cache.keep, p)
     dctx = _dense_backward(params, dout, cache.ctx, f"{pre}.wo", f"{pre}.bo")
-    dq, dk, dv = _attention_backward(cache.rows, cache.groups, dctx, n_heads, cache.inv_sqrt_dh)
+    dq, dk, dv = _attention_backward(cache.rows, cache.groups, dctx, n_heads,
+                                     cache.inv_sqrt_dh, p)
     dx_in = dres + _dense_backward(params, dq, cache.xq, f"{pre}.wq", f"{pre}.bq")
     if cache.rows.sel is not None:
         dxq, dx_in = dx_in, np.zeros_like(cache.x_in)
@@ -486,21 +502,21 @@ def _self_attention_backward(params: ParameterStore, dx: np.ndarray, cache: _Att
     return dx_in
 
 
-def _feed_forward(params: ParameterStore, x: np.ndarray, pre: str, keep):
+def _feed_forward(params: ParameterStore, x: np.ndarray, pre: str, keep, p: float):
     """The FFN sublayer with parameters `pre`.*: dense, gelu, dense, output
-    dropout `keep`, the residual add and `<pre>_norm`."""
+    dropout `keep` at rate p, the residual add and `<pre>_norm`."""
     hmid, gelu = ops.gelu(_dense(params, x, f"{pre}.w1", f"{pre}.b1"))
     out = _dense(params, hmid, f"{pre}.w2", f"{pre}.b2")
     if keep is not None:
-        out *= keep
+        out = ops.apply_dropout(out, keep, p)
     y, norm = _norm(params, x + out, f"{pre}_norm")
     return y, _FFNCache(x, hmid, gelu, keep, norm)
 
 
 def _feed_forward_backward(params: ParameterStore, dy: np.ndarray, cache: _FFNCache,
-                           pre: str) -> np.ndarray:
+                           pre: str, p: float) -> np.ndarray:
     dres = _norm_backward(params, dy, cache.norm, f"{pre}_norm")
-    dout = dres if cache.keep is None else ops.dropout_backward(dres, cache.keep)
+    dout = dres if cache.keep is None else ops.dropout_backward(dres, cache.keep, p)
     dhmid = _dense_backward(params, dout, cache.hmid, f"{pre}.w2", f"{pre}.b2")
     da = ops.gelu_backward(dhmid, cache.gelu)
     return dres + _dense_backward(params, da, cache.x, f"{pre}.w1", f"{pre}.b1")
@@ -533,11 +549,11 @@ def forward_hidden(params: ParameterStore, config: ModelConfig, batch: EncodedBa
     for i in range(config.n_layers):
         out = last if i == config.n_layers - 1 else every
         att_keeps, ao_keep, ff_keep = (
-            out.layer_keeps(rng, p_drop, x.dtype, config.n_heads, config.hidden)
+            out.layer_keeps(rng, p_drop, config.n_heads, config.hidden)
             if rng is not None else ([None] * len(out.groups[0]), None, None))
         x, attn = _self_attention(params, x, out, f"encoder.layer{i}.attn", config.n_heads,
-                                  att_keeps, ao_keep)
-        x, ffn = _feed_forward(params, x, f"encoder.layer{i}.ffn", ff_keep)
+                                  att_keeps, ao_keep, p_drop)
+        x, ffn = _feed_forward(params, x, f"encoder.layer{i}.ffn", ff_keep, p_drop)
         if want_cache:
             layers.append((attn, ffn))
     return x, _StackCache(emb, layers) if want_cache else None
@@ -553,35 +569,47 @@ def backward_hidden(params: ParameterStore, config: ModelConfig, cache: _StackCa
                          f"{n_rows} rows forward_hidden returned")
     dx = d_hidden
     for i, (attn, ffn) in reversed(list(enumerate(cache.layers))):
-        dx = _feed_forward_backward(params, dx, ffn, f"encoder.layer{i}.ffn")
-        dx = _self_attention_backward(params, dx, attn, f"encoder.layer{i}.attn", config.n_heads)
-    _embed_backward(params, dx, cache.emb)
+        dx = _feed_forward_backward(params, dx, ffn, f"encoder.layer{i}.ffn", config.dropout)
+        dx = _self_attention_backward(params, dx, attn, f"encoder.layer{i}.attn",
+                                      config.n_heads, config.dropout)
+    _embed_backward(params, dx, cache.emb, config.dropout)
 
 
 # --- MLM head ----------------------------------------------------------------
 
 def mlm_head(params: ParameterStore, hidden: np.ndarray, want_cache: bool = False):
     """dense -> gelu -> layer norm -> tied-embedding projection + bias, on
-    hidden states of any leading shape (training feeds (n_masked, hidden))."""
+    hidden states of any leading shape (training feeds (n_masked, hidden)).
+    The bias is added in place, so the logits are the one vocab-wide array."""
     t2, gelu = ops.gelu(_dense(params, hidden, "mlm.dense.w", "mlm.dense.b"))
     t3, norm = _norm(params, t2, "mlm.norm")
     # Tied projection, kept out of _dense: its weight is tok_emb.T.
     emb_t = params["encoder.tok_emb"].value.T
-    logits = ops.add_bias(ops.matmul(t3, emb_t), params["mlm.out_bias"].value)
+    logits = _plus_bias(ops.matmul(t3, emb_t), params["mlm.out_bias"].value)
     return logits, _MLMCache(hidden, gelu, t3, norm) if want_cache else None
 
 
+def _add_tied_grad(grad: np.ndarray, dlogits: np.ndarray, t3: np.ndarray) -> None:
+    """grad += dlogits.T @ t3, in blocks of vocabulary rows of at most
+    `params._L2_BLOCK` elements, so no (vocab, hidden) temporary is made.
+    A row block of a GEMM's output has the bits of the whole product's."""
+    for b in ops._row_blocks(grad.shape)[1]:
+        grad[b] += dlogits[:, b].T @ t3
+
+
 def mlm_head_backward(params: ParameterStore, cache: _MLMCache, dlogits: np.ndarray) -> np.ndarray:
-    """Returns d(loss)/d(hidden); tied embedding grads flow into tok_emb."""
+    """Returns d(loss)/d(hidden) given the 2-D (n_masked, vocab) dlogits of
+    `mlm_head` on (n_masked, hidden) rows; tied embedding grads flow into
+    tok_emb."""
     dlogits, d_out_bias = ops.add_bias_backward(dlogits)
     params["mlm.out_bias"].grad += d_out_bias
-    # logits.T = tok_emb @ t3.T, so this backward gives tok_emb's gradient
-    # as the contiguous dlogits.T @ t3, and d/dt3 transposed. d/dt3 goes
-    # back to C order: the layer-norm backward sums a transposed array in
-    # another order, with other float bits.
-    demb, dt3_t = ops.matmul_backward(dlogits.T, params["encoder.tok_emb"].value, cache.t3.T)
-    params["encoder.tok_emb"].grad += demb
-    dt2 = _norm_backward(params, np.ascontiguousarray(dt3_t.T), cache.norm, "mlm.norm")
+    tok_emb = params["encoder.tok_emb"]
+    # d/dt3 as the product (tok_emb.T @ dlogits.T).T, back in C order: the
+    # layer-norm backward sums a transposed array in another order, with
+    # other float bits.
+    dt3 = np.ascontiguousarray((tok_emb.value.T @ dlogits.T).T)
+    _add_tied_grad(tok_emb.grad, dlogits, cache.t3)
+    dt2 = _norm_backward(params, dt3, cache.norm, "mlm.norm")
     dt1 = ops.gelu_backward(dt2, cache.gelu)
     return _dense_backward(params, dt1, cache.hidden, "mlm.dense.w", "mlm.dense.b")
 

@@ -1,12 +1,15 @@
 """Dense tensor primitives with explicit forward and backward passes.
 
 Every op is pure to its callers: it never modifies an input and writes
-only into arrays it allocated itself. Every backward takes the upstream
-gradient (plus whatever the forward cached) and returns gradients for
-each input, so a scalar loss can be differentiated end to end without an
-autodiff graph. Every forward checks its output for NaN/Inf, except
-inside `unchecked()`, where a training step runs its ops and then checks
-the loss and the gradients once (see `training`).
+only into arrays it allocated itself. One of those is a cache:
+`cross_entropy_backward` turns the log-probabilities that its forward
+cached into the gradient in place, so a loss cache serves one backward.
+Every backward takes the upstream gradient (plus whatever the forward
+cached) and returns gradients for each input, so a scalar loss can be
+differentiated end to end without an autodiff graph. Every forward checks
+its output for NaN/Inf, except inside `unchecked()`, where a training
+step runs its ops and then checks the loss and the gradients once (see
+`training`).
 
 The elementwise ops reuse their own fresh temporaries through `out=` and
 in-place ufuncs instead of allocating one array per subexpression. Each
@@ -20,8 +23,14 @@ The embedding backward scatters into the flat table in the order of the
 row-wise scatter, with the same bits as the plainer form.
 
 The dropout mask reads one 32-bit lane of the generator's raw words per
-cell, 4 bytes where a float64 uniform took 8 and a conversion, and
-thresholds it straight into its dtype.
+cell (4 transient bytes, where a float64 uniform took 8) and keeps the
+thresholded bits alone, one byte a cell. Applying it multiplies by the
+bits and then by 1/(1-p): x * 1 * s and x * 0 * s are the bits of x times
+a mask that holds s or 0, so no output bit depends on which is held.
+
+Cross-entropy sums its exponentials over row blocks of at most
+`params._L2_BLOCK` elements, so its logits and the log-probabilities it
+caches are the only (n, n_class) arrays a loss and its backward hold.
 
 Compute dtype follows the inputs: float32 for training, float64 for
 gradient-check mode.
@@ -270,29 +279,36 @@ def cross_entropy(logits: np.ndarray, targets):
         raise DataError("cross_entropy: no rows")
     if targets.min() < 0 or targets.max() >= n_class:
         raise ShapeError(f"cross_entropy: target id outside [0, {n_class})")
-    # logp = (x - max(x)) - log(sum(exp(x - max(x))))
+    # logp = (x - max(x)) - log(sum(exp(x - max(x)))), the sum over row blocks
     logp = np.subtract(logits, logits.max(axis=-1, keepdims=True))
-    logp -= np.log(np.exp(logp).sum(axis=-1, keepdims=True))
+    sums = np.empty((n, 1), logp.dtype)
+    _, blocks = _row_blocks(logp.shape)
+    scratch = np.empty_like(logp[blocks[0]])
+    for b in blocks:
+        rows = logp[b]
+        np.exp(rows, out=scratch[:len(rows)]).sum(axis=-1, keepdims=True, out=sums[b])
+    logp -= np.log(sums, out=sums)
     loss = -logp[np.arange(n), targets].sum() / n
     ensure_finite("cross_entropy", loss)
     return float(loss), (logp, targets)
 
 
 def cross_entropy_backward(cache) -> np.ndarray:
-    # (exp(logp) - onehot(targets)) / n
+    """(exp(logp) - onehot(targets)) / n, computed in place on the cached
+    logp: a cache serves one backward."""
     logp, targets = cache
     n = logp.shape[0]
-    d = np.exp(logp)
+    d = np.exp(logp, out=logp)
     d[np.arange(n), targets] -= 1.0
     d /= n
     return d
 
 
-# --- dropout (internal helper, inverted scaling) ----------------------------
+# --- dropout (inverted scaling) --------------------------------------------
 
-def dropout_keep(shape, p: float, rng: np.random.Generator, dtype) -> np.ndarray:
-    """The dropout mask for an input of `shape`: 0 where an element is
-    dropped, 1/(1-p) rounded once to `dtype` where it is kept.
+def dropout_keep(shape, p: float, rng: np.random.Generator) -> np.ndarray:
+    """The dropout mask for an input of `shape`: a bool array, one byte a
+    cell, True where an element is kept.
 
     Each element, in C order, reads one 32-bit lane of
     `rng.bit_generator.random_raw` and is dropped when the lane is below
@@ -309,16 +325,27 @@ def dropout_keep(shape, p: float, rng: np.random.Generator, dtype) -> np.ndarray
         lanes = bits.random_raw(n).astype(np.uint32)
     else:
         lanes = bits.random_raw(-(-n // 2)).astype("<u8", copy=False).view("<u4")[:n]
-    dtype = np.dtype(dtype).type
-    kept = np.greater_equal(lanes, math.ceil(p * 2**32)).view(np.uint8)
-    return np.multiply(kept, dtype(1) / dtype(1 - p), dtype=dtype).reshape(shape)
+    return np.greater_equal(lanes, math.ceil(p * 2**32)).reshape(shape)
+
+
+def apply_dropout(x: np.ndarray, keep: np.ndarray, p: float) -> np.ndarray:
+    """x * keep * (1/(1-p)), the scale rounded once to x's dtype: x times
+    the kept bits (1 or 0), then times the scale. x * 1 * s is x * s and
+    x * 0 * s is x * 0, so the bits are those of x times a float mask that
+    holds s or 0. Dropout's forward and backward are both this map."""
+    dtype = x.dtype.type
+    out = keep.astype(x.dtype)
+    out *= x
+    out *= dtype(1) / dtype(1 - p)
+    return out
 
 
 def dropout(x: np.ndarray, p: float, rng: np.random.Generator):
-    """Returns (out, keep) where keep already carries the 1/(1-p) scaling."""
-    keep = dropout_keep(x.shape, p, rng, x.dtype)
-    return x * keep, keep
+    """Returns (out, keep): keep is `dropout_keep`'s mask, out the kept
+    elements of x scaled by 1/(1-p)."""
+    keep = dropout_keep(x.shape, p, rng)
+    return apply_dropout(x, keep, p), keep
 
 
-def dropout_backward(dout: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    return dout * keep
+def dropout_backward(dout: np.ndarray, keep: np.ndarray, p: float) -> np.ndarray:
+    return apply_dropout(dout, keep, p)

@@ -117,14 +117,19 @@ def _head_loss(params, config, enc: EncodedBatch, rows, targets, head,
                head_backward=None, rng=None) -> float:
     """Cross-entropy of `head` on the last-layer states of the flat `rows`,
     with dropout when given an rng. Given `head_backward`, also runs the
-    head and encoder backward."""
+    head and encoder backward. The logits go before the loss backward,
+    which turns the loss cache into their gradient in place, and the head's
+    arrays before the encoder backward, so no (rows, n_class) array outlives
+    the head."""
     backward = head_backward is not None
     hidden, cache = forward_hidden(params, config, enc, rows, rng=rng, want_cache=backward)
     logits, hcache = head(params, hidden, want_cache=backward)
     loss, ce_cache = cross_entropy(logits, targets)
     if backward:
-        backward_hidden(params, config, cache,
-                        head_backward(params, hcache, cross_entropy_backward(ce_cache)))
+        del logits
+        d_hidden = head_backward(params, hcache, cross_entropy_backward(ce_cache))
+        del hcache, ce_cache
+        backward_hidden(params, config, cache, d_hidden)
     return loss
 
 

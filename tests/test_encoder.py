@@ -361,6 +361,28 @@ class TestMlmHead:
         assert (others == 0).all()
 
 
+class TestTiedGradBlocks:
+    """mlm_head_backward adds tok_emb's gradient in vocabulary row blocks of
+    at most params._L2_BLOCK elements; it equals the whole-array add of
+    dlogits.T @ t3, byte for byte."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("vocab, hidden, n", [
+        (1300, 128, 37),  # blocks of 512 rows, the last one 276
+        (70, 1000, 9),    # blocks of 65 rows, the last one 5
+        (5, 3, 2),        # one block
+    ])
+    def test_equals_whole_product(self, dtype, vocab, hidden, n):
+        rng = np.random.default_rng(vocab)
+        grad = rng.standard_normal((vocab, hidden)).astype(dtype)
+        dlogits = rng.standard_normal((n, vocab)).astype(dtype)
+        t3 = rng.standard_normal((n, hidden)).astype(dtype)
+        want = grad.copy()
+        want += dlogits.T @ t3
+        encoder._add_tied_grad(grad, dlogits, t3)
+        assert grad.tobytes() == want.tobytes()
+
+
 class TestClsHead:
     def test_logits_shape(self):
         store = tiny_store(n_classes=3)
@@ -410,14 +432,14 @@ class TestDropout:
     @settings(max_examples=60, deadline=None)
     @given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=6),
            extra=st.integers(0, 4), width=st.integers(1, 9), n_heads=st.integers(1, 3),
-           p=st.floats(0.0, 0.9), seed=st.integers(0, 2**32 - 1),
-           dtype=st.sampled_from([np.float32, np.float64]), data=st.data())
+           p=st.floats(0.0, 0.9), seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_layer_masks_are_one_draw_of_the_computed_cells(self, lengths, extra, width,
-                                                            n_heads, p, seed, dtype, data):
+                                                            n_heads, p, seed, data):
         """Reruns give byte-equal masks and rng states; each mask has the
         shape of the cells the layer computes, for every real token (inner
         layers) or the requested rows (last layer); together they are one
-        draw of those cells, with a keep fraction within binomial bounds."""
+        draw of those cells, held as bool bits, with a keep fraction within
+        binomial bounds."""
         s = max(lengths) + extra
         every = _Rows.of((np.arange(s) < np.array(lengths)[:, None]).astype(np.int64))
         want = data.draw(st.lists(st.sampled_from(every.flat.tolist()), unique=True))
@@ -426,7 +448,7 @@ class TestDropout:
             runs = []
             for _ in range(2):
                 rng = np.random.default_rng(seed)
-                att, ao, ff = rows.layer_keeps(rng, p, dtype, n_heads, width)
+                att, ao, ff = rows.layer_keeps(rng, p, n_heads, width)
                 runs.append(([*att, ao, ff], rng.bit_generator.state))
             (masks, state), (again, again_state) = runs
             assert [m.tobytes() for m in masks] == [m.tobytes() for m in again]
@@ -434,11 +456,11 @@ class TestDropout:
 
             want_shapes = [(len(seqs), n_heads, n, l) for seqs, n, l, *_ in _blocks(rows)]
             assert [m.shape for m in masks] == want_shapes + [(rows.flat.size, width)] * 2
-            assert all(m.dtype == dtype for m in masks)
+            assert all(m.dtype == bool for m in masks)
 
             ref = np.random.default_rng(seed)
             cells = sum(m.size for m in masks)
-            one_draw = ops.dropout_keep(cells, p, ref, dtype)
+            one_draw = ops.dropout_keep(cells, p, ref)
             assert np.concatenate([m.reshape(-1) for m in masks]).tobytes() == one_draw.tobytes()
             assert state == ref.bit_generator.state
             kept = int(np.count_nonzero(one_draw))
@@ -479,8 +501,8 @@ def _maybe_dropout(x, p, rng, tokens=None):
     if tokens is None:
         return ops.dropout(x, p, rng)
     rows, n_cells = tokens
-    keep = ops.dropout_keep((n_cells, x.shape[-1]), p, rng, x.dtype)[rows]
-    return x * keep, keep
+    keep = ops.dropout_keep((n_cells, x.shape[-1]), p, rng)[rows]
+    return ops.apply_dropout(x, keep, p), keep
 
 
 def reference_forward_hidden(params, config, batch, rng=None, want_cache=False):
@@ -551,7 +573,7 @@ def reference_backward_hidden(params, config, cache, d_hidden):
         params[f"{pre}.ffn_norm.bias"].grad += db2
         dff = dres2
         if lc["ff_keep"] is not None:
-            dff = ops.dropout_backward(dff, lc["ff_keep"])
+            dff = ops.dropout_backward(dff, lc["ff_keep"], config.dropout)
         dhmid = _dense_backward(params, dff, lc["hmid"], f"{pre}.ffn.w2", f"{pre}.ffn.b2")
         da1 = ops.gelu_backward(dhmid, lc["gelu_cache"])
         dn1 = dres2 + _dense_backward(params, da1, lc["n1"], f"{pre}.ffn.w1", f"{pre}.ffn.b1")
@@ -561,12 +583,12 @@ def reference_backward_hidden(params, config, cache, d_hidden):
         dx_in = dres1
         dao = dres1
         if lc["ao_keep"] is not None:
-            dao = ops.dropout_backward(dao, lc["ao_keep"])
+            dao = ops.dropout_backward(dao, lc["ao_keep"], config.dropout)
         dctxm = _dense_backward(params, dao, lc["ctxm"], f"{pre}.attn.wo", f"{pre}.attn.bo")
         dctx = _split_heads(dctxm, config.n_heads)
         dprobs, dvh = ops.matmul_backward(dctx, lc["probs_d"], lc["vh"])
         if lc["att_keep"] is not None:
-            dprobs = ops.dropout_backward(dprobs, lc["att_keep"])
+            dprobs = ops.dropout_backward(dprobs, lc["att_keep"], config.dropout)
         dscores = ops.softmax_backward(dprobs, lc["probs"]) * inv_sqrt_dh
         dqh, dkhT = ops.matmul_backward(dscores, lc["qh"], lc["kh"].swapaxes(-1, -2))
         for dzh, proj in zip((dqh, dkhT.swapaxes(-1, -2), dvh), "qkv"):
@@ -574,7 +596,7 @@ def reference_backward_hidden(params, config, cache, d_hidden):
                                             f"{pre}.attn.w{proj}", f"{pre}.attn.b{proj}")
         dx = dx_in
     if cache["emb_keep"] is not None:
-        dx = ops.dropout_backward(dx, cache["emb_keep"])
+        dx = ops.dropout_backward(dx, cache["emb_keep"], config.dropout)
     demb, dg, db = ops.layer_norm_backward(dx, cache["emb_norm_cache"])
     params["encoder.emb_norm.gain"].grad += dg
     params["encoder.emb_norm.bias"].grad += db
@@ -782,13 +804,15 @@ class TestSublayerPrefixes:
         draw = np.random.default_rng(1).standard_normal
         if sublayer == "attention":
             encoder._self_attention_backward(params, draw(attn.xq.shape), attn,
-                                             "encoder.layer1.attn", DROP.n_heads)
+                                             "encoder.layer1.attn", DROP.n_heads, DROP.dropout)
             owned = ("encoder.layer1.attn.", "encoder.layer1.attn_norm.")
         elif sublayer == "ffn":
-            encoder._feed_forward_backward(params, draw(ffn.x.shape), ffn, "encoder.layer1.ffn")
+            encoder._feed_forward_backward(params, draw(ffn.x.shape), ffn, "encoder.layer1.ffn",
+                                           DROP.dropout)
             owned = ("encoder.layer1.ffn.", "encoder.layer1.ffn_norm.")
         else:
-            encoder._embed_backward(params, draw(cache.layers[0][0].x_in.shape), cache.emb)
+            encoder._embed_backward(params, draw(cache.layers[0][0].x_in.shape), cache.emb,
+                                    DROP.dropout)
             owned = ("encoder.tok_emb", "encoder.pos_emb", "encoder.seg_emb",
                      "encoder.emb_norm.")
         touched = {name for name in params.names() if (params[name].grad != 0).any()}

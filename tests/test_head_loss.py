@@ -6,6 +6,9 @@ with the rows the head reads, as the shared path does, so they pin the
 loss plumbing; tests/test_encoder.py holds the encoder itself to a padded
 float64 reference."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -198,6 +201,18 @@ class TestCrossEntropy:
         assert grad.dtype == want_grad.dtype == dtype
         assert grad.tobytes() == want_grad.tobytes()
 
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_leaves_logits_and_backward_consumes_its_cache(self, dtype):
+        """The forward leaves its logits as they were; the backward writes
+        the gradient over the log-probabilities it cached."""
+        rng = np.random.default_rng(5)
+        logits = (4.0 * rng.standard_normal((110, 8192))).astype(dtype)
+        before = logits.copy()
+        _, cache = cross_entropy(logits, rng.integers(0, 8192, size=110))
+        grad = cross_entropy_backward(cache)
+        assert logits.tobytes() == before.tobytes()
+        assert grad is cache[0]
+
 
 class TestSharedLossPath:
     @pytest.mark.parametrize("dtype", DTYPES)
@@ -281,3 +296,65 @@ class TestBuildBatchPadding:
         got = masking.build_batch(*args)
         assert batch_bytes(got) == batch_bytes(reference_build_batch(*args))
         assert got.input_ids.flags.c_contiguous and got.labels.flags.c_contiguous
+
+
+class TestStepWorkingSet:
+    """One desk-layout 16 x 48 MLM step with dropout on, as `pretrain` runs
+    it (ops unchecked, then one check), under tracemalloc.
+    The head, the loss, the loss backward and the head backward each rise at
+    most 1.25 (n_masked, vocab) arrays above the traced level at their
+    start: the logits and the cached log-probabilities are the only arrays
+    of that size, and the loss backward writes its gradient over the
+    latter. Together they stay within 2.25 such arrays above the level
+    after forward_hidden, and none of them is alive when backward_hidden
+    starts. Every dropout mask the encoder caches is one byte a cell."""
+
+    def test_head_and_loss_hold_each_vocab_wide_array_once(self):
+        config = ModelConfig()
+        rng = np.random.default_rng(100)
+        sentences = [[2, *rng.integers(5, config.vocab_size, size=46).tolist(), 3]
+                     for _ in range(16)]
+        batch = masking.build_batch(sentences, range(16), "dynamic", 0, 100,
+                                    config.vocab_size, config.max_positions)
+        params = init_params(config, 0)
+        n_masked = int((batch.labels != IGNORE_ID).sum())
+        logits_bytes = n_masked * config.vocab_size * 4
+        phases = {}
+
+        def traced(name, fn):
+            def run(*args, **kwargs):
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = fn(*args, **kwargs)
+                phases[name] = (start, tracemalloc.get_traced_memory()[1],
+                                tracemalloc.get_traced_memory()[0])
+                return out
+            return run
+
+        names = ("forward_hidden", "mlm_head", "cross_entropy", "cross_entropy_backward",
+                 "mlm_head_backward", "backward_hidden")
+        patches = {name: traced(name, getattr(training, name)) for name in names}
+        tracemalloc.start()
+        try:
+            with mock.patch.multiple(training, **patches):
+                training._checked_step(params, "step", lambda: training.mlm_loss_and_backward(
+                    params, config, batch, rng=np.random.default_rng(100)))
+        finally:
+            tracemalloc.stop()
+
+        after_forward = phases["forward_hidden"][2]
+        for name in names[1:-1]:
+            start, peak, _ = phases[name]
+            assert peak - start <= 1.25 * logits_bytes, name
+        head_peak = max(phases[name][1] for name in names[1:-1])
+        assert head_peak - after_forward <= 2.25 * logits_bytes
+        assert phases["backward_hidden"][0] - after_forward <= 0.25 * logits_bytes
+
+        _, cache = forward_hidden(params, config, batch.encoded(),
+                                  np.flatnonzero(batch.labels.reshape(-1) != IGNORE_ID),
+                                  rng=np.random.default_rng(100), want_cache=True)
+        masks = [cache.emb.keep]
+        for attn, ffn in cache.layers:
+            masks += [attn.keep, ffn.keep, *(group.keep for group in attn.groups)]
+        assert len(masks) == 1 + 3 * config.n_layers
+        assert all(mask.itemsize == 1 for mask in masks)

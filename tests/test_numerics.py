@@ -260,8 +260,21 @@ def textbook_layer_norm_backward(dout, cache):
 def textbook_dropout(x, p, rng):
     words = rng.bit_generator.random_raw((x.size + 1) // 2)
     lanes = np.stack([words & 0xFFFFFFFF, words >> 32], axis=-1).reshape(-1)[:x.size]
-    keep = (lanes >= math.ceil(p * 2**32)).reshape(x.shape).astype(x.dtype) / (1.0 - p)
-    return x * keep, keep
+    bits = (lanes >= math.ceil(p * 2**32)).reshape(x.shape)
+    return textbook_apply_dropout(x, bits, p), bits
+
+
+def textbook_apply_dropout(x, bits, p):
+    """x times the float mask that holds 1/(1-p), rounded once to x's
+    dtype, where a cell is kept and 0 where it is dropped."""
+    dtype = x.dtype.type
+    return x * (bits * (dtype(1) / dtype(1 - p)))
+
+
+def _dropout_backward_inputs(rng, dtype):
+    dout = rng.normal(size=(3, 5, 16)).astype(dtype)
+    dout[0, 0, :3] = [-0.0, 0.0, -1e-30]  # a dropped cell keeps its sign of zero
+    return dout, rng.random(dout.shape) >= 0.3
 
 
 def _scores(rng, dtype):
@@ -309,6 +322,9 @@ INPLACE_CASES = {
     "dropout": (lambda x: ops.dropout(x, 0.1, np.random.default_rng(3)),
                 lambda x: textbook_dropout(x, 0.1, np.random.default_rng(3)),
                 lambda r, dt: (r.normal(size=(3, 5, 16)).astype(dt),)),
+    "dropout_backward": (lambda dout, bits: ops.dropout_backward(dout, bits, 0.3),
+                         lambda dout, bits: textbook_apply_dropout(dout, bits, 0.3),
+                         _dropout_backward_inputs),
 }
 
 
@@ -423,14 +439,18 @@ def test_keep_mask_equals_two_pass_mask(dtype, p):
     """ops.dropout_keep reads one 32-bit lane per cell. As the uniform
     lane / 2**32, which float64 holds exactly, a lane gives the two-pass
     mask: a cell is dropped exactly when its lane is below ceil(p * 2**32).
-    Lanes one below that threshold and at it straddle it."""
+    Lanes one below that threshold and at it straddle it. The mask holds
+    the kept bits, one byte a cell; applied to ones it is the two-pass
+    float mask."""
     threshold = math.ceil(p * 2**32)
     lanes = np.random.default_rng(4).integers(0, 2**32, size=(33, 7), dtype=np.uint32)
     lanes[0, :4] = [max(threshold - 1, 0), threshold, 0, 2**32 - 1]
-    keep = ops.dropout_keep(lanes.shape, p, lane_rng(lanes), dtype)
-    assert keep.dtype == dtype and keep.shape == lanes.shape
-    assert keep.tobytes() == reference_keep(lanes / 2**32, p, dtype).tobytes()
-    assert [keep[0, 0] == 0, keep[0, 1] == 0] == [p > 0, False]
+    keep = ops.dropout_keep(lanes.shape, p, lane_rng(lanes))
+    assert keep.dtype == bool and keep.shape == lanes.shape
+    want = reference_keep(lanes / 2**32, p, dtype)
+    assert keep.tobytes() == (want != 0).tobytes()
+    assert ops.apply_dropout(np.ones(lanes.shape, dtype), keep, p).tobytes() == want.tobytes()
+    assert [keep[0, 0], keep[0, 1]] == [p == 0, True]
 
 
 class TestDropoutKeepGenerators:
@@ -442,16 +462,16 @@ class TestDropoutKeepGenerators:
                                                np.random.Philox, np.random.SFC64])
     def test_kept_count_is_binomial_and_reruns_equal(self, bit_generator, p):
         shape = (301, 333)
-        keep = ops.dropout_keep(shape, p, np.random.Generator(bit_generator(8)), np.float32)
-        again = ops.dropout_keep(shape, p, np.random.Generator(bit_generator(8)), np.float32)
+        keep = ops.dropout_keep(shape, p, np.random.Generator(bit_generator(8)))
+        again = ops.dropout_keep(shape, p, np.random.Generator(bit_generator(8)))
         assert keep.tobytes() == again.tobytes()
         cells = keep.size
         kept = int(np.count_nonzero(keep))
         assert abs(kept - cells * (1 - p)) <= 6 * math.sqrt(cells * p * (1 - p))
 
     def test_p_zero_keeps_every_cell(self):
-        keep = ops.dropout_keep((7, 9), 0.0, np.random.default_rng(0), np.float64)
-        assert (keep == 1.0).all()
+        keep = ops.dropout_keep((7, 9), 0.0, np.random.default_rng(0))
+        assert keep.all()
 
     def test_threshold_of_2_pow_32_drops_every_cell(self):
         """ceil(p * 2**32) is 2**32 for p > 1 - 2**-32; no lane reaches it,
@@ -459,7 +479,7 @@ class TestDropoutKeepGenerators:
         p = 1.0 - 2.0**-40
         assert math.ceil(p * 2**32) == 2**32
         lanes = np.full(5, 2**32 - 1, np.uint32)
-        assert (ops.dropout_keep(5, p, lane_rng(lanes), np.float64) == 0).all()
+        assert not ops.dropout_keep(5, p, lane_rng(lanes)).any()
 
 
 class TestAdam:
