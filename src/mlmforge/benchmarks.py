@@ -127,7 +127,8 @@ def _record_to_example(rec: dict, where: str) -> Example:
 def holdout_split(dataset: LabeledDataset, spec: SplitSpec) -> LabeledDataset:
     """Move a deterministic validation sample out of train; test untouched.
 
-    Stratified mode moves round(fraction * class size), minimum 1, per class.
+    Moves round(fraction * group size), minimum 1, from each group: each
+    class in stratified mode, else the whole train split as one group.
     Resulting index lists are ascending.
     """
     if dataset.splits.get("validation"):
@@ -136,27 +137,19 @@ def holdout_split(dataset: LabeledDataset, spec: SplitSpec) -> LabeledDataset:
     if not train_idx:
         raise DataError(f"dataset {dataset.name!r} has no train examples to split")
 
+    groups: dict[str, list[int]] = {}
+    for i in train_idx:
+        groups.setdefault(dataset.examples[i].label if spec.stratified else "", []).append(i)
     rng = np.random.default_rng(spec.seed)
     val: list[int] = []
-    if spec.stratified:
-        by_class: dict[str, list[int]] = {}
-        for i in train_idx:
-            by_class.setdefault(dataset.examples[i].label, []).append(i)
-        for label in sorted(by_class):
-            idx = by_class[label]
-            k = max(1, round(spec.validation_fraction * len(idx)))
-            if len(idx) - k < 1:
-                raise DataError(
-                    f"class {label!r} has {len(idx)} train examples, too few to hold out {k}"
-                )
-            perm = rng.permutation(len(idx))
-            val.extend(idx[j] for j in perm[:k])
-    else:
-        k = max(1, round(spec.validation_fraction * len(train_idx)))
-        if len(train_idx) - k < 1:
-            raise DataError("train split too small to hold out a validation set")
-        perm = rng.permutation(len(train_idx))
-        val.extend(train_idx[j] for j in perm[:k])
+    for label in sorted(groups):
+        idx = groups[label]
+        k = max(1, round(spec.validation_fraction * len(idx)))
+        if len(idx) - k < 1:
+            group = f"class {label!r}" if spec.stratified else "the train split"
+            raise DataError(f"{group} has {len(idx)} train examples, too few to hold out {k}")
+        perm = rng.permutation(len(idx))
+        val.extend(idx[j] for j in perm[:k])
 
     val_set = set(val)
     splits = dict(dataset.splits)
@@ -208,6 +201,9 @@ def registry_entry(name: str) -> DatasetInfo:
 # --- manifests ------------------------------------------------------------------
 
 
+_SPLITS = ("train", "validation", "test")
+
+
 def _is_count(n) -> bool:
     return isinstance(n, int) and not isinstance(n, bool) and n >= 0
 
@@ -215,7 +211,8 @@ def _is_count(n) -> bool:
 def read_manifest(path) -> dict:
     """A dataset manifest: `name` a string, `files` an object of file names,
     and, when present, `labels` a list of strings and `expected_splits` an
-    object of non-negative counts."""
+    object of non-negative counts. `files` and `expected_splits` name only
+    the splits train, validation and test."""
     p = Path(path)
     manifest = read_json_object(p, "dataset manifest")
     files = manifest.get("files")
@@ -231,6 +228,11 @@ def read_manifest(path) -> dict:
     if expected is not None and not (isinstance(expected, dict)
                                      and all(_is_count(n) for n in expected.values())):
         raise DataError(f"{p}: manifest 'expected_splits' must map splits to counts >= 0")
+    for key, splits in (("files", files), ("expected_splits", expected or {})):
+        unknown = sorted(set(splits) - set(_SPLITS))
+        if unknown:
+            raise DataError(f"{p}: manifest '{key}' names unknown split {unknown[0]!r} "
+                            f"(splits are {', '.join(_SPLITS)})")
     return manifest
 
 
@@ -250,7 +252,7 @@ def load_manifest_dataset(path) -> LabeledDataset:
     fmt = manifest.get("format", "jsonl")
     examples: list[Example] = []
     splits: dict[str, list[int]] = {}
-    for split in ("train", "validation", "test"):
+    for split in _SPLITS:
         fname = manifest["files"].get(split)
         if not fname:
             continue
@@ -316,7 +318,7 @@ def make_fixture(name: str, out_dir, seed: int = 0) -> Path:
     }
 
     files = {}
-    for split, n in zip(("train", "validation", "test"), sizes):
+    for split, n in zip(_SPLITS, sizes):
         path = out / f"{split}.jsonl"
         with atomic_write(path) as fh:
             for i in range(n):
@@ -335,7 +337,7 @@ def make_fixture(name: str, out_dir, seed: int = 0) -> Path:
         "format": "jsonl",
         "files": files,
         "labels": labels,
-        "expected_splits": {s: n for s, n in zip(("train", "validation", "test"), sizes)},
+        "expected_splits": dict(zip(_SPLITS, sizes)),
     }
     mpath = out / "manifest.json"
     write_manifest(manifest, mpath)

@@ -23,18 +23,20 @@ token and everything else for the requested rows alone, n being the most
 rows any sequence of the group asks for.
 
 Dropout masks cover exactly the cells a layer computes, in token-major
-order: one (n_real, hidden) embedding draw, then per layer one
-`ops.dropout_keep` over each group's [g, heads, n, l] probabilities
+order: one (n_real, hidden) embedding draw (`ops.dropout`), then per layer
+one `ops.dropout_keep` over each group's [g, heads, n, l] probabilities
 (ascending l), the attention output's rows and the FFN output's rows,
 split into views. So the masks are a pure function of the rng state, the
 batch and the requested rows, with any bit generator. A cache holds each
 mask as its kept bits, one byte a cell, and `ops.apply_dropout` applies
 the 1/(1-p) scale; attention caches its probabilities and their mask, and
-its backward rebuilds the dropped probabilities per group.
+its backward rebuilds the dropped probabilities per group. Without
+dropout every mask is None, which the dropout ops treat as the identity.
 
-The MLM head's logits are one buffer, the bias added in place on the
-product. Its backward takes 2-D (n_masked, vocab) rows and adds the tied
-projection's gradient to tok_emb in vocabulary row blocks.
+Every bias goes in with `ops.add_bias`, in place on the fresh product, so
+the MLM logits are one buffer. Both heads return (logits, cache). The MLM
+backward takes 2-D (n_masked, vocab) rows and adds the tied projection's
+gradient to tok_emb in vocabulary row blocks.
 
 The stack is `_embed`, then per layer the sublayers `_self_attention` and
 `_feed_forward`, which take their parameter prefix (`encoder.layer2.attn`,
@@ -52,6 +54,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .numerics import ParameterStore, ops
+from .numerics.params import _row_blocks
 from .tokenizer import PAD_ID
 
 INIT_STD = 0.02
@@ -363,8 +366,8 @@ def _attention(rows: _Rows, q, k, v, n_heads: int, inv_sqrt_dh, keeps, p: float)
         scores = ops.matmul(qh, kh.swapaxes(-1, -2))
         scores *= inv_sqrt_dh
         probs = ops.softmax(scores)
-        probs_d = probs if keep is None else ops.apply_dropout(probs, keep, p)
-        cc[cells] = _merge_heads(ops.matmul(probs_d, vh)).reshape(-1, width)
+        ctxh = ops.matmul(ops.apply_dropout(probs, keep, p), vh)
+        cc[cells] = _merge_heads(ctxh).reshape(-1, width)
         caches.append(_GroupCache(qh, kh, vh, probs, keep))
     ctx = np.empty_like(q)
     ctx[rows.cells[rows.slots]] = cc[rows.slots]
@@ -381,11 +384,8 @@ def _attention_backward(rows: _Rows, caches, dctx, n_heads: int, inv_sqrt_dh, p:
     dkt, dvt = (np.empty((rows.tok.size, width), dtype=dctx.dtype) for _ in range(2))
     for (seqs, n, _, cells, tok), gc in zip(_blocks(rows), caches):
         dctxh = _split_heads(dcc[cells].reshape(len(seqs), n, width), n_heads)
-        probs_d = gc.probs if gc.keep is None else ops.apply_dropout(gc.probs, gc.keep, p)
-        dprobs, dvh = ops.matmul_backward(dctxh, probs_d, gc.vh)
-        if gc.keep is not None:
-            dprobs = ops.dropout_backward(dprobs, gc.keep, p)
-        dscores = ops.softmax_backward(dprobs, gc.probs)
+        dprobs, dvh = ops.matmul_backward(dctxh, ops.apply_dropout(gc.probs, gc.keep, p), gc.vh)
+        dscores = ops.softmax_backward(ops.dropout_backward(dprobs, gc.keep, p), gc.probs)
         dscores *= inv_sqrt_dh
         dqh, dkhT = ops.matmul_backward(dscores, gc.qh, gc.kh.swapaxes(-1, -2))
         dqc[cells] = _merge_heads(dqh).reshape(-1, width)
@@ -397,20 +397,12 @@ def _attention_backward(rows: _Rows, caches, dctx, n_heads: int, inv_sqrt_dh, p:
     return dq, dk, dv
 
 
-def _plus_bias(out: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """out + bias, added in place on the fresh product `out`."""
-    if bias.shape != (out.shape[-1],):
-        raise ShapeError(f"add_bias: bias {bias.shape} does not fit input {out.shape}")
-    out += bias
-    return ops.ensure_finite("add_bias", out)
-
-
 def _dense(params: ParameterStore, x: np.ndarray, w: str, b: str) -> np.ndarray:
     """x @ params[w] + params[b], the bias added in place on the fresh
     product. The encoder passes 2-D token rows; other callers' leading
     shapes are kept, because one 2-D GEMM over flattened rows can give
     other float bits than the batched product."""
-    return _plus_bias(ops.matmul(x, params[w].value), params[b].value)
+    return ops.add_bias(ops.matmul(x, params[w].value), params[b].value)
 
 
 def _dense_backward(params: ParameterStore, dout: np.ndarray, x: np.ndarray,
@@ -445,16 +437,13 @@ def _embed(params: ParameterStore, ids, seg, every: _Rows, p_drop: float, rng):
     x = x + params["encoder.pos_emb"].value[positions]
     x = x + ops.embedding_lookup(params["encoder.seg_emb"].value, seg_ids)
     x, norm = _norm(params, x, "encoder.emb_norm")
-    keep = None if rng is None else ops.dropout_keep(x.shape, p_drop, rng)
-    if keep is not None:
-        x = ops.apply_dropout(x, keep, p_drop)
+    x, keep = ops.dropout(x, p_drop, rng)
     return x, _EmbedCache(every.seq, tok_ids, seg_ids, positions, norm, keep)
 
 
 def _embed_backward(params: ParameterStore, dx: np.ndarray, cache: _EmbedCache,
                     p: float) -> None:
-    if cache.keep is not None:
-        dx = ops.dropout_backward(dx, cache.keep, p)
+    dx = ops.dropout_backward(dx, cache.keep, p)
     demb = _norm_backward(params, dx, cache.norm, "encoder.emb_norm")
     # tok_emb's gradient goes to the touched rows alone. The dense add would
     # also add +0 to every other row, which changes no bit: no writer leaves
@@ -479,9 +468,7 @@ def _self_attention(params: ParameterStore, x_in: np.ndarray, rows: _Rows, pre: 
     k, v = (_dense(params, x_in, f"{pre}.w{z}", f"{pre}.b{z}") for z in "kv")
     inv_sqrt_dh = x_in.dtype.type(1.0 / np.sqrt(x_in.shape[1] // n_heads))
     ctx, groups = _attention(rows, q, k, v, n_heads, inv_sqrt_dh, keeps, p)
-    out = _dense(params, ctx, f"{pre}.wo", f"{pre}.bo")
-    if keep is not None:
-        out = ops.apply_dropout(out, keep, p)
+    out = ops.apply_dropout(_dense(params, ctx, f"{pre}.wo", f"{pre}.bo"), keep, p)
     x, norm = _norm(params, xq + out, f"{pre}_norm")
     return x, _AttentionCache(rows, x_in, xq, groups, ctx, keep, norm, inv_sqrt_dh)
 
@@ -489,7 +476,7 @@ def _self_attention(params: ParameterStore, x_in: np.ndarray, rows: _Rows, pre: 
 def _self_attention_backward(params: ParameterStore, dx: np.ndarray, cache: _AttentionCache,
                              pre: str, n_heads: int, p: float) -> np.ndarray:
     dres = _norm_backward(params, dx, cache.norm, f"{pre}_norm")
-    dout = dres if cache.keep is None else ops.dropout_backward(dres, cache.keep, p)
+    dout = ops.dropout_backward(dres, cache.keep, p)
     dctx = _dense_backward(params, dout, cache.ctx, f"{pre}.wo", f"{pre}.bo")
     dq, dk, dv = _attention_backward(cache.rows, cache.groups, dctx, n_heads,
                                      cache.inv_sqrt_dh, p)
@@ -506,9 +493,7 @@ def _feed_forward(params: ParameterStore, x: np.ndarray, pre: str, keep, p: floa
     """The FFN sublayer with parameters `pre`.*: dense, gelu, dense, output
     dropout `keep` at rate p, the residual add and `<pre>_norm`."""
     hmid, gelu = ops.gelu(_dense(params, x, f"{pre}.w1", f"{pre}.b1"))
-    out = _dense(params, hmid, f"{pre}.w2", f"{pre}.b2")
-    if keep is not None:
-        out = ops.apply_dropout(out, keep, p)
+    out = ops.apply_dropout(_dense(params, hmid, f"{pre}.w2", f"{pre}.b2"), keep, p)
     y, norm = _norm(params, x + out, f"{pre}_norm")
     return y, _FFNCache(x, hmid, gelu, keep, norm)
 
@@ -516,7 +501,7 @@ def _feed_forward(params: ParameterStore, x: np.ndarray, pre: str, keep, p: floa
 def _feed_forward_backward(params: ParameterStore, dy: np.ndarray, cache: _FFNCache,
                            pre: str, p: float) -> np.ndarray:
     dres = _norm_backward(params, dy, cache.norm, f"{pre}_norm")
-    dout = dres if cache.keep is None else ops.dropout_backward(dres, cache.keep, p)
+    dout = ops.dropout_backward(dres, cache.keep, p)
     dhmid = _dense_backward(params, dout, cache.hmid, f"{pre}.w2", f"{pre}.b2")
     da = ops.gelu_backward(dhmid, cache.gelu)
     return dres + _dense_backward(params, da, cache.x, f"{pre}.w1", f"{pre}.b1")
@@ -577,7 +562,7 @@ def backward_hidden(params: ParameterStore, config: ModelConfig, cache: _StackCa
 
 # --- MLM head ----------------------------------------------------------------
 
-def mlm_head(params: ParameterStore, hidden: np.ndarray, want_cache: bool = False):
+def mlm_head(params: ParameterStore, hidden: np.ndarray):
     """dense -> gelu -> layer norm -> tied-embedding projection + bias, on
     hidden states of any leading shape (training feeds (n_masked, hidden)).
     The bias is added in place, so the logits are the one vocab-wide array."""
@@ -585,15 +570,15 @@ def mlm_head(params: ParameterStore, hidden: np.ndarray, want_cache: bool = Fals
     t3, norm = _norm(params, t2, "mlm.norm")
     # Tied projection, kept out of _dense: its weight is tok_emb.T.
     emb_t = params["encoder.tok_emb"].value.T
-    logits = _plus_bias(ops.matmul(t3, emb_t), params["mlm.out_bias"].value)
-    return logits, _MLMCache(hidden, gelu, t3, norm) if want_cache else None
+    logits = ops.add_bias(ops.matmul(t3, emb_t), params["mlm.out_bias"].value)
+    return logits, _MLMCache(hidden, gelu, t3, norm)
 
 
 def _add_tied_grad(grad: np.ndarray, dlogits: np.ndarray, t3: np.ndarray) -> None:
     """grad += dlogits.T @ t3, in blocks of vocabulary rows of at most
     `params._L2_BLOCK` elements, so no (vocab, hidden) temporary is made.
     A row block of a GEMM's output has the bits of the whole product's."""
-    for b in ops._row_blocks(grad.shape)[1]:
+    for b in _row_blocks(grad.shape)[1]:
         grad[b] += dlogits[:, b].T @ t3
 
 
@@ -616,10 +601,10 @@ def mlm_head_backward(params: ParameterStore, cache: _MLMCache, dlogits: np.ndar
 
 # --- classification head ------------------------------------------------------
 
-def cls_head(params: ParameterStore, cls_vec: np.ndarray, want_cache: bool = False):
+def cls_head(params: ParameterStore, cls_vec: np.ndarray):
     u2 = ops.tanh(_dense(params, cls_vec, "cls.dense.w", "cls.dense.b"))
     logits = _dense(params, u2, "cls.out.w", "cls.out.b")
-    return logits, _ClsCache(cls_vec, u2) if want_cache else None
+    return logits, _ClsCache(cls_vec, u2)
 
 
 def cls_head_backward(params: ParameterStore, cache: _ClsCache, dlogits: np.ndarray) -> np.ndarray:

@@ -1,36 +1,40 @@
 """Dense tensor primitives with explicit forward and backward passes.
 
-Every op is pure to its callers: it never modifies an input and writes
-only into arrays it allocated itself. One of those is a cache:
-`cross_entropy_backward` turns the log-probabilities that its forward
-cached into the gradient in place, so a loss cache serves one backward.
-Every backward takes the upstream gradient (plus whatever the forward
-cached) and returns gradients for each input, so a scalar loss can be
-differentiated end to end without an autodiff graph. Every forward checks
-its output for NaN/Inf, except inside `unchecked()`, where a training
-step runs its ops and then checks the loss and the gradients once (see
-`training`).
+Every op but two is pure to its callers: it never modifies an input and
+writes only into arrays it allocated itself. `add_bias` adds the bias in
+place into x and returns x, so its caller passes a product it owns (every
+caller passes a fresh `matmul` product). `cross_entropy_backward` turns the
+log-probabilities that its forward cached into the gradient in place, so a
+loss cache serves one backward. Every backward takes the upstream gradient
+(plus whatever the forward cached) and returns gradients for each input,
+so a scalar loss can be differentiated end to end without an autodiff
+graph. Every forward checks its output for NaN/Inf, except inside
+`unchecked()`, where a training step runs its ops and then checks the loss
+and the gradients once (see `training`).
 
 The elementwise ops reuse their own fresh temporaries through `out=` and
 in-place ufuncs instead of allocating one array per subexpression. Each
 keeps the operation order of the plain expression in its comment, so the
 float bits are the same; only commutative swaps and exact products with
 0.5 are reordered. `gelu` and `gelu_backward` run their chains over
-blocks of rows of at most `params._L2_BLOCK` elements, Adam's rule, so a
-block's operands stay in L2; blocking changes no element's operations.
-Layer norm is not blocked: its (rows, hidden) arrays already fit in L2.
-The embedding backward scatters into the flat table in the order of the
-row-wise scatter, with the same bits as the plainer form.
+`params._row_blocks`, blocks of rows of at most `params._L2_BLOCK`
+elements that Adam walks too, so a block's operands stay in L2; blocking
+changes no element's operations. Layer norm is not blocked: its
+(rows, hidden) arrays already fit in L2. The embedding backward scatters
+into the flat table in the order of the row-wise scatter, with the same
+bits as the plainer form.
 
 The dropout mask reads one 32-bit lane of the generator's raw words per
 cell (4 transient bytes, where a float64 uniform took 8) and keeps the
 thresholded bits alone, one byte a cell. Applying it multiplies by the
 bits and then by 1/(1-p): x * 1 * s and x * 0 * s are the bits of x times
-a mask that holds s or 0, so no output bit depends on which is held.
+a mask that holds s or 0, so no output bit depends on which is held. No
+rng draws no mask, and a missing mask (None) is the identity: dropout's
+forward and backward then return their input.
 
-Cross-entropy sums its exponentials over row blocks of at most
-`params._L2_BLOCK` elements, so its logits and the log-probabilities it
-caches are the only (n, n_class) arrays a loss and its backward hold.
+Cross-entropy sums its exponentials over the same row blocks, so its
+logits and the log-probabilities it caches are the only (n, n_class)
+arrays a loss and its backward hold.
 
 Compute dtype follows the inputs: float32 for training, float64 for
 gradient-check mode.
@@ -43,7 +47,7 @@ from contextvars import ContextVar
 import numpy as np
 
 from ..errors import ConfigError, DataError, NonFiniteError, ShapeError
-from .params import _L2_BLOCK
+from .params import _row_blocks
 
 LAYER_NORM_EPS = 1e-12
 IGNORE_ID = -100  # MLM label of a position with no target; never passed to cross_entropy
@@ -99,9 +103,11 @@ def matmul_backward(dout: np.ndarray, a: np.ndarray, b: np.ndarray):
 # --- bias -----------------------------------------------------------------
 
 def add_bias(x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x + b, added in place into x, which is returned."""
     if b.shape != (x.shape[-1],):
         raise ShapeError(f"add_bias: bias {b.shape} does not fit input {x.shape}")
-    return ensure_finite("add_bias", x + b)
+    x += b
+    return ensure_finite("add_bias", x)
 
 
 def add_bias_backward(dout: np.ndarray):
@@ -166,16 +172,6 @@ def layer_norm_backward(dout: np.ndarray, cache):
 
 
 # --- activations ------------------------------------------------------------
-
-def _row_blocks(shape):
-    """The 2-D (rows, last axis) shape of an array of `shape` and slices of
-    its rows, each block at most `_L2_BLOCK` elements (one row if a row is
-    longer), so an elementwise chain keeps its working set in L2."""
-    width = shape[-1] if shape else 1
-    rows = math.prod(shape) // max(width, 1)
-    step = max(1, _L2_BLOCK // max(width, 1))
-    return (rows, width), [slice(lo, lo + step) for lo in range(0, max(rows, 1), step)]
-
 
 def gelu(x: np.ndarray):
     """Gaussian error linear unit, tanh form with the 0.044715 cubic term.
@@ -328,11 +324,14 @@ def dropout_keep(shape, p: float, rng: np.random.Generator) -> np.ndarray:
     return np.greater_equal(lanes, math.ceil(p * 2**32)).reshape(shape)
 
 
-def apply_dropout(x: np.ndarray, keep: np.ndarray, p: float) -> np.ndarray:
+def apply_dropout(x: np.ndarray, keep: np.ndarray | None, p: float) -> np.ndarray:
     """x * keep * (1/(1-p)), the scale rounded once to x's dtype: x times
     the kept bits (1 or 0), then times the scale. x * 1 * s is x * s and
     x * 0 * s is x * 0, so the bits are those of x times a float mask that
-    holds s or 0. Dropout's forward and backward are both this map."""
+    holds s or 0. With no mask (keep None) it is x itself. Dropout's
+    forward and backward are both this map."""
+    if keep is None:
+        return x
     dtype = x.dtype.type
     out = keep.astype(x.dtype)
     out *= x
@@ -340,12 +339,12 @@ def apply_dropout(x: np.ndarray, keep: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def dropout(x: np.ndarray, p: float, rng: np.random.Generator):
+def dropout(x: np.ndarray, p: float, rng: np.random.Generator | None):
     """Returns (out, keep): keep is `dropout_keep`'s mask, out the kept
-    elements of x scaled by 1/(1-p)."""
-    keep = dropout_keep(x.shape, p, rng)
+    elements of x scaled by 1/(1-p). With no rng, keep is None and out is x."""
+    keep = None if rng is None else dropout_keep(x.shape, p, rng)
     return apply_dropout(x, keep, p), keep
 
 
-def dropout_backward(dout: np.ndarray, keep: np.ndarray, p: float) -> np.ndarray:
+def dropout_backward(dout: np.ndarray, keep: np.ndarray | None, p: float) -> np.ndarray:
     return apply_dropout(dout, keep, p)

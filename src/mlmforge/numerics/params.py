@@ -1,10 +1,12 @@
 """Named parameter tensors with gradient buffers and Adam optimizer state.
 
-Adam updates each tensor in blocks of rows that fit in L2, or only the
-rows a caller names as the ones that can move; either way every element
-gets the operations of one whole-tensor update, so the bits are the same.
+Adam updates each tensor in blocks of rows that fit in L2 (`_row_blocks`,
+the one block rule that `ops` and `encoder` use too), or only the rows a
+caller names as the ones that can move; either way every element gets the
+operations of one whole-tensor update, so the bits are the same.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,21 +79,32 @@ class ParameterStore:
         return out
 
 
-# Elements per block of an elementwise chain (Adam here, gelu in `ops`): a
-# block's operands and scratch stay in L2, where a whole 8192 x 128
-# tok_emb's or 768 x 512 FFN activation's do not.
+# Elements per block of an elementwise chain (Adam here; gelu and
+# cross-entropy in `ops`, the tied MLM gradient in `encoder`): a block's
+# operands and scratch stay in L2, where a whole 8192 x 128 tok_emb's or
+# 768 x 512 FFN activation's do not.
 _L2_BLOCK = 1 << 16
+
+
+def _row_blocks(shape):
+    """The 2-D (rows, last axis) shape of an array of `shape` and slices of
+    its rows, each block at most `_L2_BLOCK` elements (one row if a row is
+    longer), so an elementwise chain keeps its working set in L2."""
+    width = shape[-1] if shape else 1
+    rows = math.prod(shape) // max(width, 1)
+    step = max(1, _L2_BLOCK // max(width, 1))
+    return (rows, width), [slice(lo, lo + step) for lo in range(0, max(rows, 1), step)]
 
 
 def _adam_update(p: Param, lr_over_bc1: float, inv_bc2: float) -> None:
     """The Adam update of p's value and moments from p.grad, which it uses as
-    scratch, in blocks of leading-axis rows of at most _L2_BLOCK elements.
-    Every element sees the same operations in the same order whatever the
-    blocking, so the bits do not depend on it."""
-    n = p.value.shape[0]
-    step = max(1, _L2_BLOCK * n // max(p.value.size, 1))
-    for lo in range(0, n, step):
-        g, m, v, value = (a[lo:lo + step] for a in (p.grad, p.adam_m, p.adam_v, p.value))
+    scratch, over the `_row_blocks` of the tensor. Every element sees the
+    same operations in the same order whatever the blocking, so the bits do
+    not depend on it."""
+    view, blocks = _row_blocks(p.value.shape)
+    arrays = [a.reshape(view) for a in (p.grad, p.adam_m, p.adam_v, p.value)]
+    for b in blocks:
+        g, m, v, value = (a[b] for a in arrays)
         # one scratch array per block: first (1 - beta1) * g, then the update
         upd = np.multiply(g, 1.0 - ADAM_BETA1)
         m *= ADAM_BETA1

@@ -123,7 +123,7 @@ def _head_loss(params, config, enc: EncodedBatch, rows, targets, head,
     the head."""
     backward = head_backward is not None
     hidden, cache = forward_hidden(params, config, enc, rows, rng=rng, want_cache=backward)
-    logits, hcache = head(params, hidden, want_cache=backward)
+    logits, hcache = head(params, hidden)
     loss, ce_cache = cross_entropy(logits, targets)
     if backward:
         del logits

@@ -167,6 +167,23 @@ class TestHoldoutSplit:
         out = holdout_split(ds, SplitSpec(validation_fraction=0.2, seed=0))
         assert out.splits["test"] == list(range(20, 30))
 
+    def test_unstratified_split_is_pinned(self):
+        """Unstratified mode draws one permutation of the whole train split."""
+        ds = balanced_dataset(30, ("a", "b", "c"))
+        ds.splits = {"train": list(range(1, 30, 2)), "test": list(range(0, 30, 2))}
+        out = holdout_split(ds, SplitSpec(validation_fraction=0.3, seed=7, stratified=False))
+        assert out.splits["validation"] == [7, 13, 17, 21]
+        assert out.splits["train"] == [1, 3, 5, 9, 11, 15, 19, 23, 25, 27, 29]
+        assert out.splits["test"] == list(range(0, 30, 2))
+        out = holdout_split(balanced_dataset(20, ("a", "b", "c")),
+                            SplitSpec(validation_fraction=0.25, seed=3, stratified=False))
+        assert out.splits["validation"] == [3, 8, 12, 16, 18]
+
+    def test_unstratified_train_split_too_small(self):
+        with pytest.raises(DataError, match="train split"):
+            holdout_split(balanced_dataset(4),
+                          SplitSpec(validation_fraction=0.9, stratified=False))
+
 
 class TestRegistry:
     def test_eight_entries(self):
@@ -244,6 +261,17 @@ class TestManifestLoading:
         write_manifest(manifest, path)
         with pytest.raises(DataError, match="absent"):
             load_manifest_dataset(path)
+
+    @pytest.mark.parametrize("field", ["files", "expected_splits"])
+    def test_unknown_split_name_is_data_error(self, tmp_path, field):
+        """A split under another name would be dropped silently, and the CLI
+        would hold validation out of train instead of reading it."""
+        mpath = make_fixture("Dreaddit", tmp_path / "d", seed=0)
+        manifest = read_manifest(mpath)
+        manifest[field]["dev"] = manifest[field].pop("validation")
+        write_manifest(manifest, mpath)
+        with pytest.raises(DataError, match=f"'{field}' names unknown split 'dev'"):
+            load_manifest_dataset(mpath)
 
     @pytest.mark.parametrize("field, value, match", [
         ("name", ["x"], "'name' must be a string"),

@@ -87,7 +87,7 @@ def reference_mlm_loss_and_backward(params, config, batch, rng=None) -> float:
     pos, targets = reference_labelled_rows(batch.labels)
     hidden, cache = forward_hidden(params, config, batch.encoded(), pos, rng=rng,
                                    want_cache=True)
-    logits, hcache = mlm_head(params, hidden, want_cache=True)
+    logits, hcache = mlm_head(params, hidden)
     loss, ce_cache = reference_cross_entropy(logits, targets, IGNORE_ID)
     dlogits = reference_cross_entropy_backward(ce_cache)
     backward_hidden(params, config, cache, mlm_head_backward(params, hcache, dlogits))
@@ -124,7 +124,7 @@ def reference_cls_loss(params, config, batch, targets) -> float:
 def reference_cls_loss_and_backward(params, config, batch, targets, rng=None) -> float:
     cls_vec, cache = forward_hidden(params, config, batch, reference_cls_rows(batch), rng=rng,
                                     want_cache=True)
-    logits, hcache = cls_head(params, cls_vec, want_cache=True)
+    logits, hcache = cls_head(params, cls_vec)
     loss, ce_cache = reference_cross_entropy(logits, targets)
     dlogits = reference_cross_entropy_backward(ce_cache)
     backward_hidden(params, config, cache, cls_head_backward(params, hcache, dlogits))

@@ -8,14 +8,17 @@ import json
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlmforge import benchmarks, cli, corpus, tokenizer
+from mlmforge import benchmarks, cli, corpus, tokenizer, training
 from mlmforge.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from mlmforge.encoder import ModelConfig, init_params
+from mlmforge.encoder import EncodedBatch, ModelConfig, init_classifier, init_params
 from mlmforge.errors import ForgeError
+from mlmforge.masking import build_batch
+from mlmforge.numerics import ops
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "mlmforge"
@@ -93,7 +96,7 @@ def test_settable_value_count_is_pinned():
     count = (sum(1 for tree in trees for _ in optional_params(tree)),
              len(cli.CONFIG_DEFAULTS),
              sum(1 for tree in trees for _ in env_reads(tree)))
-    assert count == (39, 24, 0)
+    assert count == (37, 24, 0)
 
 
 # Public names that no pipeline code uses, each kept for the reason given.
@@ -133,6 +136,14 @@ def test_public_names_are_unique_across_modules():
     assert sorted({name for name in names if names.count(name) > 1}) == []
 
 
+def load_tracing():
+    """perfbench's `tracing` module, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("sites", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 def test_every_public_function_and_class_has_a_pipeline_caller():
     """Every public top-level function and class in `src/` is used by
     `src/` (a package `__init__.py`'s imports are re-exports and do not
@@ -144,12 +155,38 @@ def test_every_public_function_and_class_has_a_pipeline_caller():
     used = {name for path in pipeline
             for name in references(ast.parse(path.read_text(encoding="utf-8")),
                                    imports=path.name != "__init__.py")}
-    spec = importlib.util.spec_from_file_location("sites", ROOT / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    used.update(part for _, attr, *_ in tracing.SITES for part in attr.split("."))
+    used.update(part for _, attr, *_ in load_tracing().SITES for part in attr.split("."))
     assert [name for name in public_definitions()
             if name.partition("::")[2] not in used | UNCALLED.keys()] == []
+
+
+def test_every_traced_op_is_called_by_a_training_step(monkeypatch):
+    """The caller pin above counts a `tracing.SITES` attribute as used, so an
+    op that the pipeline goes round would keep a site that records 0 calls.
+    Every `numerics.ops` site must be called by one dropout-on MLM step or
+    one dropout-on classifier step."""
+    names = sorted({attr for module, attr, *_ in load_tracing().SITES
+                    if module == "mlmforge.numerics.ops"})
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, op):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return op(*args, **kwargs)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(ops, name, counted(name, getattr(ops, name)))
+    config = ModelConfig(n_layers=1, hidden=8, n_heads=2, ffn=16, vocab_size=24,
+                         max_positions=8, dropout=0.1)
+    params = init_params(config, 0)
+    init_classifier(params, config, 2, 0)
+    seqs = [[2, 6, 7, 8, 9, 3], [2, 10, 11, 12, 3]]
+    batch = build_batch(seqs, [0, 1], "static", 0, 7, config.vocab_size, 8)
+    training.mlm_loss_and_backward(params, config, batch, rng=np.random.default_rng(0))
+    training.cls_loss_and_backward(params, config, EncodedBatch.from_sequences(seqs),
+                                   np.array([0, 1]), rng=np.random.default_rng(1))
+    assert [name for name in names if calls[name] == 0] == []
 
 
 # --- byte-mutation fuzzing of every loader --------------------------------------

@@ -95,6 +95,11 @@ class TestShapeAndFiniteErrors:
         with pytest.raises(ShapeError, match="add_bias"):
             ops.add_bias(np.ones((2, 3)), np.ones(4))
 
+    def test_add_bias_adds_into_x_and_returns_it(self):
+        x = np.arange(6.0).reshape(2, 3)
+        assert ops.add_bias(x, np.ones(3)) is x
+        assert (x == np.arange(1.0, 7.0).reshape(2, 3)).all()
+
     def test_non_finite_output_raises(self):
         big = np.full((2, 2), 1e300)
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="matmul"):
@@ -158,7 +163,8 @@ class TestOpGradients:
     def test_add_bias(self):
         rng = np.random.default_rng(2)
         x, b = rng.normal(size=(3, 7)), rng.normal(size=7)
-        self.check(ops.add_bias, lambda w, x, b: ops.add_bias_backward(w), [x, b])
+        self.check(lambda x, b: ops.add_bias(x.copy(), b),
+                   lambda w, x, b: ops.add_bias_backward(w), [x, b])
 
     def test_softmax(self):
         rng = np.random.default_rng(3)
@@ -481,6 +487,13 @@ class TestDropoutKeepGenerators:
         lanes = np.full(5, 2**32 - 1, np.uint32)
         assert not ops.dropout_keep(5, p, lane_rng(lanes)).any()
 
+    def test_no_rng_draws_no_mask_and_no_mask_is_the_identity(self):
+        x = np.ones((2, 3))
+        out, keep = ops.dropout(x, 0.3, None)
+        assert out is x and keep is None
+        assert ops.apply_dropout(x, None, 0.3) is x
+        assert ops.dropout_backward(x, None, 0.3) is x
+
 
 class TestAdam:
     def scalar_store(self, *names, value=0.0, dtype=np.float32):
@@ -582,6 +595,8 @@ class TestAdam:
         # small values and large rates, so the update's own bits reach the values
         store.add("enc.w", rng.normal(0.0, 1e-3, size=(4, 6)).astype(dtype))
         store.add("head.b", rng.normal(0.0, 1e-3, size=5).astype(dtype))
+        # one row longer than a block
+        store.add("head.long", rng.normal(0.0, 1e-3, size=70001).astype(dtype))
         # 1100 x 128 runs in blocks of 512, 512 and 76 rows
         store.add("enc.blocks", rng.normal(0.0, 1e-3, size=(1100, 128)).astype(dtype))
         store.add("enc.rows", rng.normal(0.0, 1e-3, size=(40, 3)).astype(dtype))
@@ -589,8 +604,8 @@ class TestAdam:
         rows = {"enc.rows": np.array([0, 5, 6, 17, 39]), "frozen.rows": np.array([2, 8])}
         twin = store.clone()
         frozen = store["frozen.rows"].value.tobytes()
-        lr = {"enc.w": 0.3, "head.b": 0.7, "enc.blocks": 0.3, "enc.rows": 0.3,
-              "frozen.rows": 0.0}
+        lr = {"enc.w": 0.3, "head.b": 0.7, "head.long": 0.7, "enc.blocks": 0.3,
+              "enc.rows": 0.3, "frozen.rows": 0.0}
         for _ in range(5):
             for name, p in store.items():
                 r = rows.get(name, slice(None))

@@ -237,7 +237,7 @@ def dense_mlm_loss_and_backward(params, config, batch):
     gradient."""
     real = np.flatnonzero(batch.attention_mask.reshape(-1))
     hidden, cache = forward_hidden(params, config, batch.encoded(), real, want_cache=True)
-    logits, hcache = mlm_head(params, hidden, want_cache=True)
+    logits, hcache = mlm_head(params, hidden)
     labels = batch.labels.reshape(-1)[real]
     labelled = labels != IGNORE_ID
     loss, ce_cache = cross_entropy(logits[labelled], labels[labelled])
