@@ -212,7 +212,7 @@ def read_manifest(path) -> dict:
     """A dataset manifest: `name` a string, `files` an object of file names,
     and, when present, `labels` a list of strings and `expected_splits` an
     object of non-negative counts. `files` and `expected_splits` name only
-    the splits train, validation and test."""
+    the splits train, validation and test, each by a non-empty file name."""
     p = Path(path)
     manifest = read_json_object(p, "dataset manifest")
     files = manifest.get("files")
@@ -233,6 +233,9 @@ def read_manifest(path) -> dict:
         if unknown:
             raise DataError(f"{p}: manifest '{key}' names unknown split {unknown[0]!r} "
                             f"(splits are {', '.join(_SPLITS)})")
+    empty = [split for split in _SPLITS if files.get(split) == ""]
+    if empty:
+        raise DataError(f"{p}: manifest 'files' gives split {empty[0]!r} an empty file name")
     return manifest
 
 
@@ -245,7 +248,8 @@ def load_manifest_dataset(path) -> LabeledDataset:
     """Load the splits a manifest names, relative to the manifest location.
 
     Warns when actual split sizes differ from the manifest declaration or
-    from the registry row with the same name.
+    from the registry row with the same name, and when the manifest
+    declares a split that `files` does not list.
     """
     p = Path(path)
     manifest = read_manifest(p)
@@ -254,7 +258,7 @@ def load_manifest_dataset(path) -> LabeledDataset:
     splits: dict[str, list[int]] = {}
     for split in _SPLITS:
         fname = manifest["files"].get(split)
-        if not fname:
+        if fname is None:
             continue
         recs = _read_records(p.parent / fname, fmt)
         start = len(examples)
@@ -271,12 +275,17 @@ def load_manifest_dataset(path) -> LabeledDataset:
         )
 
     expected = manifest.get("expected_splits") or {}
-    for split, idx in splits.items():
+    for split in _SPLITS:
         want = expected.get(split)
-        if want is not None and want != len(idx):
+        if want is None:
+            continue
+        if split not in splits:
+            logger.warning("%s: manifest declares split %s (%d examples) but 'files' lists "
+                           "no file for it", manifest["name"], split, want)
+        elif want != len(splits[split]):
             logger.warning(
                 "%s: split %s has %d examples, manifest declares %d",
-                manifest["name"], split, len(idx), want,
+                manifest["name"], split, len(splits[split]), want,
             )
     try:
         info = registry_entry(manifest["name"])

@@ -43,6 +43,12 @@ The stack is `_embed`, then per layer the sublayers `_self_attention` and
 whose layer norm is `<prefix>_norm`). Each forward returns a named-tuple
 cache for its backward, which accumulates into ParameterStore gradients.
 Every op is called as `ops.<name>`, so a patch on `numerics.ops` sees all.
+
+A cache holds what its backward reads and cannot cheaply rebuild. The FFN
+caches gelu's input and tanh, not its output: its backward rebuilds the
+output with `ops.gelu_recompute`, byte for byte the forward's, for the
+second dense layer's weight gradient. Without `want_cache` (evaluation),
+`forward_hidden` lets each sublayer's cache go as soon as it returns.
 """
 
 import math
@@ -223,7 +229,7 @@ def count_params(config: ModelConfig, n_classes: int | None = None) -> int:
 _GroupCache = namedtuple("_GroupCache", "qh kh vh probs keep")  # one length group
 _EmbedCache = namedtuple("_EmbedCache", "seq tok_ids seg_ids positions norm keep")
 _AttentionCache = namedtuple("_AttentionCache", "rows x_in xq groups ctx keep norm inv_sqrt_dh")
-_FFNCache = namedtuple("_FFNCache", "x hmid gelu keep norm")
+_FFNCache = namedtuple("_FFNCache", "x gelu keep norm")
 _StackCache = namedtuple("_StackCache", "emb layers")  # layers: (attention, FFN) per layer
 _MLMCache = namedtuple("_MLMCache", "hidden gelu t3 norm")
 _ClsCache = namedtuple("_ClsCache", "cls_vec u2")
@@ -491,18 +497,20 @@ def _self_attention_backward(params: ParameterStore, dx: np.ndarray, cache: _Att
 
 def _feed_forward(params: ParameterStore, x: np.ndarray, pre: str, keep, p: float):
     """The FFN sublayer with parameters `pre`.*: dense, gelu, dense, output
-    dropout `keep` at rate p, the residual add and `<pre>_norm`."""
+    dropout `keep` at rate p, the residual add and `<pre>_norm`. The cache
+    keeps gelu's input and t, not its output, which the backward rebuilds."""
     hmid, gelu = ops.gelu(_dense(params, x, f"{pre}.w1", f"{pre}.b1"))
     out = ops.apply_dropout(_dense(params, hmid, f"{pre}.w2", f"{pre}.b2"), keep, p)
     y, norm = _norm(params, x + out, f"{pre}_norm")
-    return y, _FFNCache(x, hmid, gelu, keep, norm)
+    return y, _FFNCache(x, gelu, keep, norm)
 
 
 def _feed_forward_backward(params: ParameterStore, dy: np.ndarray, cache: _FFNCache,
                            pre: str, p: float) -> np.ndarray:
     dres = _norm_backward(params, dy, cache.norm, f"{pre}_norm")
     dout = ops.dropout_backward(dres, cache.keep, p)
-    dhmid = _dense_backward(params, dout, cache.hmid, f"{pre}.w2", f"{pre}.b2")
+    dhmid = _dense_backward(params, dout, ops.gelu_recompute(cache.gelu), f"{pre}.w2",
+                            f"{pre}.b2")
     da = ops.gelu_backward(dhmid, cache.gelu)
     return dres + _dense_backward(params, da, cache.x, f"{pre}.w1", f"{pre}.b1")
 
@@ -538,9 +546,11 @@ def forward_hidden(params: ParameterStore, config: ModelConfig, batch: EncodedBa
             if rng is not None else ([None] * len(out.groups[0]), None, None))
         x, attn = _self_attention(params, x, out, f"encoder.layer{i}.attn", config.n_heads,
                                   att_keeps, ao_keep, p_drop)
+        attn = attn if want_cache else None  # eval frees each cache as its sublayer returns
         x, ffn = _feed_forward(params, x, f"encoder.layer{i}.ffn", ff_keep, p_drop)
         if want_cache:
             layers.append((attn, ffn))
+        del attn, ffn
     return x, _StackCache(emb, layers) if want_cache else None
 
 

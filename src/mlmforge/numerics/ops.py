@@ -1,16 +1,17 @@
 """Dense tensor primitives with explicit forward and backward passes.
 
-Every op but two is pure to its callers: it never modifies an input and
+Every op but three is pure to its callers: it never modifies an input and
 writes only into arrays it allocated itself. `add_bias` adds the bias in
 place into x and returns x, so its caller passes a product it owns (every
-caller passes a fresh `matmul` product). `cross_entropy_backward` turns the
-log-probabilities that its forward cached into the gradient in place, so a
-loss cache serves one backward. Every backward takes the upstream gradient
-(plus whatever the forward cached) and returns gradients for each input,
-so a scalar loss can be differentiated end to end without an autodiff
-graph. Every forward checks its output for NaN/Inf, except inside
-`unchecked()`, where a training step runs its ops and then checks the loss
-and the gradients once (see `training`).
+caller passes a fresh `matmul` product). `cross_entropy` computes the
+log-probabilities in place over its logits and caches them, so its caller
+hands the logits over; `cross_entropy_backward` turns them into the
+gradient in place, so a loss cache serves one backward. Every backward
+takes the upstream gradient (plus whatever the forward cached) and returns
+gradients for each input, so a scalar loss can be differentiated end to
+end without an autodiff graph. Every forward checks its output for
+NaN/Inf, except inside `unchecked()`, where a training step runs its ops
+and then checks the loss and the gradients once (see `training`).
 
 The elementwise ops reuse their own fresh temporaries through `out=` and
 in-place ufuncs instead of allocating one array per subexpression. Each
@@ -32,9 +33,14 @@ a mask that holds s or 0, so no output bit depends on which is held. No
 rng draws no mask, and a missing mask (None) is the identity: dropout's
 forward and backward then return their input.
 
-Cross-entropy sums its exponentials over the same row blocks, so its
-logits and the log-probabilities it caches are the only (n, n_class)
-arrays a loss and its backward hold.
+Cross-entropy sums its exponentials over the same row blocks, so the one
+(n, n_class) array a loss and its backward hold is the logits buffer:
+logits, then log-probabilities, then their gradient.
+
+`gelu_recompute` rebuilds gelu's output from the (x, t) it cached, by the
+forward's own last three ops, so a caller that needs the output again in
+its backward can drop it in between (the recompute-instead-of-store trade
+of Chen et al. 2016) and get the same bytes back.
 
 Compute dtype follows the inputs: float32 for training, float64 for
 gradient-check mode.
@@ -184,17 +190,32 @@ def gelu(x: np.ndarray):
     view, blocks = _row_blocks(x.shape)
     xs, ts, outs = x.reshape(view), t.reshape(view), out.reshape(view)
     for b in blocks:
-        xb, tb, ob = xs[b], ts[b], outs[b]
+        xb, tb = xs[b], ts[b]
         np.multiply(xb, _GELU_A, out=tb)
         tb *= xb
         tb *= xb
         tb += xb
         tb *= _GELU_C
         np.tanh(tb, out=tb)
-        np.add(tb, 1.0, out=ob)
-        ob *= 0.5
-        ob *= xb
+        _gelu_out(xb, tb, outs[b])
     return ensure_finite("gelu", out), (x, t)
+
+
+def _gelu_out(x: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
+    """gelu's last three ops: out = (t + 1) * 0.5 * x."""
+    np.add(t, 1.0, out=out)
+    out *= 0.5
+    out *= x
+
+
+def gelu_recompute(cache) -> np.ndarray:
+    """gelu's output, rebuilt from the (x, t) it cached by its own last
+    three ops in the same order, so byte for byte the forward's output:
+    a caller can drop the output and recompute it for its backward."""
+    x, t = cache
+    out = np.empty_like(t)
+    _gelu_out(x, t, out)
+    return out
 
 
 def gelu_backward(dout: np.ndarray, cache) -> np.ndarray:
@@ -263,6 +284,8 @@ def cross_entropy(logits: np.ndarray, targets):
     """Mean negative log-likelihood of (n, n_class) logits at n targets in
     [0, n_class). Callers gather the rows that carry a label first.
 
+    The log-probabilities are computed in place over `logits`, which the
+    cache keeps as them: the caller hands its logits over to the loss.
     Returns (loss, cache).
     """
     targets = np.asarray(targets)
@@ -276,7 +299,7 @@ def cross_entropy(logits: np.ndarray, targets):
     if targets.min() < 0 or targets.max() >= n_class:
         raise ShapeError(f"cross_entropy: target id outside [0, {n_class})")
     # logp = (x - max(x)) - log(sum(exp(x - max(x)))), the sum over row blocks
-    logp = np.subtract(logits, logits.max(axis=-1, keepdims=True))
+    logp = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=logits)
     sums = np.empty((n, 1), logp.dtype)
     _, blocks = _row_blocks(logp.shape)
     scratch = np.empty_like(logp[blocks[0]])

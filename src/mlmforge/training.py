@@ -10,6 +10,10 @@ A training step runs its ops with their output checks off and then checks
 the loss and every gradient once. A non-finite value replays the step
 with the checks on, under the same dropout masks, so the op that made it
 raises; see `_checked_step`. Validation and evaluation stay checked.
+
+A loop that validates keeps one best-validation snapshot: the values, Adam
+moments and step count, copied into the same buffers at every improvement. Its grads
+are read-only zero views, so it costs three arrays a tensor, not four.
 """
 
 import json
@@ -36,7 +40,7 @@ from .encoder import (
 )
 from .errors import ConfigError, DataError, NonFiniteError
 from .masking import MASKING_MODES, MASK_RATIO, build_batch, build_epoch_batches, check_maskable
-from .numerics import ParameterStore, adam_step, ops
+from .numerics import Param, ParameterStore, adam_step, ops
 from .numerics.ops import IGNORE_ID, cross_entropy, cross_entropy_backward
 # `encode` is unused here, but perfbench/tracing.py looks it up in this module.
 from .tokenizer import TokenSequence, Vocab, encode
@@ -117,16 +121,16 @@ def _head_loss(params, config, enc: EncodedBatch, rows, targets, head,
                head_backward=None, rng=None) -> float:
     """Cross-entropy of `head` on the last-layer states of the flat `rows`,
     with dropout when given an rng. Given `head_backward`, also runs the
-    head and encoder backward. The logits go before the loss backward,
-    which turns the loss cache into their gradient in place, and the head's
-    arrays before the encoder backward, so no (rows, n_class) array outlives
-    the head."""
+    head and encoder backward. The loss takes the logits over as its cached
+    log-probabilities, which the loss backward turns into their gradient in
+    place, and the head's arrays go before the encoder backward, so one
+    (rows, n_class) array serves the whole head and none outlives it."""
     backward = head_backward is not None
     hidden, cache = forward_hidden(params, config, enc, rows, rng=rng, want_cache=backward)
     logits, hcache = head(params, hidden)
     loss, ce_cache = cross_entropy(logits, targets)
+    del logits  # now the cached log-probabilities
     if backward:
-        del logits
         d_hidden = head_backward(params, hcache, cross_entropy_backward(ce_cache))
         del hcache, ce_cache
         backward_hidden(params, config, cache, d_hidden)
@@ -176,6 +180,25 @@ def cls_loss_and_backward(params, config, batch: EncodedBatch, targets, rng=None
     an rng."""
     return _head_loss(params, config, batch, batch.cls_rows(), targets, cls_head,
                       cls_head_backward, rng)
+
+
+def _snapshot(params: ParameterStore, best: ParameterStore | None) -> ParameterStore:
+    """`params`' values, Adam moments and step count, copied into the
+    buffers of `best`, the previous snapshot, or into fresh ones when it is
+    None. A snapshot's grads are read-only zero views, not buffers: it is
+    saved or evaluated, never trained."""
+    if best is None:
+        best = ParameterStore()
+        for name, p in params.items():
+            zero = np.broadcast_to(np.zeros((), p.grad.dtype), p.grad.shape)
+            best.entries[name] = Param(np.empty_like(p.value), zero, np.empty_like(p.adam_m),
+                                       np.empty_like(p.adam_v))
+    for name, p in params.items():
+        kept = best[name]
+        for dst, src in ((kept.value, p.value), (kept.adam_m, p.adam_m), (kept.adam_v, p.adam_v)):
+            np.copyto(dst, src)
+    best.step_count = params.step_count
+    return best
 
 
 def _dropout_rng(cfg: TrainConfig, step: int) -> np.random.Generator:
@@ -269,7 +292,7 @@ def pretrain(
             if best_val is None or vloss < best_val:
                 best_val = vloss
                 best_step = params.step_count
-                best_params = params.clone()
+                best_params = _snapshot(params, best_params)
     return PretrainResult(params, log, best_params, best_step, best_val)
 
 
@@ -319,7 +342,7 @@ def finetune(
         live_rows = {"encoder.tok_emb": np.unique(np.concatenate(train_seqs))}
 
     log: list[dict] = []
-    best_params = params.clone()
+    best_params = None  # epoch 0's F1 (>= 0) always beats -1, so it sets the snapshot
     best_epoch = 0
     best_f1 = -1.0
 
@@ -334,7 +357,7 @@ def finetune(
         if m.f1 > best_f1:
             best_f1 = m.f1
             best_epoch = epoch
-            best_params = params.clone()
+            best_params = _snapshot(params, best_params)
 
     epoch_metrics(0)
     n = len(train_seqs)

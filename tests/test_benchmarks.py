@@ -273,6 +273,28 @@ class TestManifestLoading:
         with pytest.raises(DataError, match=f"'{field}' names unknown split 'dev'"):
             load_manifest_dataset(mpath)
 
+    def test_empty_split_file_name_is_data_error(self, tmp_path):
+        """An empty name would drop the split in silence, and the CLI would
+        hold validation out of train instead of reading it."""
+        mpath = make_fixture("Dreaddit", tmp_path / "d", seed=0)
+        manifest = read_manifest(mpath)
+        manifest["files"]["validation"] = ""
+        write_manifest(manifest, mpath)
+        with pytest.raises(DataError, match="'files' gives split 'validation' an empty"):
+            load_manifest_dataset(mpath)
+
+    def test_declared_split_without_a_file_warns(self, tmp_path, caplog):
+        mpath = make_fixture("Dreaddit", tmp_path / "d", seed=0)
+        manifest = read_manifest(mpath)
+        del manifest["files"]["validation"]
+        write_manifest(manifest, mpath)
+        with caplog.at_level(logging.WARNING):
+            ds = load_manifest_dataset(mpath)
+        assert set(ds.splits) == {"train", "test"}
+        assert [r.message for r in caplog.records if "validation" in r.message] == [
+            "Dreaddit: manifest declares split validation (8 examples) but 'files' "
+            "lists no file for it"]
+
     @pytest.mark.parametrize("field, value, match", [
         ("name", ["x"], "'name' must be a string"),
         ("files", ["train.jsonl"], "'files' must be an object"),

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -786,6 +787,52 @@ class TestTokenMajorLayout:
         real = real_rows(masked_batch(lengths, seed).encoded())
         rows = data.draw(st.lists(st.sampled_from(real.tolist()), unique=True))
         check_rows_against_reference(lengths, sorted(rows), seed)
+
+
+def cached_arrays(cache):
+    """Every array a (nested) named-tuple cache holds."""
+    if isinstance(cache, tuple):
+        for item in cache:
+            yield from cached_arrays(item)
+    elif isinstance(cache, np.ndarray):
+        yield cache
+
+
+class TestCaches:
+    def test_ffn_cache_holds_two_ffn_wide_arrays(self):
+        """gelu's input and t, with dropout on, in every layer; the backward
+        rebuilds gelu's output from them."""
+        enc = masked_batch([9, 3, 14, 1, 6]).encoded()
+        params = drop_store(0)
+        _, cache = forward_hidden(params, DROP, enc, enc.cls_rows(),
+                                  rng=np.random.default_rng(0), want_cache=True)
+        for _, ffn in cache.layers:
+            wide = [a for a in cached_arrays(ffn) if a.shape[-1] == DROP.ffn]
+            assert [a.shape for a in wide] == [(ffn.x.shape[0], DROP.ffn)] * 2
+            assert not np.shares_memory(*wide)
+            assert wide[1] is ffn.gelu[1]
+
+    def test_eval_forward_frees_each_sublayer_cache_as_it_returns(self, monkeypatch):
+        """Without want_cache, no earlier sublayer's cache is alive when the
+        next sublayer starts or when forward_hidden returns."""
+        alive = []
+
+        def watched(sublayer, pick):
+            def run(*args):
+                assert [ref() is None for ref in alive] == [True] * len(alive)
+                x, cache = sublayer(*args)
+                alive.append(weakref.ref(pick(cache)))
+                return x, cache
+            return run
+
+        monkeypatch.setattr(encoder, "_self_attention", watched(
+            encoder._self_attention, lambda cache: cache.groups[0].probs))
+        monkeypatch.setattr(encoder, "_feed_forward", watched(
+            encoder._feed_forward, lambda cache: cache.gelu[1]))
+        enc = masked_batch([9, 3, 14, 1, 6]).encoded()
+        forward_hidden(drop_store(0), DROP, enc, enc.cls_rows())
+        assert len(alive) == 2 * DROP.n_layers
+        assert [ref() is None for ref in alive] == [True] * len(alive)
 
 
 class TestSublayerPrefixes:

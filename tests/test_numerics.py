@@ -211,10 +211,10 @@ class TestOpGradients:
         targets = np.array([0, 5, 1, 2])
 
         def fwd(logits):
-            return np.array(ops.cross_entropy(logits, targets)[0])
+            return np.array(ops.cross_entropy(logits.copy(), targets)[0])
 
         def bwd(w, logits):
-            _, cache = ops.cross_entropy(logits, targets)
+            _, cache = ops.cross_entropy(logits.copy(), targets)
             return (float(w) * ops.cross_entropy_backward(cache),)
 
         self.check(fwd, bwd, [logits])
@@ -300,10 +300,14 @@ def _grad(rng, dtype, shape):
 
 
 def _gelu_cases(suffix, shape):
-    """gelu and gelu_backward on inputs of `shape`."""
+    """gelu and gelu_backward on inputs of `shape`, and gelu_recompute
+    against the output of ops.gelu itself."""
     return {
         f"gelu{suffix}": (lambda x: ops.gelu(x)[0], textbook_gelu,
                           lambda r, dt: (r.normal(0.0, 2.5, size=shape).astype(dt),)),
+        f"gelu_recompute{suffix}": (lambda x: ops.gelu_recompute(ops.gelu(x)[1]),
+                                    lambda x: ops.gelu(x)[0],
+                                    lambda r, dt: (r.normal(0.0, 2.5, size=shape).astype(dt),)),
         f"gelu_backward{suffix}": (lambda dout, x: ops.gelu_backward(dout, ops.gelu(x)[1]),
                                    textbook_gelu_backward,
                                    lambda r, dt: (_grad(r, dt, shape),

@@ -52,6 +52,43 @@ MICRO_CORPUS = [
 ]
 
 
+@pytest.fixture
+def snapshots(monkeypatch):
+    """Records each best snapshot a loop takes as (the ids of its value and
+    moment buffers, the live store's bytes, its step count). Before each
+    later snapshot it asserts that the one before still holds the bytes it
+    was taken with, though training has moved the live store since."""
+    taken = []
+    real = training._snapshot
+
+    def recording(params, best):
+        if best is not None:
+            assert store_bytes(best) == taken[-1][1]
+        best = real(params, best)
+        ids = [id(a) for _, p in best.items() for a in (p.value, p.adam_m, p.adam_v)]
+        taken.append((ids, store_bytes(params), params.step_count))
+        return best
+
+    monkeypatch.setattr(training, "_snapshot", recording)
+    return taken
+
+
+def check_best_snapshot(best, taken):
+    """At least two improvements; every snapshot reused the first one's
+    buffers; the result holds the live store's bytes and step count at
+    the last one; its grads are read-only zeros of each tensor's shape and
+    dtype."""
+    assert len(taken) >= 2
+    assert all(ids == taken[0][0] for ids, _, _ in taken)
+    assert store_bytes(best) == taken[-1][1]
+    assert best.step_count == taken[-1][2]
+    for name, p in best.items():
+        assert p.grad.shape == p.value.shape and p.grad.dtype == p.value.dtype, name
+        assert not p.grad.any(), name
+        with pytest.raises(ValueError, match="read-only"):
+            p.grad[...] = 1
+
+
 def micro_cfg(**kw):
     base = dict(batch_size=2, max_steps=4, eval_every=2, lr_encoder=1e-3,
                 lr_head=3e-3, seed=0, masking_mode="static")
@@ -160,6 +197,15 @@ class TestPretrain:
                                 cfg.batch_size, MICRO.max_positions, MICRO.vocab_size),
         )
         assert held == pytest.approx(res.best_val_loss)
+
+    def test_best_snapshot_is_one_reused_copy_without_grads(self, snapshots):
+        # validation improves at step 1, then at steps 7 to 12
+        cfg = micro_cfg(max_steps=12, eval_every=1, masking_mode="dynamic")
+        res = pretrain(MICRO_CORPUS, init_params(MICRO, 0), MICRO, cfg,
+                       val_corpus_ids=MICRO_CORPUS)
+        check_best_snapshot(res.best_params, snapshots)
+        assert [step for _, _, step in snapshots] == [1, *range(7, 13)]
+        assert res.best_step == 12
 
     def test_non_finite_loss_aborts_with_step(self):
         params = init_params(MICRO, 0)
@@ -371,6 +417,13 @@ class TestFinetune:
         res = finetune(ds, params, config, micro_cfg(epochs=4, batch_size=8), vocab)
         logged = [r["value"] for r in res.log if r["metric"] == "f1_weighted"]
         assert res.best_val_f1 == max(logged)
+
+    def test_best_snapshot_is_one_reused_copy_without_grads(self, toy_setup, snapshots):
+        ds, vocab, config = toy_setup
+        cfg = micro_cfg(epochs=10, batch_size=8, lr_encoder=1e-3, lr_head=1e-2)
+        res = finetune(ds, init_params(config, seed=0), config, cfg, vocab)
+        check_best_snapshot(res.params, snapshots)
+        assert res.best_epoch > 0
 
     def test_float64_store_stays_float64(self, toy_setup):
         ds, vocab, config = toy_setup

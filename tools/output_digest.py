@@ -30,11 +30,11 @@ and per file the CLI chain wrote. Two trees whose digest files are byte-identica
 the same outputs; `diff` lists the outputs whose bits moved. Run it twice
 on one tree to check that reruns are bitwise equal.
 
-Digest both trees at the same BLAS thread count, for example
-`OPENBLAS_NUM_THREADS=1 python3 tools/output_digest.py ...` for each: the
-thread count alone moves the bits of most lines (1,023 of 1,710 between
-one and two OpenBLAS threads), so a diff across thread counts says
-nothing about the change.
+The BLAS thread count alone moves the bits of most lines (over 1,000 of
+1,710 between one and two OpenBLAS threads), so the tool sets
+`OPENBLAS_NUM_THREADS` and `OMP_NUM_THREADS` to 1 before numpy is
+imported, whatever the caller's environment says: digests of any two
+trees are then comparable.
 """
 
 import contextlib
@@ -42,9 +42,15 @@ import hashlib
 import io
 import json
 import logging
+import os
 import sys
 import tempfile
 from pathlib import Path
+
+# numpy reads these once, when it loads BLAS; the functions below import it
+# (and mlmforge) only after this.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.environ["OMP_NUM_THREADS"] = "1"
 
 N_WORDS = 1495  # + 5 specials = vocab 1500
 SEED = 0
